@@ -125,7 +125,11 @@ def cmd_simulate_hunt(args) -> int:
         message_budget=args.budget,
         master_seed=args.seed,
     )
-    summary = montecarlo_hunt(campaign)
+    try:
+        summary = montecarlo_hunt(campaign)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 1
     out = _out_dir(args)
     csv_path = out / "hunt_trials.csv"
     csv_path.write_text(hunt_rows_to_csv(summary))

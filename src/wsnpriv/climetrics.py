@@ -221,7 +221,6 @@ class HuntCampaign:
     trials: int
     message_budget: int
     master_seed: int
-    walk_mode: WalkMode = WalkMode.PURE
 
 
 def parse_strategy(spec: str):
@@ -241,14 +240,13 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
     Also emits per-trial rows (strategy, grid, safety period, capture flag,
     transmissions, mean latency) for the CSV log.
     """
+    if campaign.trials < 1:
+        raise ScenarioError("trials: must be >= 1")
     summary = []
     for (w, h) in campaign.grids:
         topology = build_grid(w, h)
         for spec in campaign.strategies:
             strategy = parse_strategy(spec)
-            if isinstance(strategy, Phantom) and campaign.walk_mode is not strategy.walk.mode:
-                strategy = Phantom(WalkConfig(mode=campaign.walk_mode,
-                                              hops=strategy.walk.hops))
             safeties = []
             captures = 0
             trial_rows = []
@@ -312,6 +310,7 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 
 _LEVELS = {lv.value: lv for lv in PrivacyLevel}
+_WALK_MODES = {m.value: m for m in WalkMode}
 
 
 def pipeline_config_from_doc(doc: dict) -> PipelineConfig:
@@ -331,10 +330,14 @@ def pipeline_config_from_doc(doc: dict) -> PipelineConfig:
         raise ScenarioError(f"level: unknown value {level_name!r}")
     readings = {int(k): int(v) for k, v in need("readings", dict).items()}
     walk_doc = doc.get("walk", {})
-    walk = WalkConfig(
-        mode=WalkMode(walk_doc.get("mode", "directed")),
-        hops=int(walk_doc.get("hops", 5)),
-    )
+    if not isinstance(walk_doc, dict):
+        raise ScenarioError("walk: expected object")
+    mode, hops = walk_doc.get("mode", "directed"), walk_doc.get("hops", 5)
+    if not isinstance(mode, str) or mode not in _WALK_MODES:
+        raise ScenarioError(f"walk.mode: unknown value {mode!r}")
+    if isinstance(hops, bool) or not isinstance(hops, int) or hops < 0:
+        raise ScenarioError("walk.hops: expected int >= 0")
+    walk = WalkConfig(mode=_WALK_MODES[mode], hops=hops)
     cfg = PipelineConfig(
         width=need("width", int),
         height=need("height", int),
@@ -373,6 +376,10 @@ def run_scenarios(path: str, out_dir: str) -> int:
         return 1
     status = 0
     for i, scen in enumerate(scenarios):
+        if not isinstance(scen, dict):
+            print(f"error: scenario-{i}: expected an object")
+            status = 1
+            continue
         name = scen.get("name", f"scenario-{i}")
         try:
             cfg = pipeline_config_from_doc(scen)

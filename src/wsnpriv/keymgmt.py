@@ -50,8 +50,6 @@ __all__ = [
     "af_resolve_key",
     "source_resolve_key",
     "establish_ss_channel",
-    "seal",
-    "open_frame",
     "ss_send",
     "ss_receive",
 ]
@@ -85,11 +83,6 @@ class KeyPool:
     @property
     def total(self) -> int:
         return len(self.bank_af) + len(self.bank_ss)
-
-    @property
-    def key_ids(self) -> tuple[int, ...]:
-        # AF bank takes ids [0, k_af); SS bank the rest.
-        return tuple(range(self.total))
 
 
 @dataclass(frozen=True)
@@ -157,29 +150,6 @@ class StreamMacCipher(CipherSuite):
 DEFAULT_CIPHER = StreamMacCipher()
 
 
-def seal(
-    key: bytes,
-    plaintext: bytes,
-    aad: bytes = b"",
-    *,
-    nonce: bytes,
-    cipher: CipherSuite = DEFAULT_CIPHER,
-) -> tuple[bytes, bytes]:
-    """Returns (nonce, body).  Nonce must be caller-supplied (drawn from a
-    SimRng stream) so runs stay deterministic."""
-    return nonce, cipher.seal(key, nonce, plaintext, aad)
-
-
-def open_frame(
-    key: bytes,
-    nonce: bytes,
-    body: bytes,
-    aad: bytes = b"",
-    cipher: CipherSuite = DEFAULT_CIPHER,
-) -> bytes:
-    return cipher.open(key, nonce, body, aad)
-
-
 def generate_pool(total: int, af_count: int, rng: SimRng) -> KeyPool:
     """total distinct random keys; first af_count form the AF bank."""
     if not 1 <= af_count < total:
@@ -217,10 +187,7 @@ class SsSchedule:
     perm_by_owner: dict[NodeId, tuple[int, ...]]
 
     def key_for(self, receiver: NodeId, bank_ss: tuple[bytes, ...], index: int) -> bytes:
-        perm = self.perm_by_owner[receiver]
-        if not 1 <= index <= len(perm):
-            raise KeyIndexRangeError(f"index {index} outside [1, {len(perm)}]")
-        return bank_ss[perm[index - 1]]
+        return _slot_key(bank_ss, self.perm_by_owner[receiver], index)
 
 
 @dataclass
@@ -256,37 +223,35 @@ def register_pair(source: SourceNode, af: AggregatorNode, rng: SimRng) -> tuple[
     return perm
 
 
+def _slot_key(bank: tuple[bytes, ...], perm: tuple[int, ...], r_c: int) -> bytes:
+    """Key at 1-based slot r_c of a pair's permuted ordering of `bank`."""
+    if not 1 <= r_c <= len(perm):
+        raise KeyIndexRangeError(f"R_c={r_c} outside [1, {len(perm)}]")
+    return bank[perm[r_c - 1]]
+
+
 def select_session_key(
     source: SourceNode, rng: SimRng
 ) -> tuple[KeyIndexAnnouncement, bytes]:
     """Source-side pick: uniform R_c in [1, bank size], key through the
     pair permutation."""
-    if source.af_perm is None:
-        raise ProtocolError(f"source {source.node_id} has no registered AF pair")
     r_c = rng.randint(1, len(source.bank_af))
-    key = source.bank_af[source.af_perm[r_c - 1]]
-    return KeyIndexAnnouncement(sender=source.node_id, r_c=r_c), key
+    return KeyIndexAnnouncement(sender=source.node_id, r_c=r_c), source_resolve_key(source, r_c)
 
 
 def af_resolve_key(af: AggregatorNode, announcement: KeyIndexAnnouncement) -> bytes:
     """AF-side lookup of the session key a source announced."""
-    if announcement.sender not in af.pair_perms:
+    perm = af.pair_perms.get(announcement.sender)
+    if perm is None:
         raise UnknownSourceError(f"no pair registered for source {announcement.sender}")
-    perm = af.pair_perms[announcement.sender]
-    if not 1 <= announcement.r_c <= len(perm):
-        raise KeyIndexRangeError(
-            f"R_c={announcement.r_c} outside [1, {len(perm)}]"
-        )
-    return af.bank_af[perm[announcement.r_c - 1]]
+    return _slot_key(af.bank_af, perm, announcement.r_c)
 
 
 def source_resolve_key(source: SourceNode, r_c: int) -> bytes:
-    """Source-side lookup for AF-initiated frames (same permuted ordering)."""
+    """Source-side key at slot r_c of its AF-pair ordering (both directions)."""
     if source.af_perm is None:
         raise ProtocolError(f"source {source.node_id} has no registered AF pair")
-    if not 1 <= r_c <= len(source.af_perm):
-        raise KeyIndexRangeError(f"R_c={r_c} outside [1, {len(source.af_perm)}]")
-    return source.bank_af[source.af_perm[r_c - 1]]
+    return _slot_key(source.bank_af, source.af_perm, r_c)
 
 
 def _encode_perm(perm: tuple[int, ...]) -> bytes:
@@ -387,11 +352,7 @@ def establish_ss_channel(
         in_aad = f"relay:{sender.node_id}->{receiver.node_id}".encode()
         payload = cipher.open(af_key_in, frame.nonce, frame.body, in_aad)
         out_r_c = rng.randint(1, len(af.bank_af))
-        if receiver.node_id not in af.pair_perms:
-            raise UnknownSourceError(
-                f"no pair registered for source {receiver.node_id}"
-            )
-        af_key_out = af.bank_af[af.pair_perms[receiver.node_id][out_r_c - 1]]
+        af_key_out = af_resolve_key(af, KeyIndexAnnouncement(receiver.node_id, out_r_c))
         out_nonce = rng.randbytes(NONCE_LEN)
         out_body = cipher.seal(af_key_out, out_nonce, payload, in_aad)
         relayed = SealedFrame(

@@ -143,24 +143,6 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
     return path
 
 
-def _is_connected(adjacency: tuple[tuple[NodeId, ...], ...]) -> bool:
-    n = len(adjacency)
-    if n == 0:
-        return False
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        u = queue.popleft()
-        for v in adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                queue.append(v)
-    return count == n
-
-
 def _finish(
     positions: list[tuple[float, float]],
     radio_range: float,
@@ -168,25 +150,23 @@ def _finish(
     sources: tuple[NodeId, ...] | None,
 ) -> Topology:
     n = len(positions)
-    adjacency = _build_adjacency(positions, radio_range)
-    if not _is_connected(adjacency):
+    topology = Topology(
+        positions=tuple(positions),
+        radio_range=radio_range,
+        adjacency=_build_adjacency(positions, radio_range),
+        sink=0 if sink is None else sink,
+        sources=(n - 1,) if sources is None else tuple(sources),
+    )
+    if n == 0 or -1 in bfs_distances(topology, 0):
         raise DisconnectedGraphError(
             f"field of {n} nodes is disconnected at radio range {radio_range}"
         )
-    sink = 0 if sink is None else sink
-    sources = (n - 1,) if sources is None else tuple(sources)
-    if not 0 <= sink < n:
-        raise ValueError(f"invalid sink id {sink}")
-    for s in sources:
+    if not 0 <= topology.sink < n:
+        raise ValueError(f"invalid sink id {topology.sink}")
+    for s in topology.sources:
         if not 0 <= s < n:
             raise ValueError(f"invalid source id {s}")
-    return Topology(
-        positions=tuple(positions),
-        radio_range=radio_range,
-        adjacency=adjacency,
-        sink=sink,
-        sources=sources,
-    )
+    return topology
 
 
 def build_grid(

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .netsim import NodeId, Topology, Transmission, bfs_distances
 from .rng import SimRng
@@ -29,6 +29,7 @@ __all__ = [
     "WalkMode",
     "WalkConfig",
     "ReceptorPath",
+    "Schedule",
     "HuntReport",
     "ZonePlan",
     "FloodOnly",
@@ -39,6 +40,7 @@ __all__ = [
     "flood",
     "build_receptor",
     "deliver_two_way",
+    "route_message",
     "hunt",
     "binom",
     "min_zone_nodes",
@@ -146,48 +148,41 @@ def random_walk(
     return path
 
 
-@dataclass(frozen=True)
-class FloodResult:
-    delivered: bool
+@dataclass
+class Schedule:
+    """One routed message: the earliest tick each forwarding node transmits,
+    every broadcast counted (walk revisits included), and the tick the
+    destination first hears it (-1 if never)."""
+
+    ticks: dict[NodeId, int]
     transmissions: int
     latency_hops: int
-    log: tuple[Transmission, ...]
 
+    @property
+    def delivered(self) -> bool:
+        return self.latency_hops >= 0
 
-def flood(
-    topology: Topology,
-    origin: NodeId,
-    destination: NodeId,
-    payload_id: str = "msg",
-    start_tick: int = 0,
-) -> FloodResult:
-    """Whole-field flood: every node retransmits once, destination excepted.
-
-    A node first hearing the message at tick t retransmits at tick t; the
-    origin transmits at start_tick.  Latency is the hop distance from
-    origin to destination.
-    """
-    dist = bfs_distances(topology, origin)
-    entries = []
-    for node in range(topology.node_count):
-        if dist[node] < 0 or node == destination:
-            continue
-        entries.append(
+    def log(self, topology: Topology, payload_id: str) -> list[Transmission]:
+        """One Transmission per forwarding node, ordered by (tick, sender)."""
+        return [
             Transmission(
-                tick=start_tick + dist[node],
+                tick=t,
                 sender=node,
                 payload_id=payload_id,
                 hearers=frozenset(topology.adjacency[node]),
             )
-        )
-    entries.sort(key=lambda t: (t.tick, t.sender))
-    delivered = dist[destination] >= 0
-    return FloodResult(
-        delivered=delivered,
-        transmissions=len(entries),
-        latency_hops=dist[destination] if delivered else -1,
-        log=tuple(entries),
-    )
+            for node, t in sorted(self.ticks.items(), key=lambda kv: (kv[1], kv[0]))
+        ]
+
+
+def flood(topology: Topology, origin: NodeId, destination: NodeId) -> Schedule:
+    """Whole-field flood: every node retransmits once, destination excepted.
+
+    A node first hearing the message at tick t retransmits at tick t; the
+    origin transmits at tick 0.  Latency is the hop distance from origin to
+    destination.
+    """
+    return route_message(topology, origin, destination, FloodOnly(), None, {})
 
 
 def build_receptor(
@@ -245,83 +240,50 @@ def deliver_two_way(
     )
 
 
-class _MessageSchedule:
-    """Transmission ticks for one routed message, queryable per node."""
-
-    def __init__(self, ticks: dict[NodeId, int], transmissions: int, latency: int):
-        self.ticks = ticks  # node -> earliest transmission tick
-        self.transmissions = transmissions
-        self.latency = latency
-
-    def to_log(self, topology: Topology, payload_id: str) -> list[Transmission]:
-        return [
-            Transmission(
-                tick=t,
-                sender=node,
-                payload_id=payload_id,
-                hearers=frozenset(topology.adjacency[node]),
-            )
-            for node, t in sorted(self.ticks.items(), key=lambda kv: (kv[1], kv[0]))
-        ]
-
-
-def _schedule_flood_only(
-    topology: Topology, source: NodeId, destination: NodeId, dist_cache: dict
-) -> _MessageSchedule:
-    if source not in dist_cache:
-        dist_cache[source] = bfs_distances(topology, source)
-    dist = dist_cache[source]
-    ticks = {
-        node: dist[node]
-        for node in range(topology.node_count)
-        if dist[node] >= 0 and node != destination
-    }
-    return _MessageSchedule(ticks, len(ticks), dist[destination])
-
-
-def _schedule_phantom(
+def route_message(
     topology: Topology,
     source: NodeId,
     destination: NodeId,
-    walk_cfg: WalkConfig,
-    rng: SimRng,
-    dist_cache: dict,
-) -> _MessageSchedule:
-    path = random_walk(topology, source, walk_cfg, rng)
+    strategy: FloodOnly | Phantom | TwoWay,
+    rng: SimRng | None,
+    dist_cache: dict[NodeId, list[int]],
+    receptor: ReceptorPath | None = None,
+) -> Schedule:
+    """Route one message from source to destination under `strategy`.
+
+    Phantom walks h hops, then floods from the walk's end: a node forwards
+    at the earlier of its walk index and h + its hop distance from there
+    (flood is the h = 0 case).  Two-way walks until it meets the receptor
+    and follows it home, or raises NoRendezvousError.  `dist_cache` maps
+    origins to BFS distances and is filled on demand.
+    """
+    if isinstance(strategy, TwoWay):
+        route = deliver_two_way(topology, source, receptor, rng, strategy.max_steps)
+        ticks: dict[NodeId, int] = {}
+        for i, node in enumerate(route[:-1]):  # final node is the destination
+            if node not in ticks:
+                ticks[node] = i
+        return Schedule(ticks, len(route) - 1, len(route) - 1)
+
+    path = [source]
+    if isinstance(strategy, Phantom):
+        path = random_walk(topology, source, strategy.walk, rng)
     h = len(path) - 1
-    phantom_src = path[-1]
-    if phantom_src not in dist_cache:
-        dist_cache[phantom_src] = bfs_distances(topology, phantom_src)
-    dist = dist_cache[phantom_src]
-    ticks: dict[NodeId, int] = {}
-    transmissions = 0
-    # Flood phase from the phantom node, offset by the walk length.
-    for node in range(topology.node_count):
-        if dist[node] >= 0 and node != destination:
-            ticks[node] = h + dist[node]
-            transmissions += 1
+    dist = dist_cache.get(path[-1])
+    if dist is None:
+        dist = dist_cache[path[-1]] = bfs_distances(topology, path[-1])
+    if h:
+        ticks = {node: h + d for node, d in enumerate(dist) if d >= 0 and node != destination}
+    else:
+        ticks = {node: d for node, d in enumerate(dist) if d >= 0 and node != destination}
+    transmissions = len(ticks) + h
     # Walk phase: node path[i] forwards at tick i (earliest occurrence wins).
     for i in range(h):
         node = path[i]
         if node not in ticks or i < ticks[node]:
             ticks[node] = i
-        transmissions += 1
-    return _MessageSchedule(ticks, transmissions, h + dist[destination])
-
-
-def _schedule_two_way(
-    topology: Topology,
-    source: NodeId,
-    receptor: ReceptorPath,
-    rng: SimRng,
-    max_steps: int,
-) -> _MessageSchedule:
-    route = deliver_two_way(topology, source, receptor, rng, max_steps)
-    ticks: dict[NodeId, int] = {}
-    for i, node in enumerate(route[:-1]):  # final node is the destination
-        if node not in ticks:
-            ticks[node] = i
-    return _MessageSchedule(ticks, len(route) - 1, len(route) - 1)
+    latency = h + dist[destination] if dist[destination] >= 0 else -1
+    return Schedule(ticks, transmissions, latency)
 
 
 def hunt(
@@ -361,27 +323,20 @@ def hunt(
     safety_period = message_budget
 
     for msg in range(1, message_budget + 1):
-        if isinstance(strategy, FloodOnly):
-            sched = _schedule_flood_only(topology, source, destination, dist_cache)
-        elif isinstance(strategy, Phantom):
-            sched = _schedule_phantom(
-                topology, source, destination, strategy.walk, walk_rng, dist_cache
+        try:
+            sched = route_message(
+                topology, source, destination, strategy, walk_rng, dist_cache, receptor
             )
-        else:
-            try:
-                sched = _schedule_two_way(
-                    topology, source, receptor, walk_rng, strategy.max_steps
-                )
-            except NoRendezvousError:
-                # Message lost; nothing transmitted beyond the failed walk is
-                # modelled, and the adversary hears nothing this round.
-                latencies.append(-1)
-                continue
+        except NoRendezvousError:
+            # Message lost; nothing transmitted beyond the failed walk is
+            # modelled, and the adversary hears nothing this round.
+            latencies.append(-1)
+            continue
 
         transmissions_total += sched.transmissions
-        latencies.append(sched.latency)
+        latencies.append(sched.latency_hops)
         if record_log:
-            log.extend(sched.to_log(topology, f"msg:{msg}"))
+            log.extend(sched.log(topology, f"msg:{msg}"))
 
         # Source transmits at tick 0 of every message; an adversary camped
         # on it catches it immediately.

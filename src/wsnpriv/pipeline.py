@@ -14,16 +14,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from . import netsim
 from .netsim import NodeId, Topology, bfs_distances, build_grid, shortest_path
 from .phantom import (
+    Phantom,
     ReceptorPath,
+    TwoWay,
     WalkConfig,
     WalkMode,
     build_receptor,
-    deliver_two_way,
-    flood,
-    random_walk,
+    route_message,
 )
 from .ppda import PrimeField, RoundTranscript, SppdaCluster
 from .rng import SimRng
@@ -99,6 +98,8 @@ class PipelineConfig:
             raise ConfigError(
                 "perturbation layer needs at least two sources to form a cluster"
             )
+        if len(set(self.sources)) != len(self.sources):
+            raise ConfigError(f"sources: duplicate node ids in {list(self.sources)}")
         missing = [s for s in self.sources if s not in self.readings]
         if missing:
             raise ConfigError(f"missing readings for sources {missing}")
@@ -201,17 +202,12 @@ def _route(
     receptor: ReceptorPath | None,
 ) -> tuple[int, int]:
     """Deliver origin -> sink; returns (route_hops, transmissions)."""
-    sink = topology.sink
     if not anonymity:
-        path = shortest_path(topology, origin, sink)
-        return len(path) - 1, len(path) - 1
-    if receptor is not None:
-        route = deliver_two_way(topology, origin, receptor, rng)
-        return len(route) - 1, len(route) - 1
-    walk = random_walk(topology, origin, cfg.walk, rng)
-    fl = flood(topology, walk[-1], sink)
-    hops = len(walk) - 1
-    return hops + fl.latency_hops, hops + fl.transmissions
+        hops = len(shortest_path(topology, origin, topology.sink)) - 1
+        return hops, hops
+    strategy = Phantom(cfg.walk) if receptor is None else TwoWay(receptor.length)
+    sched = route_message(topology, origin, topology.sink, strategy, rng, {}, receptor)
+    return sched.latency_hops, sched.transmissions
 
 
 def run_pipeline(config: PipelineConfig) -> DeliveryReport:

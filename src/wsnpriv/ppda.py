@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .keymgmt import (
     AggregatorNode,
     KeyIndexAnnouncement,
+    ProtocolError,
     SealedFrame,
     SourceNode,
     af_resolve_key,
@@ -308,6 +309,13 @@ class RoundTranscript:
 _PARTICIPANTS = ("A", "S1", "S2")
 
 
+def _field_element(payload: bytes, field: PrimeField) -> int:
+    """Decode a decrypted share or sum: a decimal in [0, p), else ProtocolError."""
+    if not payload.isdigit() or int(payload) >= field.p:
+        raise ProtocolError(f"payload {payload[:32]!r} is not an element of GF({field.p})")
+    return int(payload)
+
+
 class SppdaCluster:
     """One (S1, S2, AF) cluster with its key infrastructure set up once.
 
@@ -339,6 +347,7 @@ class SppdaCluster:
         register_pair(self.s2, self.af, setup.stream("pair-s2"))
         establish_ss_channel(self.s1, self.s2, self.af, setup.stream("ss"), cipher)
         self._names = {af_id: "A", s1_id: "S1", s2_id: "S2"}
+        self._nodes = {"A": self.af, "S1": self.s1, "S2": self.s2}
         self._round = 0
 
     def _seal_to_af(self, source: SourceNode, payload: bytes, rng: SimRng,
@@ -358,7 +367,7 @@ class SppdaCluster:
     def _seal_from_af(self, dest: SourceNode, payload: bytes, rng: SimRng,
                       kind: str, transcript: RoundTranscript, fields: dict) -> bytes:
         r_c = rng.randint(1, len(self.af.bank_af))
-        key = self.af.bank_af[self.af.pair_perms[dest.node_id][r_c - 1]]
+        key = af_resolve_key(self.af, KeyIndexAnnouncement(dest.node_id, r_c))
         nonce = rng.randbytes(NONCE_LEN)
         aad = f"{kind}:af->{dest.node_id}".encode()
         body = self.cipher.seal(key, nonce, payload, aad)
@@ -380,6 +389,21 @@ class SppdaCluster:
             plaintext_fields={"ss_index": index, "relayed_by": "A"}, frame=frame,
         ))
         return ss_receive(receiver, index, frame, self.cipher)
+
+    def _send_share(self, producer: str, target: str, value: int, rng: SimRng,
+                    transcript: RoundTranscript) -> bytes:
+        """Seal one share toward its target; returns what the target decrypts.
+        S1<->S2 shares go through the SS relay, which the AF cannot open."""
+        payload = str(value).encode()
+        fields = {"for_seed_of": target}
+        if producer == "A":
+            return self._seal_from_af(self._nodes[target], payload, rng,
+                                      "share", transcript, fields)
+        if target == "A":
+            return self._seal_to_af(self._nodes[producer], payload, rng,
+                                    "share", transcript, fields)
+        return self._ss_exchange(self._nodes[producer], self._nodes[target],
+                                 payload, rng, "share", transcript)
 
     def run_round(self, x: int, y: int, z: int) -> tuple[AggregationResult, RoundTranscript]:
         self._round += 1
@@ -404,46 +428,30 @@ class SppdaCluster:
             who: gen_shares(values[who], who, seeds, coeffs[who])
             for who in _PARTICIPANTS
         }
-        by_target: dict[str, list[Share]] = {who: [] for who in _PARTICIPANTS}
-        for who in _PARTICIPANTS:
-            for share in shares[who]:
-                by_target[share.evaluated_at].append(share)
-
-        # Deliver each producer's off-seed shares over the managed channels.
+        # Each node keeps the share at its own seed and sums it with the
+        # shares it decrypts off the managed channels.
         chan = rng.stream("channels")
-        def move(producer, target, nodes):  # noqa: E306
-            share = next(
-                s for s in shares[producer] if s.evaluated_at == target
-            )
-            payload = str(share.value).encode()
-            if producer == "A":
-                got = self._seal_from_af(nodes[target], payload, chan,
-                                         "share", transcript, {"for_seed_of": target})
-            elif target == "A":
-                got = self._seal_to_af(nodes[producer], payload, chan,
-                                       "share", transcript, {"for_seed_of": target})
-            else:
-                got = self._ss_exchange(nodes[producer], nodes[target], payload,
-                                        chan, "share", transcript)
-            assert int(got) == share.value
-
-        nodes = {"A": self.af, "S1": self.s1, "S2": self.s2}
+        held: dict[str, list[Share]] = {who: [] for who in _PARTICIPANTS}
         for producer in _PARTICIPANTS:
-            for target in _PARTICIPANTS:
-                if producer != target:
-                    move(producer, target, nodes)
+            for share in shares[producer]:
+                target = share.evaluated_at
+                if target != producer:
+                    got = self._send_share(producer, target, share.value, chan, transcript)
+                    share = Share(producer, target, _field_element(got, f))
+                held[target].append(share)
 
-        aggregates = [
-            node_aggregate(who, by_target[who], f) for who in _PARTICIPANTS
-        ]
+        aggregates = [node_aggregate(who, held[who], f) for who in _PARTICIPANTS]
         transcript.aggregates = aggregates
-        # S1 and S2 return their sums to the aggregator, sealed.
-        for who in ("S1", "S2"):
-            agg = next(a for a in aggregates if a.participant == who)
-            self._seal_to_af(nodes[who], str(agg.value).encode(), chan,
-                             "node-sum", transcript, {"participant": who})
+        # S1 and S2 return their sums sealed; the aggregator solves from the
+        # sums it decrypted plus its own.
+        received = [aggregates[0]]
+        for agg in aggregates[1:]:
+            got = self._seal_to_af(self._nodes[agg.participant], str(agg.value).encode(),
+                                   chan, "node-sum", transcript,
+                                   {"participant": agg.participant})
+            received.append(NodeAggregate(agg.participant, _field_element(got, f)))
 
-        total = solve_aggregate(seeds, aggregates)
+        total = solve_aggregate(seeds, received)
         result = AggregationResult(
             total=total, pair_sum=recover_pair_sum(total, values["A"], f)
         )

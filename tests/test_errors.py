@@ -1,0 +1,64 @@
+"""Bad input fails as a typed error that names the field, never as a traceback."""
+
+import json
+
+import pytest
+
+from wsnpriv.cli import main as cli_main
+from wsnpriv.climetrics import (
+    HuntCampaign,
+    ScenarioError,
+    montecarlo_hunt,
+    pipeline_config_from_doc,
+    run_scenarios,
+)
+from wsnpriv.pipeline import ConfigError, PipelineConfig, PrivacyLevel
+
+SCENARIO = {
+    "name": "ok-scenario", "level": "full", "width": 5, "height": 5,
+    "sources": [22, 24], "readings": {"22": 5, "24": 7}, "master_seed": 42,
+}
+
+
+def duplicate_sources(tmp_path, capsys):
+    cfg = PipelineConfig(width=5, height=5, level=PrivacyLevel.FULL,
+                         sources=(22, 22), readings={22: 5}, master_seed=1)
+    with pytest.raises(ConfigError, match="^sources: "):
+        cfg.validate()
+
+
+def walk_not_object(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="^walk: expected object$"):
+        pipeline_config_from_doc({**SCENARIO, "walk": 5})
+    for walk, field in (({"mode": 3}, "walk.mode"), ({"mode": ["pure"]}, "walk.mode"),
+                        ({"mode": "sideways"}, "walk.mode"), ({"hops": "5"}, "walk.hops"),
+                        ({"hops": True}, "walk.hops"), ({"hops": -1}, "walk.hops")):
+        with pytest.raises(ScenarioError, match=f"^{field}: "):
+            pipeline_config_from_doc({**SCENARIO, "walk": walk})
+
+
+def scenario_not_object(tmp_path, capsys):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"scenarios": [7, SCENARIO]}))
+    assert run_scenarios(str(path), str(tmp_path / "out")) == 1
+    out = capsys.readouterr().out
+    assert "error: scenario-0: expected an object" in out
+    assert "ok: ok-scenario: 1 flow(s)" in out  # the rest of the batch still ran
+
+
+def zero_trials(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="^trials: must be >= 1$"):
+        montecarlo_hunt(HuntCampaign(grids=((4, 4),), strategies=("flood",),
+                                     trials=0, message_budget=5, master_seed=1))
+    argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
+            "--strategy", "flood", "--trials", "0"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().out == "error: trials: must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials],
+    ids=lambda case: case.__name__,
+)
+def test_bad_input_is_a_typed_error(case, tmp_path, capsys):
+    case(tmp_path, capsys)

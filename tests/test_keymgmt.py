@@ -51,7 +51,7 @@ def test_pool_split_and_uniqueness():
     pool = generate_pool(256, 128, SimRng(2))
     assert len(pool.bank_af) == len(pool.bank_ss) == 128
     assert len(set(pool.bank_af + pool.bank_ss)) == 256
-    assert len(pool.key_ids) == 256
+    assert pool.total == 256
 
 
 def test_pool_deterministic():

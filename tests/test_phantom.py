@@ -89,12 +89,12 @@ def test_flood_matches_bfs_oracle():
         res = flood(topo, origin, dest)
         assert res.latency_hops == nx.shortest_path_length(g, origin, dest)
         # Whole-component flood: everyone except the destination forwards once.
-        senders = [t.sender for t in res.log]
+        senders = [t.sender for t in res.log(topo, "msg")]
         assert len(senders) == len(set(senders)) == res.transmissions
         assert res.transmissions == topo.node_count - 1
         assert dest not in senders
         # Each node's transmission tick equals its hop distance from origin.
-        for t in res.log:
+        for t in res.log(topo, "msg"):
             assert t.tick == nx.shortest_path_length(g, origin, t.sender)
 
 

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnpriv.keymgmt import AuthenticationError, ProtocolError, StreamMacCipher
 from wsnpriv.ppda import (
     DEFAULT_MODULUS,
     AggregationResult,
@@ -286,3 +287,55 @@ def test_transcript_serializable():
     doc = transcript.to_doc()
     json.dumps(doc)  # must be JSON-clean
     assert doc["result"]["pair_sum"] == 12
+
+
+# --- data path: node sums come from the decrypted payloads ---
+
+SETUP_AADS = (b"relay:", b"ss-perm:")  # key setup frames; every other frame is a round frame
+
+
+class FlipRoundBit(StreamMacCipher):
+    def seal(self, key, nonce, plaintext, aad=b""):
+        body = super().seal(key, nonce, plaintext, aad)
+        if aad.startswith(SETUP_AADS):
+            return body
+        return bytes([body[0] ^ 0x01]) + body[1:]
+
+
+class BumpS1ToS2Share(StreamMacCipher):
+    def open(self, key, nonce, body, aad=b""):
+        plain = super().open(key, nonce, body, aad)
+        return str(int(plain) + 1).encode() if aad == b"ss:1->2" else plain
+
+
+class ReplaceRoundPayload(StreamMacCipher):
+    def __init__(self, payload):
+        self.payload = payload
+
+    def open(self, key, nonce, body, aad=b""):
+        plain = super().open(key, nonce, body, aad)
+        return plain if aad.startswith(SETUP_AADS) else self.payload
+
+
+def test_round_frame_bit_flip_is_authentication_error():
+    cluster = SppdaCluster(SimRng(21), cipher=FlipRoundBit())
+    with pytest.raises(AuthenticationError):
+        cluster.run_round(5, 7, 3)
+
+
+def test_node_sum_is_sum_of_decrypted_shares():
+    def node_sums(cipher):
+        _, transcript = SppdaCluster(SimRng(22), cipher=cipher).run_round(5, 7, 3)
+        return {agg.participant: agg.value for agg in transcript.aggregates}
+
+    honest = node_sums(StreamMacCipher())
+    bumped = node_sums(BumpS1ToS2Share())
+    assert bumped["S2"] == F.add(honest["S2"], 1)
+    assert bumped["A"] == honest["A"] and bumped["S1"] == honest["S1"]
+
+
+@pytest.mark.parametrize("payload", [b"not-a-number", b"-1", str(P).encode(), b""])
+def test_payload_outside_field_is_protocol_error(payload):
+    cluster = SppdaCluster(SimRng(23), cipher=ReplaceRoundPayload(payload))
+    with pytest.raises(ProtocolError):
+        cluster.run_round(5, 7, 3)
