@@ -85,20 +85,31 @@ def _parse_b_grid(spec: str) -> list[float]:
             grid.append(round(b, 12))
             k += 1
         return grid
-    return [float(x) for x in spec.split(",")]
+    try:
+        return [float(x) for x in spec.split(",")]
+    except ValueError:
+        raise SystemExit(f"error: b-grid: expected numbers, got {spec!r}")
 
 
 def _parse_dist(spec: str) -> ClusterSizeDist:
     # "sppda" or "uniform:min..max" or "m1=p1,m2=p2,..."
     if spec == "sppda":
         return SPPDA_DIST
+    try:
+        if spec.startswith("uniform:"):
+            lo, _, hi = spec[len("uniform:"):].partition("..")
+            lo, hi = int(lo), int(hi)
+        else:
+            pairs = {}
+            for part in spec.split(","):
+                m, _, p = part.partition("=")
+                pairs[int(m)] = float(p)
+    except ValueError:
+        raise ValueError(
+            f"dist: expected sppda, uniform:min..max or m=p,..., got {spec!r}"
+        ) from None
     if spec.startswith("uniform:"):
-        lo, _, hi = spec[len("uniform:"):].partition("..")
-        return ClusterSizeDist.uniform(int(lo), int(hi))
-    pairs = {}
-    for part in spec.split(","):
-        m, _, p = part.partition("=")
-        pairs[int(m)] = float(p)
+        return ClusterSizeDist.uniform(lo, hi)
     lo, hi = min(pairs), max(pairs)
     return ClusterSizeDist(
         lo, hi, tuple(pairs.get(m, 0.0) for m in range(lo, hi + 1))
@@ -164,10 +175,13 @@ def cmd_aggregate(args) -> int:
 
 
 def _parse_sizes(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, _, hi = spec.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in spec.split(",")]
+    try:
+        if ".." in spec:
+            lo, _, hi = spec.partition("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(x) for x in spec.split(",")]
+    except ValueError:
+        raise ValueError(f"sizes: expected lo..hi or a comma list, got {spec!r}") from None
 
 
 def cmd_bench(args) -> int:
@@ -288,8 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; bad values print `error: <field>: <reason>`
+    and return 2 (argparse's usage-error status)."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -59,15 +59,15 @@ class ClusterSizeDist:
 
     def __post_init__(self):
         if self.min_size < 3:
-            raise ValueError("minimum cluster size must be >= 3")
+            raise ValueError("min_size: must be >= 3")
         if self.min_size > self.max_size:
-            raise ValueError("min_size must be <= max_size")
+            raise ValueError("max_size: must be >= min_size")
         if len(self.probs) != self.max_size - self.min_size + 1:
-            raise ValueError("need one probability per cluster size")
+            raise ValueError("probs: need one probability per cluster size")
         if any(p < 0 for p in self.probs):
-            raise ValueError("probabilities must be non-negative")
+            raise ValueError("probs: must be non-negative")
         if abs(sum(self.probs) - 1.0) > 1e-9:
-            raise ValueError("probabilities must sum to 1")
+            raise ValueError("probs: must sum to 1")
 
     def items(self):
         return zip(range(self.min_size, self.max_size + 1), self.probs)
@@ -95,7 +95,7 @@ def disclosure_probability(
     under ALL_LINKS reduces to b^2.
     """
     if not 0.0 <= b <= 1.0:
-        raise ValueError("b must be in [0, 1]")
+        raise ValueError("b: must be in [0, 1]")
     total = 0.0
     for m, p in dist.items():
         if model is DisclosureModel.ALL_LINKS:
@@ -147,10 +147,10 @@ def bench_aggregation(
 ) -> list[TimingRow]:
     """Median per-aggregation cost: fixed-3 scheme plus the n-party baseline."""
     if repetitions < 30:
-        raise ValueError("repetitions must be >= 30 for stable medians")
+        raise ValueError("repetitions: must be >= 30 for stable medians")
     for n in sizes:
         if not 3 <= n <= 64:
-            raise ValueError("cluster sizes must lie in [3, 64]")
+            raise ValueError("sizes: cluster sizes must lie in [3, 64]")
     field_ = PrimeField()
     rows: list[TimingRow] = []
 
@@ -227,10 +227,16 @@ def parse_strategy(spec: str):
     if spec == "flood":
         return FloodOnly()
     kind, _, arg = spec.partition(":")
-    if kind == "phantom" and arg:
-        return Phantom(WalkConfig(mode=WalkMode.PURE, hops=int(arg)))
-    if kind == "twoway" and arg:
-        return TwoWay(receptor_length=int(arg))
+    if kind in ("phantom", "twoway") and arg:
+        try:
+            n = int(arg)
+        except ValueError:
+            raise ScenarioError(
+                f"strategy: expected an integer after {kind}:, got {spec!r}"
+            ) from None
+        if kind == "phantom":
+            return Phantom(WalkConfig(mode=WalkMode.PURE, hops=n))
+        return TwoWay(receptor_length=n)
     raise ScenarioError(f"strategy: unrecognized spec {spec!r}")
 
 

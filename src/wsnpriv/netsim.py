@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .rng import SimRng
 
@@ -29,6 +29,8 @@ __all__ = [
     "neighbors",
     "bfs_distances",
     "shortest_path",
+    "step_draw",
+    "draw",
     "export_topology",
     "import_topology",
 ]
@@ -52,6 +54,11 @@ class Transmission:
     hearers: frozenset[NodeId]
 
 
+# One walk step's draw: k random bits index a slot tuple of 2**k entries
+# holding the candidates, then None for each value Random.choice rejects.
+StepDraw = tuple[int, tuple[NodeId | None, ...]]
+
+
 @dataclass(frozen=True)
 class Topology:
     positions: tuple[tuple[float, float], ...]
@@ -59,6 +66,9 @@ class Topology:
     adjacency: tuple[tuple[NodeId, ...], ...]  # sorted neighbor ids per node
     sink: NodeId
     sources: tuple[NodeId, ...]
+    # Tables derived from the fields above, filled on first use and shared
+    # by every caller; never part of equality, hashing or repr.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -67,6 +77,76 @@ class Topology:
     def distance(self, a: NodeId, b: NodeId) -> float:
         (ax, ay), (bx, by) = self.positions[a], self.positions[b]
         return math.hypot(ax - bx, ay - by)
+
+    def distances_from(self, origin: NodeId) -> list[int]:
+        """bfs_distances(self, origin), computed once per origin.
+
+        The list is shared by every caller and must not be mutated.
+        """
+        key = ("bfs", origin)
+        dist = self._memo.get(key)
+        if dist is None:
+            dist = self._memo[key] = bfs_distances(self, origin)
+        return dist
+
+    def reach_from(self, origin: NodeId) -> int:
+        """How many nodes distances_from(origin) reaches, origin included."""
+        key = ("reach", origin)
+        reach = self._memo.get(key)
+        if reach is None:
+            dist = self.distances_from(origin)
+            reach = self._memo[key] = len(dist) - dist.count(-1)
+        return reach
+
+    def step_row(self, cur: NodeId) -> dict[NodeId | None, StepDraw]:
+        """Non-backtracking walk steps out of `cur`, built on first use.
+
+        step_row(cur)[prev] is the draw over cur's neighbours other than
+        prev (all of them when prev is the only one; prev is None at a
+        walk's start).  Empty for a node without neighbours.
+        """
+        rows = self.step_table()
+        row = rows[cur]
+        if row is None:
+            nbrs = self.adjacency[cur]
+            row = rows[cur] = {
+                prev: step_draw(nbrs[:i] + nbrs[i + 1:] or nbrs)
+                for i, prev in enumerate(nbrs)
+            }
+            if nbrs:
+                row[None] = step_draw(nbrs)
+        return row
+
+    def step_table(self) -> list[dict[NodeId | None, StepDraw] | None]:
+        """The step_row of every node, None where not built yet.
+
+        For loops that index rows directly instead of calling step_row on
+        every step; only rows a walk visits are ever built.
+        """
+        rows = self._memo.get("steps")
+        if rows is None:
+            rows = self._memo["steps"] = [None] * self.node_count
+        return rows
+
+
+def step_draw(candidates: tuple[NodeId, ...]) -> StepDraw:
+    """The draw table for a uniform pick from `candidates` (non-empty).
+
+    Random.choice(seq) draws k = len(seq).bit_length() bits and redraws while
+    they index past the end; draw() repeats those exact calls, so a walk
+    consumes its stream as a choice()-based walk would.
+    """
+    k = len(candidates).bit_length()
+    return k, candidates + (None,) * ((1 << k) - len(candidates))
+
+
+def draw(getrandbits, step: StepDraw) -> NodeId:
+    """Pick from a step_draw table with a Random's getrandbits, as choice()."""
+    k, slots = step
+    pick = slots[getrandbits(k)]
+    while pick is None:
+        pick = slots[getrandbits(k)]
+    return pick
 
 
 def neighbors(topology: Topology, node: NodeId) -> set[NodeId]:

@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .netsim import NodeId, Topology, Transmission, bfs_distances
+from .netsim import NodeId, Topology, Transmission, draw
 from .rng import SimRng
 
 __all__ = [
@@ -64,7 +64,7 @@ class WalkConfig:
 
     def __post_init__(self):
         if self.hops < 0:
-            raise ValueError("hops must be >= 0")
+            raise ValueError("hops: must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -128,39 +128,76 @@ def random_walk(
     such neighbor exists.
     """
     path = [source]
+    if not topology.adjacency[source]:
+        return path
+    getrandbits = rng.getrandbits
+    directed = cfg.mode is WalkMode.DIRECTED
     prev: NodeId | None = None
+    cur = source
     for _ in range(cfg.hops):
-        cur = path[-1]
-        nbrs = topology.adjacency[cur]
-        if not nbrs:
-            break
-        candidates: list[NodeId] = []
-        if cfg.mode is WalkMode.DIRECTED:
+        farther = None
+        if directed:
             d_cur = topology.distance(cur, source)
-            candidates = [
-                n for n in nbrs if topology.distance(n, source) > d_cur
+            farther = [
+                n for n in topology.adjacency[cur] if topology.distance(n, source) > d_cur
             ]
-        if not candidates:
-            candidates = [n for n in nbrs if n != prev] or list(nbrs)
-        nxt = rng.choice(candidates)
-        prev = cur
+        if farther:
+            nxt = rng.choice(farther)
+        else:
+            nxt = draw(getrandbits, topology.step_row(cur)[prev])
+        prev, cur = cur, nxt
         path.append(nxt)
     return path
 
 
 @dataclass
 class Schedule:
-    """One routed message: the earliest tick each forwarding node transmits,
-    every broadcast counted (walk revisits included), and the tick the
-    destination first hears it (-1 if never)."""
+    """One routed message: who forwards it when, what it cost, when it lands.
 
-    ticks: dict[NodeId, int]
+    Node walk[i] forwards at tick i (its first place on the walk wins).  A
+    flood then starts from the walk's end at tick len(walk): every node
+    reachable in flood_dist forwards at len(walk) + its hop distance,
+    destination excepted, unless the walk already had it forward.  Two-way
+    routes have no flood (flood_dist is None).  `transmissions` counts every
+    broadcast (walk revisits included) and `latency_hops` is the tick the
+    destination first hears the message (-1 if never).
+    """
+
+    walk: list[NodeId]
+    flood_dist: list[int] | None
+    destination: NodeId
     transmissions: int
     latency_hops: int
 
     @property
     def delivered(self) -> bool:
         return self.latency_hops >= 0
+
+    def tick(self, node: NodeId) -> int | None:
+        """Earliest tick at which `node` forwards, or None if it never does."""
+        walk = self.walk
+        if node in walk:
+            return walk.index(node)
+        dist = self.flood_dist
+        if dist is None or node == self.destination or dist[node] < 0:
+            return None
+        return len(walk) + dist[node]
+
+    @property
+    def ticks(self) -> dict[NodeId, int]:
+        """tick() of every forwarding node, as one mapping (built per call)."""
+        h = len(self.walk)
+        ticks: dict[NodeId, int] = {}
+        if self.flood_dist is not None:
+            ticks = {
+                node: h + d
+                for node, d in enumerate(self.flood_dist)
+                if d >= 0 and node != self.destination
+            }
+        for i, node in enumerate(self.walk):
+            if node not in ticks or i < ticks[node]:
+                ticks[node] = i
+        return ticks
 
     def log(self, topology: Topology, payload_id: str) -> list[Transmission]:
         """One Transmission per forwarding node, ordered by (tick, sender)."""
@@ -182,7 +219,7 @@ def flood(topology: Topology, origin: NodeId, destination: NodeId) -> Schedule:
     origin transmits at tick 0.  Latency is the hop distance from origin to
     destination.
     """
-    return route_message(topology, origin, destination, FloodOnly(), None, {})
+    return route_message(topology, origin, destination, FloodOnly(), None)
 
 
 def build_receptor(
@@ -194,7 +231,7 @@ def build_receptor(
     runs interior -> destination.  Truncates if the walk traps itself.
     """
     if length < 0:
-        raise ValueError("length must be >= 0")
+        raise ValueError("length: must be >= 0")
     walk = [destination]
     visited = {destination}
     for _ in range(length):
@@ -223,18 +260,24 @@ def deliver_two_way(
     index_of = {node: i for i, node in enumerate(receptor.nodes)}
     if source in index_of:
         return list(receptor.nodes[index_of[source]:])
+    rows = topology.step_table()
+    getrandbits = rng.getrandbits
     route = [source]
     prev: NodeId | None = None
+    cur = source
     for _ in range(max_steps):
-        cur = route[-1]
-        nbrs = topology.adjacency[cur]
-        candidates = [n for n in nbrs if n != prev] or list(nbrs)
-        nxt = rng.choice(candidates)
-        prev = cur
+        row = rows[cur]
+        if row is None:
+            row = topology.step_row(cur)
+        k, slots = row[prev]  # draw() inlined: this loop is the hot path
+        nxt = slots[getrandbits(k)]
+        while nxt is None:
+            nxt = slots[getrandbits(k)]
         route.append(nxt)
         if nxt in index_of:
             route.extend(receptor.nodes[index_of[nxt] + 1:])
             return route
+        prev, cur = cur, nxt
     raise NoRendezvousError(
         f"no rendezvous with receptor within {max_steps} steps"
     )
@@ -246,44 +289,29 @@ def route_message(
     destination: NodeId,
     strategy: FloodOnly | Phantom | TwoWay,
     rng: SimRng | None,
-    dist_cache: dict[NodeId, list[int]],
     receptor: ReceptorPath | None = None,
 ) -> Schedule:
     """Route one message from source to destination under `strategy`.
 
-    Phantom walks h hops, then floods from the walk's end: a node forwards
-    at the earlier of its walk index and h + its hop distance from there
-    (flood is the h = 0 case).  Two-way walks until it meets the receptor
-    and follows it home, or raises NoRendezvousError.  `dist_cache` maps
-    origins to BFS distances and is filled on demand.
+    Phantom walks h hops, then floods from the walk's end (flood is the
+    h = 0 case), with BFS distances from the topology's memo.  Two-way
+    walks until it meets the receptor and follows it home, or raises
+    NoRendezvousError.
     """
     if isinstance(strategy, TwoWay):
         route = deliver_two_way(topology, source, receptor, rng, strategy.max_steps)
-        ticks: dict[NodeId, int] = {}
-        for i, node in enumerate(route[:-1]):  # final node is the destination
-            if node not in ticks:
-                ticks[node] = i
-        return Schedule(ticks, len(route) - 1, len(route) - 1)
+        hops = len(route) - 1
+        return Schedule(route[:-1], None, destination, hops, hops)
 
     path = [source]
     if isinstance(strategy, Phantom):
         path = random_walk(topology, source, strategy.walk, rng)
     h = len(path) - 1
-    dist = dist_cache.get(path[-1])
-    if dist is None:
-        dist = dist_cache[path[-1]] = bfs_distances(topology, path[-1])
-    if h:
-        ticks = {node: h + d for node, d in enumerate(dist) if d >= 0 and node != destination}
-    else:
-        ticks = {node: d for node, d in enumerate(dist) if d >= 0 and node != destination}
-    transmissions = len(ticks) + h
-    # Walk phase: node path[i] forwards at tick i (earliest occurrence wins).
-    for i in range(h):
-        node = path[i]
-        if node not in ticks or i < ticks[node]:
-            ticks[node] = i
-    latency = h + dist[destination] if dist[destination] >= 0 else -1
-    return Schedule(ticks, transmissions, latency)
+    dist = topology.distances_from(path[-1])
+    d_dest = dist[destination]
+    flooded = topology.reach_from(path[-1]) - (d_dest >= 0)
+    latency = h + d_dest if d_dest >= 0 else -1
+    return Schedule(path[:h], dist, destination, flooded + h, latency)
 
 
 def hunt(
@@ -302,13 +330,12 @@ def hunt(
     start, or relocated there because it heard the source itself).
     """
     if message_budget < 1:
-        raise ValueError("message_budget must be >= 1")
+        raise ValueError("message_budget: must be >= 1")
     source = topology.sources[0]
     destination = topology.sink
     adversary = topology.sink if adversary_start is None else adversary_start
 
     walk_rng = rng.stream("walk")
-    dist_cache: dict[NodeId, list[int]] = {}
     receptor: ReceptorPath | None = None
     if isinstance(strategy, TwoWay):
         receptor = build_receptor(
@@ -325,7 +352,7 @@ def hunt(
     for msg in range(1, message_budget + 1):
         try:
             sched = route_message(
-                topology, source, destination, strategy, walk_rng, dist_cache, receptor
+                topology, source, destination, strategy, walk_rng, receptor
             )
         except NoRendezvousError:
             # Message lost; nothing transmitted beyond the failed walk is
@@ -346,9 +373,9 @@ def hunt(
             break
 
         heard = [
-            (sched.ticks[u], u)
+            (t, u)
             for u in topology.adjacency[adversary]
-            if u in sched.ticks
+            if (t := sched.tick(u)) is not None
         ]
         if heard:
             _, target = min(heard)
@@ -386,9 +413,9 @@ def min_zone_nodes(p_r: float, hops: int) -> ZonePlan:
     hop-subsets succeeds with probability below p_r.
     """
     if not 0.0 < p_r <= 1.0:
-        raise ValueError("p_r must be in (0, 1]")
+        raise ValueError("p_r: must be in (0, 1]")
     if hops < 1:
-        raise ValueError("hops must be >= 1")
+        raise ValueError("hops: must be >= 1")
     threshold = 1.0 / p_r
     n = hops
     while True:

@@ -206,7 +206,7 @@ def _route(
         hops = len(shortest_path(topology, origin, topology.sink)) - 1
         return hops, hops
     strategy = Phantom(cfg.walk) if receptor is None else TwoWay(receptor.length)
-    sched = route_message(topology, origin, topology.sink, strategy, rng, {}, receptor)
+    sched = route_message(topology, origin, topology.sink, strategy, rng, receptor)
     return sched.latency_hops, sched.transmissions
 
 

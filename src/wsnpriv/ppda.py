@@ -89,7 +89,7 @@ class PrimeField:
 
     def __init__(self, modulus: int = DEFAULT_MODULUS):
         if not _is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
+            raise ValueError(f"modulus: {modulus} is not prime")
         self.p = modulus
 
     def norm(self, a: int) -> int:

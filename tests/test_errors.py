@@ -9,6 +9,7 @@ from wsnpriv.climetrics import (
     HuntCampaign,
     ScenarioError,
     montecarlo_hunt,
+    parse_strategy,
     pipeline_config_from_doc,
     run_scenarios,
 )
@@ -56,8 +57,31 @@ def zero_trials(tmp_path, capsys):
     assert capsys.readouterr().out == "error: trials: must be >= 1\n"
 
 
+def zone_probability_zero(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "plan-zone", "--pr", "0", "--hops", "3"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: p_r: must be in (0, 1]\n"
+
+
+def modulus_not_prime(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "aggregate", "--x", "1", "--y", "2", "--z", "3",
+            "--modulus", "10"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: modulus: 10 is not prime\n"
+
+
+def strategy_not_integer(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="^strategy: expected an integer"):
+        parse_strategy("twoway:x")
+    argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
+            "--strategy", "twoway:x", "--trials", "1"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().out.startswith("error: strategy: ")
+
+
 @pytest.mark.parametrize(
-    "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials],
+    "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
+             zone_probability_zero, modulus_not_prime, strategy_not_integer],
     ids=lambda case: case.__name__,
 )
 def test_bad_input_is_a_typed_error(case, tmp_path, capsys):

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wsnpriv.netsim import (
     DisconnectedGraphError,
@@ -8,10 +10,12 @@ from wsnpriv.netsim import (
     bfs_distances,
     build_grid,
     build_random_geometric,
+    draw,
     export_topology,
     import_topology,
     neighbors,
     shortest_path,
+    step_draw,
 )
 from wsnpriv.rng import SimRng
 
@@ -129,3 +133,55 @@ def test_simrng_determinism_and_stream_independence():
     c = SimRng(99, "walk").stream("trial:17")
     d = SimRng(99, "walk")
     assert [c.random() for _ in range(20)] != [d.random() for _ in range(20)]
+
+
+# --- derived tables: BFS memo, step table, table-driven draw ---
+
+@given(
+    seed=st.integers(0, 2**64),
+    candidates=st.lists(st.integers(0, 10**6), min_size=1, max_size=8).map(tuple),
+    draws=st.integers(1, 12),
+)
+def test_table_draw_matches_random_choice(seed, candidates, draws):
+    # One candidate still consumes bits; the draw must consume them too.
+    table_rng, choice_rng = SimRng(seed), SimRng(seed)
+    step = step_draw(candidates)
+    for _ in range(draws):
+        assert draw(table_rng.getrandbits, step) == choice_rng.choice(candidates)
+    assert table_rng.getstate() == choice_rng.getstate()
+
+
+def test_step_table_is_the_non_backtracking_rule():
+    field = build_random_geometric(60, 10.0, 2.5, SimRng(4))
+    for topo in (build_grid(5, 4), build_grid(4, 4, radio_range=1.5), field):
+        assert topo.step_table() == [None] * topo.node_count  # nothing built yet
+        for cur, nbrs in enumerate(topo.adjacency):
+            row = topo.step_row(cur)
+            assert row is topo.step_table()[cur] is topo.step_row(cur)
+            assert set(row) == {None, *nbrs}
+            for prev, (k, slots) in row.items():
+                candidates = tuple(n for n in slots if n is not None)
+                assert candidates == (tuple(n for n in nbrs if n != prev) or nbrs)
+                assert k == len(candidates).bit_length() and len(slots) == 2**k
+
+
+def test_topology_memo_is_invisible_and_private():
+    a, b = build_grid(8, 8), build_grid(8, 8)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    for o in range(a.node_count):
+        assert a.distances_from(o) == bfs_distances(a, o)
+        assert a.distances_from(o) is a.distances_from(o)
+        assert a.reach_from(o) == a.node_count
+    a.step_row(0)
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert len({a, b}) == 1
+    # b filled nothing from a's memo: its tables are its own objects.
+    assert b.distances_from(9) == a.distances_from(9)
+    assert b.distances_from(9) is not a.distances_from(9)
+    assert b.step_table() is not a.step_table()
+    assert b.step_row(0) == a.step_row(0) and b.step_row(0) is not a.step_row(0)
+    # A different field with the same node count gets its own distances.
+    c = build_grid(8, 8, radio_range=1.5)
+    for o in range(c.node_count):
+        assert c.distances_from(o) == bfs_distances(c, o)
+    assert c.distances_from(0) != a.distances_from(0)

@@ -3,7 +3,7 @@ import math
 import networkx as nx
 import pytest
 
-from wsnpriv.netsim import build_grid
+from wsnpriv.netsim import build_grid, build_random_geometric
 from wsnpriv.phantom import (
     FloodOnly,
     NoRendezvousError,
@@ -18,6 +18,7 @@ from wsnpriv.phantom import (
     hunt,
     min_zone_nodes,
     random_walk,
+    route_message,
     traceback_probability,
 )
 from wsnpriv.rng import SimRng
@@ -64,6 +65,45 @@ def test_directed_walk_monotone_on_line():
         h = 7
         path = random_walk(topo, 0, WalkConfig(WalkMode.DIRECTED, h), SimRng(seed))
         assert path == list(range(h + 1))
+
+
+def choice_walk(topo, source, hops, rng):
+    """Reference pure walk drawing with rng.choice."""
+    path, prev = [source], None
+    for _ in range(hops):
+        nbrs = topo.adjacency[path[-1]]
+        nxt = rng.choice([n for n in nbrs if n != prev] or list(nbrs))
+        prev = path[-1]
+        path.append(nxt)
+    return path
+
+
+def choice_two_way(topo, source, receptor, rng):
+    """Reference two-way route drawing with rng.choice."""
+    nodes = list(receptor.nodes)
+    route, prev = [source], None
+    while route[-1] not in nodes:
+        nbrs = topo.adjacency[route[-1]]
+        nxt = rng.choice([n for n in nbrs if n != prev] or list(nbrs))
+        prev = route[-1]
+        route.append(nxt)
+    return route + nodes[nodes.index(route[-1]) + 1:]
+
+
+def test_table_walks_match_choice_reference():
+    # Same route and same stream state after it, on grids of degree 1-4 and
+    # a random geometric field of higher degree.
+    fields = (build_grid(9, 1), build_grid(7, 7),
+              build_random_geometric(50, 10.0, 3.0, SimRng(8)))
+    for topo in fields:
+        rec = build_receptor(topo, topo.sink, 4, SimRng(1))
+        for seed in range(25):
+            source = seed % topo.node_count
+            a, b = SimRng(seed, "walk"), SimRng(seed, "walk")
+            walk = random_walk(topo, source, WalkConfig(hops=12), a)
+            assert walk == choice_walk(topo, source, 12, b)
+            assert deliver_two_way(topo, source, rec, a) == choice_two_way(topo, source, rec, b)
+            assert a.getstate() == b.getstate()
 
 
 # --- flood ---
@@ -158,6 +198,64 @@ def test_two_way_no_rendezvous_error():
     rec = build_receptor(topo, 0, 2, SimRng(1))
     with pytest.raises(NoRendezvousError):
         deliver_two_way(topo, 99, rec, SimRng(0), max_steps=1)
+
+
+# --- per-node ticks ---
+
+def reference_ticks(g, strategy, walk, destination):
+    """Tick map as a whole-field router builds it, from the walk it drew."""
+    ticks = {}
+    if isinstance(strategy, TwoWay):
+        for i, node in enumerate(walk[:-1]):  # the destination never forwards
+            ticks.setdefault(node, i)
+        return ticks
+    h = len(walk) - 1
+    for node, d in nx.single_source_shortest_path_length(g, walk[-1]).items():
+        if node != destination:
+            ticks[node] = h + d
+    for i in range(h):
+        if walk[i] not in ticks or i < ticks[walk[i]]:
+            ticks[walk[i]] = i
+    return ticks
+
+
+def test_tick_matches_full_tick_map():
+    field = build_random_geometric(40, 8.0, 2.5, SimRng(6))
+    strategies = (FloodOnly(), Phantom(WalkConfig(hops=5)),
+                  Phantom(WalkConfig(WalkMode.DIRECTED, 3)), TwoWay(4))
+    for topo in (build_grid(6, 5), build_grid(7, 7, sink=24), field):
+        g = to_networkx(topo)
+        rec = build_receptor(topo, topo.sink, 4, SimRng(2))
+        for strategy in strategies:
+            for seed in range(8):
+                source = (7 * seed + 3) % topo.node_count
+                a, b = SimRng(seed, "walk"), SimRng(seed, "walk")
+                sched = route_message(topo, source, topo.sink, strategy, a, rec)
+                if isinstance(strategy, TwoWay):
+                    walk = deliver_two_way(topo, source, rec, b)
+                elif isinstance(strategy, Phantom):
+                    walk = random_walk(topo, source, strategy.walk, b)
+                else:
+                    walk = [source]
+                expected = reference_ticks(g, strategy, walk, topo.sink)
+                assert sched.ticks == expected
+                assert [sched.tick(u) for u in range(topo.node_count)] == [
+                    expected.get(u) for u in range(topo.node_count)
+                ]
+
+
+def test_destination_ticks_only_when_the_walk_passes_it():
+    topo = build_grid(4, 4)
+    strategy = Phantom(WalkConfig(hops=6))
+    passed = 0
+    for seed in range(40):
+        sched = route_message(topo, 1, 0, strategy, SimRng(seed), None)
+        walk = random_walk(topo, 1, strategy.walk, SimRng(seed))
+        expected = walk.index(0) if 0 in walk[:-1] else None
+        assert sched.tick(0) == sched.ticks.get(0) == expected
+        passed += expected is not None
+    assert passed  # some walks step through the destination
+    assert flood(topo, 1, 0).tick(0) is None
 
 
 # --- hunt ---
