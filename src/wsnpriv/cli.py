@@ -76,6 +76,8 @@ def _parse_b_grid(spec: str) -> list[float]:
             raise SystemExit(f"error: b-grid: expected start:stop:step, got {spec!r}")
         if step <= 0:
             raise SystemExit("error: b-grid: step must be > 0")
+        if start > stop:
+            raise SystemExit(f"error: b-grid: start {start:g} must be <= stop {stop:g}")
         grid = []
         k = 0
         while True:

@@ -297,13 +297,7 @@ HUNT_CSV_COLUMNS = [
 
 
 def hunt_rows_to_csv(summary: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=HUNT_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for cell in summary:
-        for row in cell["trial_rows"]:
-            writer.writerow(row)
-    return buf.getvalue()
+    return rows_to_csv([row for cell in summary for row in cell["trial_rows"]], HUNT_CSV_COLUMNS)
 
 
 def rows_to_csv(rows: list[dict], columns: list[str]) -> str:

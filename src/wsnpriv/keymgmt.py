@@ -8,7 +8,9 @@ Because every source holds the same banks, a raw index would let any
 source decrypt any other's traffic.  Each pair therefore fixes its own
 secret permutation of the bank, and the session key for a message is
 announced as a plaintext index R_c into that permuted ordering: useless to
-anyone who does not know the permutation.
+anyone who does not know the permutation.  Every sealed frame is built by
+seal_frame and opened by open_frame; the inner SS layer of the relay uses
+the raw bank order as its ordering.
 
 Wire formats (simulated, documented for log parsing):
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .netsim import NodeId
@@ -46,6 +49,8 @@ __all__ = [
     "SsSchedule",
     "generate_pool",
     "permute_bank_for_pair",
+    "seal_frame",
+    "open_frame",
     "select_session_key",
     "af_resolve_key",
     "source_resolve_key",
@@ -201,6 +206,18 @@ class SourceNode:
     af_perm: tuple[int, ...] | None = None
     ss_schedules: dict[NodeId, SsSchedule] = field(default_factory=dict)
 
+    def af_ordering(self, peer: NodeId | None = None) -> tuple[int, ...]:
+        """This source's ordering of the AF bank; `peer` is its one AF."""
+        if self.af_perm is None:
+            raise ProtocolError(f"source {self.node_id} has no registered AF pair")
+        return self.af_perm
+
+    def ss_ordering(self, peer: NodeId, owner: NodeId) -> tuple[int, ...]:
+        """`owner`'s ordering of the SS bank in this source's schedule with `peer`."""
+        if peer not in self.ss_schedules:
+            raise ProtocolError(f"no SS schedule between {self.node_id} and {peer}")
+        return self.ss_schedules[peer].perm_by_owner[owner]
+
 
 @dataclass
 class AggregatorNode:
@@ -214,6 +231,13 @@ class AggregatorNode:
     def held_keys(self) -> set[bytes]:
         return set(self.bank_af)
 
+    def af_ordering(self, peer: NodeId) -> tuple[int, ...]:
+        """The ordering of the AF bank this AF shares with source `peer`."""
+        perm = self.pair_perms.get(peer)
+        if perm is None:
+            raise UnknownSourceError(f"no pair registered for source {peer}")
+        return perm
+
 
 def register_pair(source: SourceNode, af: AggregatorNode, rng: SimRng) -> tuple[int, ...]:
     """Fix the pair's secret ordering of the AF bank, stored at both ends."""
@@ -223,11 +247,32 @@ def register_pair(source: SourceNode, af: AggregatorNode, rng: SimRng) -> tuple[
     return perm
 
 
-def _slot_key(bank: tuple[bytes, ...], perm: tuple[int, ...], r_c: int) -> bytes:
-    """Key at 1-based slot r_c of a pair's permuted ordering of `bank`."""
-    if not 1 <= r_c <= len(perm):
-        raise KeyIndexRangeError(f"R_c={r_c} outside [1, {len(perm)}]")
-    return bank[perm[r_c - 1]]
+def _slot_key(bank: tuple[bytes, ...], ordering: Sequence[int], r_c: int) -> bytes:
+    """Key at 1-based slot r_c of a pair's ordering of `bank`."""
+    if not 1 <= r_c <= len(ordering):
+        raise KeyIndexRangeError(f"R_c={r_c} outside [1, {len(ordering)}]")
+    return bank[ordering[r_c - 1]]
+
+
+def seal_frame(bank: tuple[bytes, ...], ordering: Sequence[int], sender: NodeId,
+               receiver: NodeId, payload: bytes, aad: bytes, rng: SimRng,
+               cipher: CipherSuite) -> tuple[int, SealedFrame]:
+    """Seal `payload` under a uniformly drawn slot of the pair's ordering.
+
+    Draws the 1-based slot, then the nonce, from `rng`.  Returns (slot,
+    frame); the slot travels in plaintext beside the frame.
+    """
+    slot = rng.randint(1, len(ordering))
+    nonce = rng.randbytes(NONCE_LEN)
+    body = cipher.seal(_slot_key(bank, ordering, slot), nonce, payload, aad)
+    return slot, SealedFrame(sender=sender, receiver=receiver, nonce=nonce, body=body)
+
+
+def open_frame(bank: tuple[bytes, ...], ordering: Sequence[int], slot: int,
+               frame: SealedFrame, aad: bytes, cipher: CipherSuite) -> bytes:
+    """Open a frame sealed at the announced `slot`, with the receiver's own
+    copy of the ordering."""
+    return cipher.open(_slot_key(bank, ordering, slot), frame.nonce, frame.body, aad)
 
 
 def select_session_key(
@@ -241,17 +286,12 @@ def select_session_key(
 
 def af_resolve_key(af: AggregatorNode, announcement: KeyIndexAnnouncement) -> bytes:
     """AF-side lookup of the session key a source announced."""
-    perm = af.pair_perms.get(announcement.sender)
-    if perm is None:
-        raise UnknownSourceError(f"no pair registered for source {announcement.sender}")
-    return _slot_key(af.bank_af, perm, announcement.r_c)
+    return _slot_key(af.bank_af, af.af_ordering(announcement.sender), announcement.r_c)
 
 
 def source_resolve_key(source: SourceNode, r_c: int) -> bytes:
     """Source-side key at slot r_c of its AF-pair ordering (both directions)."""
-    if source.af_perm is None:
-        raise ProtocolError(f"source {source.node_id} has no registered AF pair")
-    return _slot_key(source.bank_af, source.af_perm, r_c)
+    return _slot_key(source.bank_af, source.af_ordering(), r_c)
 
 
 def _encode_perm(perm: tuple[int, ...]) -> bytes:
@@ -271,31 +311,25 @@ def _wrap_perm_message(
     perm: tuple[int, ...],
     rng: SimRng,
     cipher: CipherSuite,
-) -> tuple[KeyIndexAnnouncement, int, SealedFrame]:
+) -> tuple[int, int, SealedFrame]:
     """Double-wrap the sender's SS-bank permutation.
 
     Inner layer: sealed under an SS-bank key (raw bank order, slot announced
     in plaintext) so the relaying AF cannot read it.  Outer layer: sealed
     under the sender's AF session key, per the pairwise-key relay rule.
-    Returns (af announcement, ss slot, outer frame).
+    Returns (af slot, ss slot, outer frame).
     """
-    ss_index = rng.randint(1, len(sender.bank_ss))
-    inner_nonce = rng.randbytes(NONCE_LEN)
-    inner_aad = f"ss-perm:{sender.node_id}->{receiver_id}".encode()
-    inner_body = cipher.seal(
-        sender.bank_ss[ss_index - 1], inner_nonce, _encode_perm(perm), inner_aad
+    ss_index, inner = seal_frame(
+        sender.bank_ss, range(len(sender.bank_ss)), sender.node_id, receiver_id,
+        _encode_perm(perm), f"ss-perm:{sender.node_id}->{receiver_id}".encode(), rng, cipher,
     )
     # Binary relay payload: ss slot (u32) || inner nonce || inner sealed body.
-    payload = struct.pack(">I", ss_index) + inner_nonce + inner_body
-
-    announcement, af_key = select_session_key(sender, rng)
-    outer_nonce = rng.randbytes(NONCE_LEN)
-    outer_aad = f"relay:{sender.node_id}->{receiver_id}".encode()
-    outer_body = cipher.seal(af_key, outer_nonce, payload, outer_aad)
-    frame = SealedFrame(
-        sender=sender.node_id, receiver=receiver_id, nonce=outer_nonce, body=outer_body
+    payload = struct.pack(">I", ss_index) + inner.nonce + inner.body
+    r_c, frame = seal_frame(
+        sender.bank_af, sender.af_ordering(), sender.node_id, receiver_id,
+        payload, f"relay:{sender.node_id}->{receiver_id}".encode(), rng, cipher,
     )
-    return announcement, ss_index, frame
+    return r_c, ss_index, frame
 
 
 def _unwrap_perm_message(
@@ -306,20 +340,16 @@ def _unwrap_perm_message(
     cipher: CipherSuite,
 ) -> tuple[int, ...]:
     outer_aad = f"relay:{sender_id}->{receiver.node_id}".encode()
-    af_key = source_resolve_key(receiver, relayed_r_c)
-    payload = cipher.open(af_key, frame.nonce, frame.body, outer_aad)
+    payload = open_frame(receiver.bank_af, receiver.af_ordering(), relayed_r_c, frame,
+                         outer_aad, cipher)
     if len(payload) < 4 + NONCE_LEN + TAG_LEN:
         raise ProtocolError("malformed relay payload: too short")
-    ss_index = struct.unpack(">I", payload[:4])[0]
-    inner_nonce = payload[4:4 + NONCE_LEN]
-    inner_body = payload[4 + NONCE_LEN:]
-    if not 1 <= ss_index <= len(receiver.bank_ss):
-        raise KeyIndexRangeError(f"ss index {ss_index} outside bank")
+    (ss_index,) = struct.unpack(">I", payload[:4])
+    inner = SealedFrame(sender_id, receiver.node_id, payload[4:4 + NONCE_LEN],
+                        payload[4 + NONCE_LEN:])
     inner_aad = f"ss-perm:{sender_id}->{receiver.node_id}".encode()
-    blob = cipher.open(
-        receiver.bank_ss[ss_index - 1], inner_nonce, inner_body, inner_aad
-    )
-    return _decode_perm(blob)
+    return _decode_perm(open_frame(receiver.bank_ss, range(len(receiver.bank_ss)),
+                                   ss_index, inner, inner_aad, cipher))
 
 
 def establish_ss_channel(
@@ -341,24 +371,15 @@ def establish_ss_channel(
     perms: dict[NodeId, tuple[int, ...]] = {}
     for sender, receiver in ((s1, s2), (s2, s1)):
         perm = permute_bank_for_pair(len(sender.bank_ss), rng)
-        announcement, _, frame = _wrap_perm_message(
-            sender, receiver.node_id, perm, rng, cipher
-        )
+        r_c, _, frame = _wrap_perm_message(sender, receiver.node_id, perm, rng, cipher)
 
         # AF relay: unwrap the sender-side outer layer, re-wrap toward the
         # receiver under the receiver's AF pairing.  The payload it handles
         # is still sealed under an SS-bank key it does not hold.
-        af_key_in = af_resolve_key(af, announcement)
-        in_aad = f"relay:{sender.node_id}->{receiver.node_id}".encode()
-        payload = cipher.open(af_key_in, frame.nonce, frame.body, in_aad)
-        out_r_c = rng.randint(1, len(af.bank_af))
-        af_key_out = af_resolve_key(af, KeyIndexAnnouncement(receiver.node_id, out_r_c))
-        out_nonce = rng.randbytes(NONCE_LEN)
-        out_body = cipher.seal(af_key_out, out_nonce, payload, in_aad)
-        relayed = SealedFrame(
-            sender=sender.node_id, receiver=receiver.node_id,
-            nonce=out_nonce, body=out_body,
-        )
+        aad = f"relay:{sender.node_id}->{receiver.node_id}".encode()
+        payload = open_frame(af.bank_af, af.af_ordering(sender.node_id), r_c, frame, aad, cipher)
+        out_r_c, relayed = seal_frame(af.bank_af, af.af_ordering(receiver.node_id),
+                                      sender.node_id, receiver.node_id, payload, aad, rng, cipher)
         if tamper is not None:
             relayed = tamper(relayed)
 
@@ -386,19 +407,9 @@ def ss_send(
     Returns (announced slot index, frame).  The frame is relayed verbatim
     by the AF, which cannot open it.
     """
-    if receiver_id not in sender.ss_schedules:
-        raise ProtocolError(
-            f"no SS schedule between {sender.node_id} and {receiver_id}"
-        )
-    schedule = sender.ss_schedules[receiver_id]
-    index = rng.randint(1, len(sender.bank_ss))
-    key = schedule.key_for(receiver_id, sender.bank_ss, index)
-    nonce = rng.randbytes(NONCE_LEN)
-    aad = f"ss:{sender.node_id}->{receiver_id}".encode()
-    body = cipher.seal(key, nonce, plaintext, aad)
-    return index, SealedFrame(
-        sender=sender.node_id, receiver=receiver_id, nonce=nonce, body=body
-    )
+    return seal_frame(sender.bank_ss, sender.ss_ordering(receiver_id, receiver_id),
+                      sender.node_id, receiver_id, plaintext,
+                      f"ss:{sender.node_id}->{receiver_id}".encode(), rng, cipher)
 
 
 def ss_receive(
@@ -407,11 +418,5 @@ def ss_receive(
     frame: SealedFrame,
     cipher: CipherSuite = DEFAULT_CIPHER,
 ) -> bytes:
-    if frame.sender not in receiver.ss_schedules:
-        raise ProtocolError(
-            f"no SS schedule between {receiver.node_id} and {frame.sender}"
-        )
-    schedule = receiver.ss_schedules[frame.sender]
-    key = schedule.key_for(receiver.node_id, receiver.bank_ss, index)
-    aad = f"ss:{frame.sender}->{receiver.node_id}".encode()
-    return cipher.open(key, frame.nonce, frame.body, aad)
+    return open_frame(receiver.bank_ss, receiver.ss_ordering(frame.sender, receiver.node_id),
+                      index, frame, f"ss:{frame.sender}->{receiver.node_id}".encode(), cipher)

@@ -237,7 +237,7 @@ def _finish(
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),
     )
-    if n == 0 or -1 in bfs_distances(topology, 0):
+    if n == 0 or topology.reach_from(0) < n:
         raise DisconnectedGraphError(
             f"field of {n} nodes is disconnected at radio range {radio_range}"
         )
@@ -262,9 +262,9 @@ def build_grid(
     opposite corner.
     """
     if width < 1 or height < 1:
-        raise ValueError("grid dimensions must be >= 1")
+        raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
     if radio_range <= 0:
-        raise ValueError("radio_range must be > 0")
+        raise ValueError("radio_range: must be > 0")
     positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
     return _finish(positions, radio_range, sink, sources)
 
@@ -280,9 +280,9 @@ def build_random_geometric(
 ) -> Topology:
     """Uniform placement in a square; retries until connected."""
     if node_count < 1:
-        raise ValueError("node_count must be >= 1")
+        raise ValueError("node_count: must be >= 1")
     if radio_range <= 0:
-        raise ValueError("radio_range must be > 0")
+        raise ValueError("radio_range: must be > 0")
     for _ in range(max_attempts):
         positions = [
             (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .netsim import NodeId, Topology, bfs_distances, build_grid, shortest_path
+from .netsim import NodeId, Topology, build_grid, shortest_path
 from .phantom import (
     Phantom,
     ReceptorPath,
@@ -157,7 +157,7 @@ def pair_sources(
         raise ConfigError("need at least two sources to pair")
     remaining = sorted(sources)
     forbidden = set(sources) | {topology.sink}
-    dist_from = {s: bfs_distances(topology, s) for s in remaining}
+    dist_from = {s: topology.distances_from(s) for s in remaining}
     clusters: list[Cluster] = []
     while len(remaining) >= 2:
         best = None

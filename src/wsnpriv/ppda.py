@@ -17,20 +17,17 @@ from dataclasses import dataclass, field
 
 from .keymgmt import (
     AggregatorNode,
-    KeyIndexAnnouncement,
     ProtocolError,
     SealedFrame,
     SourceNode,
-    af_resolve_key,
     establish_ss_channel,
     generate_pool,
+    open_frame,
     register_pair,
-    select_session_key,
-    source_resolve_key,
+    seal_frame,
     ss_receive,
     ss_send,
     DEFAULT_CIPHER,
-    NONCE_LEN,
 )
 from .rng import SimRng
 
@@ -142,9 +139,6 @@ class SeedAssignment:
             raise ValueError("seeds must be nonzero")
         if len(set(norm)) != len(norm):
             raise ValueError("seeds must be pairwise distinct")
-
-    def seed_of(self, participant: str) -> int:
-        return self.seeds[self.participants.index(participant)]
 
     @classmethod
     def draw(
@@ -346,64 +340,29 @@ class SppdaCluster:
         register_pair(self.s1, self.af, setup.stream("pair-s1"))
         register_pair(self.s2, self.af, setup.stream("pair-s2"))
         establish_ss_channel(self.s1, self.s2, self.af, setup.stream("ss"), cipher)
-        self._names = {af_id: "A", s1_id: "S1", s2_id: "S2"}
         self._nodes = {"A": self.af, "S1": self.s1, "S2": self.s2}
         self._round = 0
 
-    def _seal_to_af(self, source: SourceNode, payload: bytes, rng: SimRng,
-                    kind: str, transcript: RoundTranscript, fields: dict) -> bytes:
-        announcement, key = select_session_key(source, rng)
-        nonce = rng.randbytes(NONCE_LEN)
-        aad = f"{kind}:{source.node_id}->af".encode()
-        body = self.cipher.seal(key, nonce, payload, aad)
-        frame = SealedFrame(source.node_id, self.af.node_id, nonce, body)
-        transcript.frames.append(FrameRecord(
-            kind=kind, sender=self._names[source.node_id], receiver="A",
-            plaintext_fields={"r_c": announcement.r_c, **fields}, frame=frame,
-        ))
-        key_af = af_resolve_key(self.af, announcement)
-        return self.cipher.open(key_af, frame.nonce, frame.body, aad)
-
-    def _seal_from_af(self, dest: SourceNode, payload: bytes, rng: SimRng,
-                      kind: str, transcript: RoundTranscript, fields: dict) -> bytes:
-        r_c = rng.randint(1, len(self.af.bank_af))
-        key = af_resolve_key(self.af, KeyIndexAnnouncement(dest.node_id, r_c))
-        nonce = rng.randbytes(NONCE_LEN)
-        aad = f"{kind}:af->{dest.node_id}".encode()
-        body = self.cipher.seal(key, nonce, payload, aad)
-        frame = SealedFrame(self.af.node_id, dest.node_id, nonce, body)
-        transcript.frames.append(FrameRecord(
-            kind=kind, sender="A", receiver=self._names[dest.node_id],
-            plaintext_fields={"r_c": r_c, **fields}, frame=frame,
-        ))
-        return self.cipher.open(source_resolve_key(dest, r_c), frame.nonce, frame.body, aad)
-
-    def _ss_exchange(self, sender: SourceNode, receiver: SourceNode,
-                     payload: bytes, rng: SimRng, kind: str,
-                     transcript: RoundTranscript) -> bytes:
-        index, frame = ss_send(sender, receiver.node_id, payload, rng, self.cipher)
-        # Relayed verbatim by the AF, which holds no SS-bank key.
-        transcript.frames.append(FrameRecord(
-            kind=kind, sender=self._names[sender.node_id],
-            receiver=self._names[receiver.node_id],
-            plaintext_fields={"ss_index": index, "relayed_by": "A"}, frame=frame,
-        ))
-        return ss_receive(receiver, index, frame, self.cipher)
-
-    def _send_share(self, producer: str, target: str, value: int, rng: SimRng,
-                    transcript: RoundTranscript) -> bytes:
-        """Seal one share toward its target; returns what the target decrypts.
-        S1<->S2 shares go through the SS relay, which the AF cannot open."""
-        payload = str(value).encode()
-        fields = {"for_seed_of": target}
-        if producer == "A":
-            return self._seal_from_af(self._nodes[target], payload, rng,
-                                      "share", transcript, fields)
-        if target == "A":
-            return self._seal_to_af(self._nodes[producer], payload, rng,
-                                    "share", transcript, fields)
-        return self._ss_exchange(self._nodes[producer], self._nodes[target],
-                                 payload, rng, "share", transcript)
+    def _send(self, kind: str, sender: str, receiver: str, payload: bytes, rng: SimRng,
+              transcript: RoundTranscript, fields: dict) -> bytes:
+        """Seal one message between participants and log it; returns what the
+        receiver decrypts.  S1<->S2 traffic goes through the SS relay, which
+        the AF cannot open."""
+        src, dst = self._nodes[sender], self._nodes[receiver]
+        if "A" in (sender, receiver):
+            aad = (f"{kind}:af->{dst.node_id}" if sender == "A"
+                   else f"{kind}:{src.node_id}->af").encode()
+            slot, frame = seal_frame(src.bank_af, src.af_ordering(dst.node_id), src.node_id,
+                                     dst.node_id, payload, aad, rng, self.cipher)
+            opened = open_frame(dst.bank_af, dst.af_ordering(src.node_id), slot, frame, aad,
+                                self.cipher)
+            fields = {"r_c": slot, **fields}
+        else:
+            slot, frame = ss_send(src, dst.node_id, payload, rng, self.cipher)
+            opened = ss_receive(dst, slot, frame, self.cipher)
+            fields = {"ss_index": slot, "relayed_by": "A"}
+        transcript.frames.append(FrameRecord(kind, sender, receiver, fields, frame))
+        return opened
 
     def run_round(self, x: int, y: int, z: int) -> tuple[AggregationResult, RoundTranscript]:
         self._round += 1
@@ -436,7 +395,8 @@ class SppdaCluster:
             for share in shares[producer]:
                 target = share.evaluated_at
                 if target != producer:
-                    got = self._send_share(producer, target, share.value, chan, transcript)
+                    got = self._send("share", producer, target, str(share.value).encode(),
+                                     chan, transcript, {"for_seed_of": target})
                     share = Share(producer, target, _field_element(got, f))
                 held[target].append(share)
 
@@ -446,9 +406,8 @@ class SppdaCluster:
         # sums it decrypted plus its own.
         received = [aggregates[0]]
         for agg in aggregates[1:]:
-            got = self._seal_to_af(self._nodes[agg.participant], str(agg.value).encode(),
-                                   chan, "node-sum", transcript,
-                                   {"participant": agg.participant})
+            got = self._send("node-sum", agg.participant, "A", str(agg.value).encode(),
+                             chan, transcript, {"participant": agg.participant})
             received.append(NodeAggregate(agg.participant, _field_element(got, f)))
 
         total = solve_aggregate(seeds, received)

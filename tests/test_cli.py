@@ -18,6 +18,8 @@ def test_parse_b_grid():
         _parse_b_grid("0:1:0")
     with pytest.raises(SystemExit):
         _parse_b_grid("a:b:c")
+    with pytest.raises(SystemExit, match="^error: b-grid: start 2 must be <= stop 1$"):
+        _parse_b_grid("2:1:0.5")
 
 
 def test_parse_sizes():

@@ -79,9 +79,17 @@ def strategy_not_integer(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("error: strategy: ")
 
 
+def grid_zero_width(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "0x4",
+            "--strategy", "flood", "--trials", "1"]
+    assert cli_main(argv) == 1
+    assert capsys.readouterr().out == "error: width: must be >= 1\n"
+
+
 @pytest.mark.parametrize(
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
-             zone_probability_zero, modulus_not_prime, strategy_not_integer],
+             zone_probability_zero, modulus_not_prime, strategy_not_integer,
+             grid_zero_width],
     ids=lambda case: case.__name__,
 )
 def test_bad_input_is_a_typed_error(case, tmp_path, capsys):

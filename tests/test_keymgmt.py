@@ -17,8 +17,10 @@ from wsnpriv.keymgmt import (
     af_resolve_key,
     establish_ss_channel,
     generate_pool,
+    open_frame,
     permute_bank_for_pair,
     register_pair,
+    seal_frame,
     select_session_key,
     source_resolve_key,
     ss_receive,
@@ -142,6 +144,36 @@ def test_eavesdropper_candidate_set_is_whole_bank():
     }
     assert len(candidates) == len(pool.bank_af)
     assert s1.bank_af[s1.af_perm[r_c - 1]] in candidates
+
+
+# --- sealed-frame primitive ---
+
+def test_open_frame_at_other_slot_fails():
+    _, agg, s1, _ = make_trio()
+    slot, frame = seal_frame(s1.bank_af, s1.af_perm, 1, 0, b"payload", b"aad", SimRng(30), CIPHER)
+    ordering = agg.af_ordering(1)
+    assert open_frame(agg.bank_af, ordering, slot, frame, b"aad", CIPHER) == b"payload"
+    for other in range(1, len(ordering) + 1):
+        if other != slot:
+            with pytest.raises(AuthenticationError):
+                open_frame(agg.bank_af, ordering, other, frame, b"aad", CIPHER)
+
+
+def test_frame_slot_outside_ordering_is_range_error():
+    _, agg, s1, _ = make_trio()
+    _, frame = seal_frame(s1.bank_af, s1.af_perm, 1, 0, b"x", b"", SimRng(31), CIPHER)
+    for slot in (0, len(s1.af_perm) + 1):
+        with pytest.raises(KeyIndexRangeError):
+            open_frame(agg.bank_af, agg.af_ordering(1), slot, frame, b"", CIPHER)
+
+
+def test_seal_frame_draws_slot_then_nonce():
+    _, _, s1, _ = make_trio()
+    used, expected = SimRng(32), SimRng(32)
+    slot, frame = seal_frame(s1.bank_af, s1.af_perm, 1, 0, b"x", b"", used, CIPHER)
+    assert slot == expected.randint(1, len(s1.af_perm))
+    assert frame.nonce == expected.randbytes(16)
+    assert used.getstate() == expected.getstate()
 
 
 # --- SS channel bootstrap ---

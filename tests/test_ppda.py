@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnpriv.keymgmt import AuthenticationError, ProtocolError, StreamMacCipher
+from wsnpriv.keymgmt import AuthenticationError, ProtocolError, StreamMacCipher, open_frame
 from wsnpriv.ppda import (
     DEFAULT_MODULUS,
     AggregationResult,
@@ -339,3 +339,39 @@ def test_payload_outside_field_is_protocol_error(payload):
     cluster = SppdaCluster(SimRng(23), cipher=ReplaceRoundPayload(payload))
     with pytest.raises(ProtocolError):
         cluster.run_round(5, 7, 3)
+
+
+def test_round_frames_replay_under_receiver_keys():
+    # Every sealed round frame opens under its receiver's own key state at
+    # the slot its plaintext fields announce, giving the share (or node sum)
+    # that receiver summed.  Shares are rebuilt from the round's streams.
+    cluster = SppdaCluster(SimRng(24))
+    _, transcript = cluster.run_round(5, 7, 3)
+    nodes = {"A": cluster.af, "S1": cluster.s1, "S2": cluster.s2}
+    round_rng = SimRng(24).stream("round:1")
+    shares = {
+        (share.producer, share.evaluated_at): share.value
+        for who, v in (("A", 3), ("S1", 5), ("S2", 7))
+        for share in gen_shares(v, who, transcript.seeds,
+                                RandomCoeffs.draw(F, round_rng.stream(f"coeffs:{who}")))
+    }
+    summed = {agg.participant: agg.value for agg in transcript.aggregates}
+    held = {who: shares[(who, who)] for who in summed}
+    round_frames = [rec for rec in transcript.frames if rec.frame is not None]
+    assert len(round_frames) == 8
+    for rec in round_frames:
+        src, dst, fields = nodes[rec.sender], nodes[rec.receiver], rec.plaintext_fields
+        if "ss_index" in fields:
+            aad = f"ss:{src.node_id}->{dst.node_id}"
+            keys = dst.bank_ss, dst.ss_ordering(src.node_id, dst.node_id), fields["ss_index"]
+        else:
+            aad = (f"{rec.kind}:af->{dst.node_id}" if rec.sender == "A"
+                   else f"{rec.kind}:{src.node_id}->af")
+            keys = dst.bank_af, dst.af_ordering(src.node_id), fields["r_c"]
+        value = int(open_frame(*keys, rec.frame, aad.encode(), StreamMacCipher()))
+        if rec.kind == "share":
+            assert value == shares[(rec.sender, rec.receiver)]
+            held[rec.receiver] = F.add(held[rec.receiver], value)
+        else:
+            assert value == summed[rec.sender]
+    assert held == summed
