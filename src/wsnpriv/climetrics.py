@@ -325,6 +325,9 @@ def pipeline_config_from_doc(doc: dict) -> PipelineConfig:
             raise ScenarioError(f"{key}: expected {kind.__name__}")
         return value
 
+    def optional(key, kind, default):
+        return need(key, kind) if key in doc else default
+
     level_name = need("level", str)
     if level_name not in _LEVELS:
         raise ScenarioError(f"level: unknown value {level_name!r}")
@@ -351,9 +354,9 @@ def pipeline_config_from_doc(doc: dict) -> PipelineConfig:
         receptor_length=(
             int(doc["receptor_length"]) if doc.get("receptor_length") is not None else None
         ),
-        modulus=int(doc.get("modulus", 2**31 - 1)),
-        pool_size=int(doc.get("pool_size", 256)),
-        af_bank=int(doc.get("af_bank", 128)),
+        modulus=optional("modulus", int, 2**31 - 1),
+        pool_size=optional("pool_size", int, 256),
+        af_bank=optional("af_bank", int, 128),
         aggregator_dummy=int(doc.get("aggregator_dummy", 0)),
     )
     return cfg

@@ -40,7 +40,6 @@ __all__ = [
     "KeyIndexRangeError",
     "ProtocolError",
     "KeyPool",
-    "KeyIndexAnnouncement",
     "SealedFrame",
     "CipherSuite",
     "StreamMacCipher",
@@ -51,9 +50,6 @@ __all__ = [
     "permute_bank_for_pair",
     "seal_frame",
     "open_frame",
-    "select_session_key",
-    "af_resolve_key",
-    "source_resolve_key",
     "establish_ss_channel",
     "ss_send",
     "ss_receive",
@@ -62,6 +58,7 @@ __all__ = [
 KEY_LEN = 16  # 128-bit keys
 NONCE_LEN = 16
 TAG_LEN = 16
+SS_BANK_MAX = 1 << 16  # the SS-bank ordering travels as u16 indices
 
 
 class AuthenticationError(Exception):
@@ -88,12 +85,6 @@ class KeyPool:
     @property
     def total(self) -> int:
         return len(self.bank_af) + len(self.bank_ss)
-
-
-@dataclass(frozen=True)
-class KeyIndexAnnouncement:
-    sender: NodeId
-    r_c: int  # 1-based index into the pair's permuted bank
 
 
 @dataclass(frozen=True)
@@ -125,28 +116,26 @@ class StreamMacCipher(CipherSuite):
     """SHA-256 counter keystream + truncated HMAC-SHA-256 tag."""
 
     def _keystream(self, key: bytes, nonce: bytes, length: int) -> bytes:
+        # Block i is sha256(key || nonce || u64be(i)); the shared prefix is
+        # hashed once and each block resumes from a copy of that state.
+        prefix = hashlib.sha256(key + nonce)
         blocks = []
-        have = 0
-        counter = 0
-        while have < length:
-            block = hashlib.sha256(
-                key + nonce + counter.to_bytes(8, "big")
-            ).digest()
-            blocks.append(block)
-            have += len(block)
-            counter += 1
+        for counter in range(-(-length // 32)):
+            block = prefix.copy()
+            block.update(counter.to_bytes(8, "big"))
+            blocks.append(block.digest())
         return b"".join(blocks)[:length]
 
     def seal(self, key, nonce, plaintext, aad=b""):
         ct = _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
-        tag = hmac.new(key, nonce + aad + ct, hashlib.sha256).digest()[:TAG_LEN]
+        tag = hmac.digest(key, nonce + aad + ct, "sha256")[:TAG_LEN]
         return ct + tag
 
     def open(self, key, nonce, body, aad=b""):
         if len(body) < TAG_LEN:
             raise AuthenticationError("body shorter than tag")
         ct, tag = body[:-TAG_LEN], body[-TAG_LEN:]
-        expect = hmac.new(key, nonce + aad + ct, hashlib.sha256).digest()[:TAG_LEN]
+        expect = hmac.digest(key, nonce + aad + ct, "sha256")[:TAG_LEN]
         if not hmac.compare_digest(tag, expect):
             raise AuthenticationError("authentication failed")
         return _xor(ct, self._keystream(key, nonce, len(ct)))
@@ -161,13 +150,13 @@ def generate_pool(total: int, af_count: int, rng: SimRng) -> KeyPool:
         raise ValueError(
             f"invalid bank split: af_count={af_count} must satisfy 1 <= af_count < total={total}"
         )
-    keys: list[bytes] = []
-    seen: set[bytes] = set()
-    while len(keys) < total:
-        k = rng.randbytes(KEY_LEN)
-        if k not in seen:
-            seen.add(k)
-            keys.append(k)
+    # One draw of total keys gives the bytes and generator state of total
+    # draws of KEY_LEN; a repeated key is dropped and replaced by a fresh
+    # draw, exactly as drawing one key at a time would.
+    unique = dict.fromkeys(struct.unpack(f"{KEY_LEN}s" * total, rng.randbytes(KEY_LEN * total)))
+    while len(unique) < total:
+        unique.setdefault(rng.randbytes(KEY_LEN))
+    keys = list(unique)
     return KeyPool(bank_af=tuple(keys[:af_count]), bank_ss=tuple(keys[af_count:]))
 
 
@@ -175,8 +164,16 @@ def permute_bank_for_pair(bank_size: int, rng: SimRng) -> tuple[int, ...]:
     """Uniform random permutation of bank indices for one pair."""
     if bank_size < 1:
         raise ValueError("bank must be non-empty")
+    # Fisher-Yates making Random.shuffle's exact draws: _randbelow(i + 1)
+    # takes (i + 1).bit_length() bits and redraws values past the end.
     order = list(range(bank_size))
-    rng.shuffle(order)
+    getrandbits = rng.getrandbits
+    for i in range(bank_size - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
     return tuple(order)
 
 
@@ -190,9 +187,6 @@ class SsSchedule:
     """
 
     perm_by_owner: dict[NodeId, tuple[int, ...]]
-
-    def key_for(self, receiver: NodeId, bank_ss: tuple[bytes, ...], index: int) -> bytes:
-        return _slot_key(bank_ss, self.perm_by_owner[receiver], index)
 
 
 @dataclass
@@ -275,27 +269,8 @@ def open_frame(bank: tuple[bytes, ...], ordering: Sequence[int], slot: int,
     return cipher.open(_slot_key(bank, ordering, slot), frame.nonce, frame.body, aad)
 
 
-def select_session_key(
-    source: SourceNode, rng: SimRng
-) -> tuple[KeyIndexAnnouncement, bytes]:
-    """Source-side pick: uniform R_c in [1, bank size], key through the
-    pair permutation."""
-    r_c = rng.randint(1, len(source.bank_af))
-    return KeyIndexAnnouncement(sender=source.node_id, r_c=r_c), source_resolve_key(source, r_c)
-
-
-def af_resolve_key(af: AggregatorNode, announcement: KeyIndexAnnouncement) -> bytes:
-    """AF-side lookup of the session key a source announced."""
-    return _slot_key(af.bank_af, af.af_ordering(announcement.sender), announcement.r_c)
-
-
-def source_resolve_key(source: SourceNode, r_c: int) -> bytes:
-    """Source-side key at slot r_c of its AF-pair ordering (both directions)."""
-    return _slot_key(source.bank_af, source.af_ordering(), r_c)
-
-
 def _encode_perm(perm: tuple[int, ...]) -> bytes:
-    # u16 big-endian per entry; bank sizes stay well under 2^16.
+    # u16 big-endian per entry; PipelineConfig.validate caps the SS bank at SS_BANK_MAX.
     return struct.pack(f">{len(perm)}H", *perm)
 
 

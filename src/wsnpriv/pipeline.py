@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from .keymgmt import SS_BANK_MAX
 from .netsim import NodeId, Topology, build_grid, shortest_path
 from .phantom import (
     Phantom,
@@ -103,6 +104,10 @@ class PipelineConfig:
         missing = [s for s in self.sources if s not in self.readings]
         if missing:
             raise ConfigError(f"missing readings for sources {missing}")
+        if not 1 <= self.af_bank < self.pool_size:
+            raise ConfigError(f"af_bank: must be in [1, pool_size={self.pool_size})")
+        if self.pool_size - self.af_bank > SS_BANK_MAX:
+            raise ConfigError(f"pool_size: SS bank (pool_size - af_bank) over {SS_BANK_MAX} keys")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ All arithmetic is exact; there are no tolerances anywhere in this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .keymgmt import (
     AggregatorNode,
@@ -57,6 +58,7 @@ class MixedSeedError(ValueError):
     """Shares evaluated at different seeds were summed together."""
 
 
+@lru_cache(maxsize=None)  # one entry per distinct modulus a process uses
 def _is_prime(n: int) -> bool:
     # Deterministic Miller-Rabin, valid far beyond 64-bit moduli.
     if n < 2:
@@ -82,7 +84,7 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic mod a prime p; primality checked once at construction."""
+    """Arithmetic mod a prime p; primality is checked once per distinct p."""
 
     def __init__(self, modulus: int = DEFAULT_MODULUS):
         if not _is_prime(modulus):
@@ -229,21 +231,24 @@ def solve_aggregate(
     by_participant = {agg.participant: agg.value for agg in aggregates}
     if set(by_participant) != set(seeds.participants):
         raise ValueError("aggregates do not match the seed assignment")
-    xs = [f.norm(s) for s in seeds.seeds]
-    ys = [by_participant[p] for p in seeds.participants]
-    # Lagrange basis at x = 0:  l_i(0) = prod_{j != i} x_j / (x_j - x_i)
-    result = 0
+    p = f.p
+    xs = [s % p for s in seeds.seeds]
+    ys = [by_participant[q] for q in seeds.participants]
+    # Lagrange basis at x = 0:  l_i(0) = prod_{j != i} x_j / (x_j - x_i).
+    # The terms y_i * l_i(0) are summed as one fraction, a/b + c/d =
+    # (a*d + c*b) / (b*d), so n denominators cost one inversion.
+    acc_num, acc_den = 0, 1
     for i, xi in enumerate(xs):
         num, den = 1, 1
         for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = f.mul(num, xj)
-            den = f.mul(den, f.sub(xj, xi))
+            if j != i:
+                num = num * xj % p
+                den = den * (xj - xi) % p
         if den == 0:
             raise ZeroDivisionError("duplicate seeds make the system singular")
-        result = f.add(result, f.mul(ys[i], f.mul(num, f.inv(den))))
-    return result
+        acc_num = (acc_num * den + ys[i] * num % p * acc_den) % p
+        acc_den = acc_den * den % p
+    return acc_num * f.inv(acc_den) % p
 
 
 def recover_pair_sum(total: int, z: int, field: PrimeField) -> int:
@@ -439,18 +444,23 @@ def run_cpda(
     if n < 3:
         raise ValueError("cluster baseline needs at least 3 participants")
     f = field_ or PrimeField()
+    p = f.p
     participants = tuple(f"P{i}" for i in range(n))
     seeds = SeedAssignment.draw(participants, f, rng.stream("seeds"))
     coeff_rng = rng.stream("coeffs")
     sums = [0] * n
+    # Every participant evaluates its own mask at every seed (n^2 Horner
+    # evaluations): that share traffic is the cost this baseline models.
     for i in range(n):
-        poly = [f.norm(values[i])] + [
-            coeff_rng.randrange(f.p) for _ in range(n - 1)
-        ]
+        poly = [values[i] % p] + [coeff_rng.randrange(p) for _ in range(n - 1)]
+        poly.reverse()
         for j, s in enumerate(seeds.seeds):
-            sums[j] = f.add(sums[j], f.poly_eval(poly, s))
+            acc = 0
+            for c in poly:
+                acc = (acc * s + c) % p
+            sums[j] = (sums[j] + acc) % p
     aggregates = [
-        NodeAggregate(participant=p, value=v)
-        for p, v in zip(participants, sums)
+        NodeAggregate(participant=who, value=v)
+        for who, v in zip(participants, sums)
     ]
     return solve_aggregate(seeds, aggregates)

@@ -24,11 +24,11 @@ from wsnpriv.keymgmt import (
     AuthenticationError,
     SealedFrame,
     StreamMacCipher,
-    af_resolve_key,
     establish_ss_channel,
     generate_pool,
+    open_frame,
     register_pair,
-    source_resolve_key,
+    seal_frame,
 )
 from wsnpriv.keymgmt import AggregatorNode, SourceNode
 from wsnpriv.netsim import build_grid
@@ -199,11 +199,26 @@ def test_criterion_8_key_management():
     register_pair(s1, agg, SimRng(1, "acc8/p1"))
     register_pair(s2, agg, SimRng(1, "acc8/p2"))
 
-    # Select/resolve agreement for every index in range.
-    from wsnpriv.keymgmt import KeyIndexAnnouncement
+    # Select/resolve agreement for every index in range: a frame sealed at
+    # slot r_c with one end's ordering opens at r_c with the other end's.
+    class AnnounceSlot:
+        def __init__(self, r_c):
+            self.r_c = r_c
+
+        def randint(self, lo, hi):
+            return self.r_c
+
+        def randbytes(self, n):
+            return bytes(n)
+
     for r_c in range(1, len(pool.bank_af) + 1):
-        ann = KeyIndexAnnouncement(sender=1, r_c=r_c)
-        assert af_resolve_key(agg, ann) == source_resolve_key(s1, r_c)
+        slot, frame = seal_frame(s1.bank_af, s1.af_ordering(), 1, 0, b"up", b"acc8",
+                                 AnnounceSlot(r_c), cipher)
+        assert slot == r_c
+        assert open_frame(agg.bank_af, agg.af_ordering(1), r_c, frame, b"acc8", cipher) == b"up"
+        _, frame = seal_frame(agg.bank_af, agg.af_ordering(1), 0, 1, b"down", b"acc8",
+                              AnnounceSlot(r_c), cipher)
+        assert open_frame(s1.bank_af, s1.af_ordering(), r_c, frame, b"acc8", cipher) == b"down"
 
     # 10^3 relay fault injections: every one must surface as an auth failure.
     detected = 0

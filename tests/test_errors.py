@@ -86,10 +86,41 @@ def grid_zero_width(tmp_path, capsys):
     assert capsys.readouterr().out == "error: width: must be >= 1\n"
 
 
+def run_pipeline_doc(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return cli_main(["--out", str(tmp_path), "run-pipeline", str(path)])
+
+
+def pool_size_not_int(tmp_path, capsys):
+    for field in ("modulus", "pool_size", "af_bank"):
+        for value in ("x", 1.5, True):
+            with pytest.raises(ScenarioError, match=f"^{field}: expected int$"):
+                pipeline_config_from_doc({**SCENARIO, field: value})
+    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": "x"}) == 1
+    assert capsys.readouterr().out == "error: pool_size: expected int\n"
+
+
+def bank_split_invalid(tmp_path, capsys):
+    for pool_size, af_bank in ((4, 4), (4, 0), (4, 9)):
+        cfg = pipeline_config_from_doc({**SCENARIO, "pool_size": pool_size, "af_bank": af_bank})
+        with pytest.raises(ConfigError, match="^af_bank: "):
+            cfg.validate()
+    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": 4, "af_bank": 4}) == 1
+    assert capsys.readouterr().out == "error: af_bank: must be in [1, pool_size=4)\n"
+
+
+def ss_bank_too_large(tmp_path, capsys):
+    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": 70000, "af_bank": 1}) == 1
+    assert capsys.readouterr().out == (
+        "error: pool_size: SS bank (pool_size - af_bank) over 65536 keys\n"
+    )
+
+
 @pytest.mark.parametrize(
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
              zone_probability_zero, modulus_not_prime, strategy_not_integer,
-             grid_zero_width],
+             grid_zero_width, pool_size_not_int, bank_split_invalid, ss_bank_too_large],
     ids=lambda case: case.__name__,
 )
 def test_bad_input_is_a_typed_error(case, tmp_path, capsys):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from wsnpriv.keymgmt import (
     AggregatorNode,
     AuthenticationError,
-    KeyIndexAnnouncement,
     KeyIndexRangeError,
     ProtocolError,
     SealedFrame,
@@ -14,15 +13,13 @@ from wsnpriv.keymgmt import (
     StreamMacCipher,
     UnknownSourceError,
     _wrap_perm_message,
-    af_resolve_key,
     establish_ss_channel,
+    KEY_LEN,
     generate_pool,
     open_frame,
     permute_bank_for_pair,
     register_pair,
     seal_frame,
-    select_session_key,
-    source_resolve_key,
     ss_receive,
     ss_send,
 )
@@ -60,6 +57,49 @@ def test_pool_deterministic():
     assert generate_pool(64, 32, SimRng(3)) == generate_pool(64, 32, SimRng(3))
 
 
+def reference_pool_keys(total, rng):
+    """The one-key-at-a-time draw generate_pool must reproduce."""
+    keys, seen = [], set()
+    while len(keys) < total:
+        k = rng.randbytes(KEY_LEN)
+        if k not in seen:
+            seen.add(k)
+            keys.append(k)
+    return keys
+
+
+class ScriptedBytes:
+    """A randbytes source reading one fixed byte string front to back."""
+
+    def __init__(self, data):
+        self.data, self.pos = data, 0
+
+    def randbytes(self, n):
+        self.pos += n
+        if self.pos > len(self.data):
+            raise AssertionError("script exhausted")
+        return self.data[self.pos - n:self.pos]
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**64), total=st.integers(2, 300), data=st.data())
+def test_pool_matches_one_key_loop(seed, total, data):
+    af = data.draw(st.integers(1, total - 1))
+    rng, twin = SimRng(seed, "pool"), SimRng(seed, "pool")
+    pool = generate_pool(total, af, rng)
+    assert list(pool.bank_af + pool.bank_ss) == reference_pool_keys(total, twin)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_pool_duplicate_key_falls_back_to_one_key_draws():
+    a, b, c, d = (bytes(range(i, i + KEY_LEN)) for i in range(4))
+    script = a + b + a + b + c + a + d + b  # 2 repeats in the first 4, 1 after
+    used, reference = ScriptedBytes(script), ScriptedBytes(script)
+    pool = generate_pool(4, 2, used)
+    assert list(pool.bank_af + pool.bank_ss) == reference_pool_keys(4, reference) == [a, b, c, d]
+    assert used.pos == reference.pos == 7 * KEY_LEN
+
+
 def test_pool_invalid_split():
     with pytest.raises(ValueError):
         generate_pool(4, 4, SimRng(1))
@@ -82,6 +122,25 @@ def test_permutation_composes_with_inverse():
     assert tuple(inverse[p] for p in perm) == tuple(range(5))
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64), n=st.integers(1, 300))
+def test_permutation_matches_random_shuffle(seed, n):
+    rng, twin = SimRng(seed, "perm"), SimRng(seed, "perm")
+    order = list(range(n))
+    twin.shuffle(order)
+    assert permute_bank_for_pair(n, rng) == tuple(order)
+    assert rng.getstate() == twin.getstate()
+
+
+def test_permutation_matches_random_shuffle_every_size():
+    rng, twin = SimRng(34), SimRng(34)
+    for n in range(1, 301):
+        order = list(range(n))
+        twin.shuffle(order)
+        assert permute_bank_for_pair(n, rng) == tuple(order)
+    assert rng.getstate() == twin.getstate()
+
+
 def test_pair_permutations_independent():
     collisions = sum(
         permute_bank_for_pair(8, SimRng(s, "pair-a"))
@@ -94,14 +153,22 @@ def test_pair_permutations_independent():
 # --- session key selection ---
 
 def test_select_resolve_round_trip_exhaustive():
+    # Every slot drawn at one end of the pair selects the key the other end
+    # resolves from its own copy of the ordering, in both directions.
     _, agg, s1, _ = make_trio()
     seen = set()
     rng = SimRng(5)
-    for _ in range(2000):
-        ann, key = select_session_key(s1, rng)
-        assert af_resolve_key(agg, ann) == key
-        assert source_resolve_key(s1, ann.r_c) == key
-        seen.add(ann.r_c)
+    for i in range(2000):
+        payload = i.to_bytes(2, "big")
+        slot, frame = seal_frame(s1.bank_af, s1.af_ordering(), 1, 0, payload, b"up", rng, CIPHER)
+        assert open_frame(agg.bank_af, agg.af_ordering(1), slot, frame, b"up", CIPHER) == payload
+        assert CIPHER.open(s1.bank_af[s1.af_perm[slot - 1]], frame.nonce, frame.body,
+                           b"up") == payload
+        seen.add(slot)
+        slot, frame = seal_frame(agg.bank_af, agg.af_ordering(1), 0, 1, payload, b"down", rng,
+                                 CIPHER)
+        assert open_frame(s1.bank_af, s1.af_ordering(), slot, frame, b"down", CIPHER) == payload
+        seen.add(slot)
     assert seen == set(range(1, len(s1.bank_af) + 1))
 
 
@@ -114,8 +181,8 @@ def test_select_uniformity():
     n = 10_000
     rng = SimRng(7)
     for _ in range(n):
-        ann, _ = select_session_key(src, rng)
-        counts[ann.r_c - 1] += 1
+        slot, _ = seal_frame(src.bank_af, src.af_ordering(), 1, 0, b"", b"", rng, CIPHER)
+        counts[slot - 1] += 1
     mean = n / 8
     sigma = (n * (1 / 8) * (7 / 8)) ** 0.5
     for c in counts:
@@ -124,12 +191,13 @@ def test_select_uniformity():
 
 def test_af_resolve_errors():
     _, agg, s1, _ = make_trio()
+    slot, frame = seal_frame(s1.bank_af, s1.af_ordering(), 1, 0, b"x", b"", SimRng(33), CIPHER)
     with pytest.raises(KeyIndexRangeError):
-        af_resolve_key(agg, KeyIndexAnnouncement(sender=1, r_c=0))
+        open_frame(agg.bank_af, agg.af_ordering(1), 0, frame, b"", CIPHER)
     with pytest.raises(KeyIndexRangeError):
-        af_resolve_key(agg, KeyIndexAnnouncement(sender=1, r_c=len(s1.bank_af) + 1))
+        open_frame(agg.bank_af, agg.af_ordering(1), len(s1.bank_af) + 1, frame, b"", CIPHER)
     with pytest.raises(UnknownSourceError):
-        af_resolve_key(agg, KeyIndexAnnouncement(sender=42, r_c=1))
+        open_frame(agg.bank_af, agg.af_ordering(42), slot, frame, b"", CIPHER)
 
 
 def test_eavesdropper_candidate_set_is_whole_bank():
@@ -252,8 +320,12 @@ def test_ss_send_without_schedule():
 def test_identity_schedule_is_identity_order():
     bank = tuple(bytes([i]) * 16 for i in range(4))
     schedule = SsSchedule(perm_by_owner={1: (0, 1, 2, 3), 2: (0, 1, 2, 3)})
+    receiver = SourceNode(node_id=2, bank_af=bank, bank_ss=bank, ss_schedules={1: schedule})
+    nonce = b"n" * 16
     for i in range(1, 5):
-        assert schedule.key_for(2, bank, i) == bank[i - 1]
+        frame = SealedFrame(1, 2, nonce, CIPHER.seal(bank[i - 1], nonce, b"x", b"ss"))
+        ordering = receiver.ss_ordering(1, 2)
+        assert open_frame(bank, ordering, i, frame, b"ss", CIPHER) == b"x"
 
 
 # --- cipher ---
@@ -292,3 +364,43 @@ def test_open_wrong_aad_fails():
     body = CIPHER.seal(key, nonce, b"data", b"aad-1")
     with pytest.raises(AuthenticationError):
         CIPHER.open(key, nonce, body, b"aad-2")
+
+
+# Seal outputs recorded from the per-block SHA-256 / hmac.new cipher for
+# payloads on both sides of the 32-byte keystream block boundary and the
+# 276-byte SS relay payload.
+KAT_KEY, KAT_NONCE, KAT_AAD = bytes(range(16)), bytes(range(16, 32)), b"kat"
+KAT_SEALED = {
+    0: "295e31b9e72950b207be03efea30e14c",
+    1: "aa878ac3b92f90fcb2985b244fec5b410a",
+    31: (
+        "aadcf418361ca5890389ab438724d273ffc8a40ddd91b7a516437dcb22e921a0a37ce128736b21b2"
+        "6114a4c6f28461"
+    ),
+    32: (
+        "aadcf418361ca5890389ab438724d273ffc8a40ddd91b7a516437dcb22e9210c8247b0c4bd7b2e59"
+        "6414a1873520dea8"
+    ),
+    33: (
+        "aadcf418361ca5890389ab438724d273ffc8a40ddd91b7a516437dcb22e9210c8324096fe54d33de"
+        "2619cd989d70e323f7"
+    ),
+    276: (
+        "aadcf418361ca5890389ab438724d273ffc8a40ddd91b7a516437dcb22e9210c838b35c0927c1a9c"
+        "a170cbd885d02aaa402c25841ad176738fbe64c7064bce6fb0af71a39a9731666734201308351ead"
+        "650db751e162302e19b6715d3ab7157f9bafb22d5aa0a49659e6de6aaa2f2a5e1f48414093fac4b9"
+        "2792fe126d72035af5ff98e532e6aaaddf1b730fa68fb8c3a06feb14aedcefe511c4e75a613097a7"
+        "d33b64d786bacae57ae2f3024191dee4603bc210868c692f8666f92ade751e5a5f086f2729af1349"
+        "eed8316a5c8e451c4442107ded4742f12a65f81d9f08ece9c2b291aa01d7e303d42af72dfbe85229"
+        "80a856ea6cbd80049c2d5460f6a91308c05003bfd9a6896e69efc306972473b0434991b81b9495f0"
+        "e4f7fa17b8995699c0665b4a"
+    ),
+}
+
+
+@pytest.mark.parametrize("length", sorted(KAT_SEALED))
+def test_seal_known_answers(length):
+    payload = bytes((7 * i + 3) % 256 for i in range(length))
+    body = CIPHER.seal(KAT_KEY, KAT_NONCE, payload, KAT_AAD)
+    assert body.hex() == KAT_SEALED[length]
+    assert CIPHER.open(KAT_KEY, KAT_NONCE, body, KAT_AAD) == payload

@@ -15,6 +15,7 @@ from wsnpriv.ppda import (
     SeedAssignment,
     Share,
     SppdaCluster,
+    _is_prime,
     gen_shares,
     node_aggregate,
     recover_pair_sum,
@@ -61,6 +62,14 @@ def test_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         PrimeField(2**31)
     PrimeField(2**61 - 1)  # Mersenne prime, fine
+
+
+def test_primality_checked_once_per_modulus():
+    before = _is_prime.cache_info()
+    for _ in range(3):
+        PrimeField(2**89 - 1)  # a Mersenne prime no other test uses
+    after = _is_prime.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -185,6 +194,31 @@ def test_solve_matches_gauss_oracle_randomized():
         seeds = SeedAssignment(("A", "S1", "S2"), tuple(xs), F)
         aggregates = [NodeAggregate(w, y) for w, y in zip(seeds.participants, ys)]
         assert solve_aggregate(seeds, aggregates) == oracle_gauss_solve(xs, ys)
+
+
+def reference_lagrange_at_zero(xs, ys, p=P):
+    """Per-term Lagrange at 0, one pow inverse per basis polynomial."""
+    total = 0
+    for i, xi in enumerate(xs):
+        num = den = 1
+        for j, xj in enumerate(xs):
+            if j != i:
+                num = num * xj % p
+                den = den * (xj - xi) % p
+        total += ys[i] * num * pow(den, p - 2, p)
+    return total % p
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(3, 16))
+def test_solve_matches_per_term_lagrange(data, n):
+    xs = data.draw(st.lists(st.integers(1, P - 1), min_size=n, max_size=n,
+                            unique=True))
+    ys = data.draw(st.lists(st.integers(0, P - 1), min_size=n, max_size=n))
+    names = tuple(f"P{i}" for i in range(n))
+    seeds = SeedAssignment(names, tuple(xs), F)
+    aggregates = [NodeAggregate(w, y) for w, y in zip(names, ys)]
+    assert solve_aggregate(seeds, aggregates) == reference_lagrange_at_zero(xs, ys)
 
 
 def test_randomness_cancellation():
