@@ -5,12 +5,15 @@ run-pipeline, run-scenarios.  Results go to CSV files plus a JSON summary
 (config echo and a digest of every emitted file) in the output directory,
 which defaults to the WSNPRIV_OUT_DIR environment variable, then the
 current directory.  All output is byte-deterministic under a fixed seed.
+Exit status: 0 on success, 2 on bad input, 1 when a run on valid input
+fails (for run-scenarios, when any scenario in the batch failed).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -24,6 +27,7 @@ from .climetrics import (
     SPPDA_DIST,
     bench_aggregation,
     disclosure_curve,
+    expecting,
     hunt_rows_to_csv,
     montecarlo_hunt,
     rows_to_csv,
@@ -60,56 +64,37 @@ def _write_summary(out: pathlib.Path, command: str, config: dict,
 
 
 def _parse_grid(spec: str) -> tuple[int, int]:
-    try:
+    with expecting("grid", "WxH", spec):
         w, h = spec.lower().split("x")
         return int(w), int(h)
-    except ValueError:
-        raise SystemExit(f"error: grid: expected WxH, got {spec!r}")
 
 
 def _parse_b_grid(spec: str) -> list[float]:
     # "start:stop:step" or comma-separated values.
-    if ":" in spec:
-        try:
-            start, stop, step = (float(x) for x in spec.split(":"))
-        except ValueError:
-            raise SystemExit(f"error: b-grid: expected start:stop:step, got {spec!r}")
-        if step <= 0:
-            raise SystemExit("error: b-grid: step must be > 0")
-        if start > stop:
-            raise SystemExit(f"error: b-grid: start {start:g} must be <= stop {stop:g}")
-        grid = []
-        k = 0
-        while True:
-            b = start + k * step
-            if b > stop + 1e-12:
-                break
-            grid.append(round(b, 12))
-            k += 1
-        return grid
-    try:
-        return [float(x) for x in spec.split(",")]
-    except ValueError:
-        raise SystemExit(f"error: b-grid: expected numbers, got {spec!r}")
+    if ":" not in spec:
+        with expecting("b-grid", "numbers", spec):
+            return [float(x) for x in spec.split(",")]
+    with expecting("b-grid", "start:stop:step", spec):
+        start, stop, step = (float(x) for x in spec.split(":"))
+    if step <= 0:
+        raise ValueError("b-grid: step must be > 0")
+    if start > stop:
+        raise ValueError(f"b-grid: start {start:g} must be <= stop {stop:g}")
+    points = (start + k * step for k in itertools.count())
+    return [round(b, 12) for b in itertools.takewhile(lambda b: b <= stop + 1e-12, points)]
 
 
 def _parse_dist(spec: str) -> ClusterSizeDist:
     # "sppda" or "uniform:min..max" or "m1=p1,m2=p2,..."
     if spec == "sppda":
         return SPPDA_DIST
-    try:
+    with expecting("dist", "sppda, uniform:min..max or m=p,...", spec):
         if spec.startswith("uniform:"):
             lo, _, hi = spec[len("uniform:"):].partition("..")
             lo, hi = int(lo), int(hi)
         else:
-            pairs = {}
-            for part in spec.split(","):
-                m, _, p = part.partition("=")
-                pairs[int(m)] = float(p)
-    except ValueError:
-        raise ValueError(
-            f"dist: expected sppda, uniform:min..max or m=p,..., got {spec!r}"
-        ) from None
+            parts = (part.partition("=") for part in spec.split(","))
+            pairs = {int(m): float(p) for m, _, p in parts}
     if spec.startswith("uniform:"):
         return ClusterSizeDist.uniform(lo, hi)
     lo, hi = min(pairs), max(pairs)
@@ -138,11 +123,7 @@ def cmd_simulate_hunt(args) -> int:
         message_budget=args.budget,
         master_seed=args.seed,
     )
-    try:
-        summary = montecarlo_hunt(campaign)
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 1
+    summary = montecarlo_hunt(campaign)
     out = _out_dir(args)
     csv_path = out / "hunt_trials.csv"
     csv_path.write_text(hunt_rows_to_csv(summary))
@@ -177,13 +158,11 @@ def cmd_aggregate(args) -> int:
 
 
 def _parse_sizes(spec: str) -> list[int]:
-    try:
+    with expecting("sizes", "lo..hi or a comma list", spec):
         if ".." in spec:
             lo, _, hi = spec.partition("..")
             return list(range(int(lo), int(hi) + 1))
         return [int(x) for x in spec.split(",")]
-    except ValueError:
-        raise ValueError(f"sizes: expected lo..hi or a comma list, got {spec!r}") from None
 
 
 def cmd_bench(args) -> int:
@@ -224,13 +203,8 @@ def cmd_disclosure_curve(args) -> int:
 
 
 def cmd_run_pipeline(args) -> int:
-    try:
-        doc = json.loads(pathlib.Path(args.config).read_text())
-        cfg = climetrics.pipeline_config_from_doc(doc)
-        report = run_pipeline(cfg)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}")
-        return 1
+    doc = climetrics.read_json(args.config, "config")
+    report = run_pipeline(climetrics.pipeline_config_from_doc(doc))
     out = _out_dir(args)
     json_path = out / "pipeline_report.json"
     json_path.write_text(
@@ -304,14 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; bad values print `error: <field>: <reason>`
-    and return 2 (argparse's usage-error status)."""
+    """Run one subcommand.  Bad input (a ValueError) prints `error: <field>:
+    <reason>` and returns 2, argparse's usage-error status; a run that fails
+    on valid input (a RuntimeError) prints `error: <reason>` and returns 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}")
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 if __name__ == "__main__":

@@ -8,15 +8,18 @@ wall-clock numbers are machine-bound — the contracts are growth ratios.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import io
 import json
+import pathlib
 import statistics
 import time
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, dataclass, fields, replace
 
-from .netsim import build_grid
+from .netsim import NodeId, build_grid
 from .phantom import FloodOnly, Phantom, TwoWay, WalkConfig, WalkMode, hunt
 from .pipeline import PipelineConfig, PrivacyLevel, run_pipeline
 from .ppda import PrimeField, SppdaCluster, run_cpda
@@ -40,7 +43,16 @@ __all__ = [
 
 
 class ScenarioError(ValueError):
-    """Scenario file failed validation; message names the offending field."""
+    """Bad input in a scenario document or a CLI value; names the field."""
+
+
+@contextlib.contextmanager
+def expecting(field: str, form: str, spec: str):
+    """Re-raise a ValueError from parsing `spec` as `field: expected form`."""
+    try:
+        yield
+    except ValueError:
+        raise ScenarioError(f"{field}: expected {form}, got {spec!r}") from None
 
 
 class DisclosureModel(enum.Enum):
@@ -64,7 +76,7 @@ class ClusterSizeDist:
             raise ValueError("max_size: must be >= min_size")
         if len(self.probs) != self.max_size - self.min_size + 1:
             raise ValueError("probs: need one probability per cluster size")
-        if any(p < 0 for p in self.probs):
+        if not all(p >= 0 for p in self.probs):  # also NaN
             raise ValueError("probs: must be non-negative")
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probs: must sum to 1")
@@ -228,12 +240,8 @@ def parse_strategy(spec: str):
         return FloodOnly()
     kind, _, arg = spec.partition(":")
     if kind in ("phantom", "twoway") and arg:
-        try:
+        with expecting("strategy", f"an integer after {kind}:", spec):
             n = int(arg)
-        except ValueError:
-            raise ScenarioError(
-                f"strategy: expected an integer after {kind}:, got {spec!r}"
-            ) from None
         if kind == "phantom":
             return Phantom(WalkConfig(mode=WalkMode.PURE, hops=n))
         return TwoWay(receptor_length=n)
@@ -309,74 +317,93 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
     return buf.getvalue()
 
 
-_LEVELS = {lv.value: lv for lv in PrivacyLevel}
-_WALK_MODES = {m.value: m for m in WalkMode}
+def _expect(key: str, value, kinds: tuple[type, ...], name: str):
+    if type(value) not in kinds:  # exact types: a bool is not an int
+        raise ScenarioError(f"{key}: expected {name}")
+    return value
+
+
+def _readings(key: str, value) -> dict[NodeId, int]:
+    readings = {}
+    for node, v in _expect(key, value, (dict,), "object").items():
+        if not (isinstance(node, str) and node.isdecimal()):
+            raise ScenarioError(f"{key}: key {node!r} is not a decimal node id")
+        readings[int(node)] = _expect(f"{key}.{node}", v, (int,), "int")
+    return readings
+
+
+def _enum(cls: type[enum.Enum]):
+    members = {m.value: m for m in cls}
+
+    def parse(key: str, value):
+        if isinstance(value, str) and value in members:
+            return members[value]
+        raise ScenarioError(f"{key}: unknown value {value!r}")
+    return parse
+
+
+def _fields_parser(cls, defaults=None):
+    """Parser for a JSON object of dataclass `cls`, each field parsed by its annotation.
+    Present fields are type-checked before missing ones are reported; an omitted field
+    takes its value from `defaults` if given, else from the dataclass.  Unknown keys pass."""
+    hints = typing.get_type_hints(cls)
+    spec = [(f.name, _PARSERS[hints[f.name]], defaults is None and f.default is MISSING)
+            for f in fields(cls)]
+
+    def parse(key: str, value):
+        prefix = f"{key}." if key else ""
+        doc = _expect(key or "config", value, (dict,), "object")
+        kwargs = {name: parse_field(prefix + name, doc[name])
+                  for name, parse_field, _ in spec if name in doc}
+        missing = [prefix + name for name, _, required in spec if required and name not in doc]
+        if missing:
+            raise ScenarioError(f"{', '.join(missing)}: missing required field")
+        try:
+            return cls(**kwargs) if defaults is None else replace(defaults, **kwargs)
+        except ValueError as exc:  # the dataclass's own check, e.g. walk.hops
+            raise ScenarioError(f"{prefix}{exc}") from None
+    return parse
+
+
+# One parser per field annotation of PipelineConfig and WalkConfig.
+_PARSERS = {
+    int: lambda key, v: _expect(key, v, (int,), "int"),
+    float: lambda key, v: float(_expect(key, v, (int, float), "number")),
+    int | None: lambda key, v: _expect(key, v, (int, type(None)), "int or null"),
+    tuple[NodeId, ...]: lambda key, v: tuple(_expect(key, s, (int,), "int")
+                                             for s in _expect(key, v, (list,), "list")),
+    dict[NodeId, int]: _readings,
+    PrivacyLevel: _enum(PrivacyLevel),
+    WalkMode: _enum(WalkMode),
+}
+# A partial walk object fills in from PipelineConfig's default walk, not
+# from WalkConfig's own defaults.
+_PARSERS[WalkConfig] = _fields_parser(WalkConfig, defaults=PipelineConfig.walk)
+_parse_config = _fields_parser(PipelineConfig)
 
 
 def pipeline_config_from_doc(doc: dict) -> PipelineConfig:
     """Validate a scenario document; errors name the offending field."""
-    def need(key, kind):
-        if key not in doc:
-            raise ScenarioError(f"{key}: missing required field")
-        value = doc[key]
-        if kind is int and isinstance(value, bool):
-            raise ScenarioError(f"{key}: expected {kind.__name__}")
-        if not isinstance(value, kind):
-            raise ScenarioError(f"{key}: expected {kind.__name__}")
-        return value
+    return _parse_config("", doc)
 
-    def optional(key, kind, default):
-        return need(key, kind) if key in doc else default
 
-    level_name = need("level", str)
-    if level_name not in _LEVELS:
-        raise ScenarioError(f"level: unknown value {level_name!r}")
-    readings = {int(k): int(v) for k, v in need("readings", dict).items()}
-    walk_doc = doc.get("walk", {})
-    if not isinstance(walk_doc, dict):
-        raise ScenarioError("walk: expected object")
-    mode, hops = walk_doc.get("mode", "directed"), walk_doc.get("hops", 5)
-    if not isinstance(mode, str) or mode not in _WALK_MODES:
-        raise ScenarioError(f"walk.mode: unknown value {mode!r}")
-    if isinstance(hops, bool) or not isinstance(hops, int) or hops < 0:
-        raise ScenarioError("walk.hops: expected int >= 0")
-    walk = WalkConfig(mode=_WALK_MODES[mode], hops=hops)
-    cfg = PipelineConfig(
-        width=need("width", int),
-        height=need("height", int),
-        level=_LEVELS[level_name],
-        sources=tuple(int(s) for s in need("sources", list)),
-        readings=readings,
-        master_seed=need("master_seed", int),
-        radio_range=float(doc.get("radio_range", 1.0)),
-        sink=int(doc.get("sink", 0)),
-        walk=walk,
-        receptor_length=(
-            int(doc["receptor_length"]) if doc.get("receptor_length") is not None else None
-        ),
-        modulus=optional("modulus", int, 2**31 - 1),
-        pool_size=optional("pool_size", int, 256),
-        af_bank=optional("af_bank", int, 128),
-        aggregator_dummy=int(doc.get("aggregator_dummy", 0)),
-    )
-    return cfg
+def read_json(path: str, key: str):
+    """The JSON document at `path`; an unreadable file is bad input in `key`."""
+    try:
+        return json.loads(pathlib.Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ScenarioError(f"{key}: {exc}") from None
 
 
 def run_scenarios(path: str, out_dir: str) -> int:
-    """Execute every scenario in a JSON file; returns a process exit status."""
-    import pathlib
-
+    """Execute every scenario in a JSON file; returns 1 if any scenario
+    failed (the rest still run), else 0.  An unreadable file raises."""
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        doc = json.loads(pathlib.Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot parse scenario file: {exc}")
-        return 1
-    scenarios = doc.get("scenarios")
+    doc = read_json(path, "file")
+    scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
     if not isinstance(scenarios, list):
-        print("error: scenarios: expected a list")
-        return 1
+        raise ScenarioError("scenarios: expected a list")
     status = 0
     for i, scen in enumerate(scenarios):
         if not isinstance(scen, dict):
@@ -385,30 +412,19 @@ def run_scenarios(path: str, out_dir: str) -> int:
             continue
         name = scen.get("name", f"scenario-{i}")
         try:
-            cfg = pipeline_config_from_doc(scen)
-            report = run_pipeline(cfg)
-        except (ScenarioError, ValueError) as exc:
+            report_doc = run_pipeline(pipeline_config_from_doc(scen)).to_doc()
+            (out / f"{name}.json").write_text(
+                json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
+            )
+            rows = [{"scenario": name, "flow": j, **fl}
+                    for j, fl in enumerate(report_doc["flows"])]
+            (out / f"{name}.csv").write_text(rows_to_csv(
+                rows, ["scenario", "flow", "origin", "delivered_value",
+                       "route_hops", "transmissions"],
+            ))
+        except (OSError, ValueError, RuntimeError) as exc:
             print(f"error: {name}: {exc}")
             status = 1
             continue
-        report_doc = report.to_doc()
-        (out / f"{name}.json").write_text(
-            json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
-        )
-        rows = [
-            {
-                "scenario": name,
-                "flow": j,
-                "origin": fl["origin"],
-                "delivered_value": fl["delivered_value"],
-                "route_hops": fl["route_hops"],
-                "transmissions": fl["transmissions"],
-            }
-            for j, fl in enumerate(report_doc["flows"])
-        ]
-        (out / f"{name}.csv").write_text(rows_to_csv(
-            rows, ["scenario", "flow", "origin", "delivered_value",
-                   "route_hops", "transmissions"],
-        ))
         print(f"ok: {name}: {len(rows)} flow(s)")
     return status

@@ -46,6 +46,7 @@ __all__ = [
     "SourceNode",
     "AggregatorNode",
     "SsSchedule",
+    "check_bank_split",
     "generate_pool",
     "permute_bank_for_pair",
     "seal_frame",
@@ -144,12 +145,17 @@ class StreamMacCipher(CipherSuite):
 DEFAULT_CIPHER = StreamMacCipher()
 
 
+def check_bank_split(pool_size: int, af_bank: int, error: type[ValueError] = ValueError) -> None:
+    """Both banks non-empty, and the SS bank small enough for u16 indices."""
+    if not 1 <= af_bank < pool_size:
+        raise error(f"af_bank: must be in [1, pool_size={pool_size})")
+    if pool_size - af_bank > SS_BANK_MAX:
+        raise error(f"pool_size: SS bank (pool_size - af_bank) over {SS_BANK_MAX} keys")
+
+
 def generate_pool(total: int, af_count: int, rng: SimRng) -> KeyPool:
     """total distinct random keys; first af_count form the AF bank."""
-    if not 1 <= af_count < total:
-        raise ValueError(
-            f"invalid bank split: af_count={af_count} must satisfy 1 <= af_count < total={total}"
-        )
+    check_bank_split(total, af_count)
     # One draw of total keys gives the bytes and generator state of total
     # draws of KEY_LEN; a repeated key is dropped and replaced by a fresh
     # draw, exactly as drawing one key at a time would.
@@ -270,7 +276,7 @@ def open_frame(bank: tuple[bytes, ...], ordering: Sequence[int], slot: int,
 
 
 def _encode_perm(perm: tuple[int, ...]) -> bytes:
-    # u16 big-endian per entry; PipelineConfig.validate caps the SS bank at SS_BANK_MAX.
+    # u16 big-endian per entry; check_bank_split caps the SS bank at SS_BANK_MAX.
     return struct.pack(f">{len(perm)}H", *perm)
 
 

@@ -239,13 +239,13 @@ def _finish(
     )
     if n == 0 or topology.reach_from(0) < n:
         raise DisconnectedGraphError(
-            f"field of {n} nodes is disconnected at radio range {radio_range}"
+            f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
         )
     if not 0 <= topology.sink < n:
-        raise ValueError(f"invalid sink id {topology.sink}")
+        raise ValueError(f"sink: node {topology.sink} outside [0, {n})")
     for s in topology.sources:
         if not 0 <= s < n:
-            raise ValueError(f"invalid source id {s}")
+            raise ValueError(f"sources: node {s} outside [0, {n})")
     return topology
 
 
@@ -263,8 +263,8 @@ def build_grid(
     """
     if width < 1 or height < 1:
         raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
-    if radio_range <= 0:
-        raise ValueError("radio_range: must be > 0")
+    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
+        raise ValueError("radio_range: must be >= 1e-9")
     positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
     return _finish(positions, radio_range, sink, sources)
 
@@ -281,8 +281,8 @@ def build_random_geometric(
     """Uniform placement in a square; retries until connected."""
     if node_count < 1:
         raise ValueError("node_count: must be >= 1")
-    if radio_range <= 0:
-        raise ValueError("radio_range: must be > 0")
+    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
+        raise ValueError("radio_range: must be >= 1e-9")
     for _ in range(max_attempts):
         positions = [
             (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))

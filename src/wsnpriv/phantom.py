@@ -427,7 +427,4 @@ def min_zone_nodes(p_r: float, hops: int) -> ZonePlan:
 
 def traceback_probability(n: int, h: int) -> float:
     """Probability 1/C(n, h) of guessing the source among the zone subsets."""
-    k = binom(n, h)
-    if k < 1:
-        raise ValueError("binomial coefficient must be >= 1")
-    return 1.0 / k
+    return 1.0 / binom(n, h)  # binom rejects h > n, so C(n, h) >= 1

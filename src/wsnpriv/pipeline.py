@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .keymgmt import SS_BANK_MAX
+from .keymgmt import check_bank_split
 from .netsim import NodeId, Topology, build_grid, shortest_path
 from .phantom import (
     Phantom,
@@ -94,20 +94,21 @@ class PipelineConfig:
 
     def validate(self) -> None:
         if not self.sources:
-            raise ConfigError("at least one source required")
+            raise ConfigError("sources: at least one source required")
         if LAYER_PERTURBATION in select_layers(self.level) and len(self.sources) < 2:
             raise ConfigError(
-                "perturbation layer needs at least two sources to form a cluster"
+                "sources: perturbation layer needs at least two sources to form a cluster"
             )
         if len(set(self.sources)) != len(self.sources):
             raise ConfigError(f"sources: duplicate node ids in {list(self.sources)}")
+        if self.sink in self.sources:
+            raise ConfigError(f"sources: node {self.sink} is the sink")
         missing = [s for s in self.sources if s not in self.readings]
         if missing:
-            raise ConfigError(f"missing readings for sources {missing}")
-        if not 1 <= self.af_bank < self.pool_size:
-            raise ConfigError(f"af_bank: must be in [1, pool_size={self.pool_size})")
-        if self.pool_size - self.af_bank > SS_BANK_MAX:
-            raise ConfigError(f"pool_size: SS bank (pool_size - af_bank) over {SS_BANK_MAX} keys")
+            raise ConfigError(f"readings: missing for sources {missing}")
+        if self.receptor_length is not None and self.receptor_length < 0:
+            raise ConfigError("receptor_length: must be >= 0")
+        check_bank_split(self.pool_size, self.af_bank, ConfigError)
 
 
 @dataclass(frozen=True)
@@ -191,7 +192,7 @@ def pair_sources(
             ]
             if not candidates:
                 raise ConfigError(
-                    f"no aggregator-forwarder candidate can reach both {s1} and {s2}"
+                    f"sources: no aggregator-forwarder candidate can reach both {s1} and {s2}"
                 )
             af = min(candidates)[1]
         clusters.append(Cluster(s1=s1, s2=s2, af=af))

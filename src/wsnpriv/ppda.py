@@ -146,6 +146,9 @@ class SeedAssignment:
     def draw(
         cls, participants: tuple[str, ...], field: PrimeField, rng: SimRng
     ) -> "SeedAssignment":
+        if len(participants) >= field.p:
+            raise ValueError(
+                f"modulus: GF({field.p}) has fewer than {len(participants)} nonzero seeds")
         seeds: list[int] = []
         while len(seeds) < len(participants):
             s = field.rand_nonzero(rng)

@@ -14,11 +14,11 @@ def run(tmp_path, *argv):
 def test_parse_b_grid():
     assert _parse_b_grid("0:1:0.25") == [0.0, 0.25, 0.5, 0.75, 1.0]
     assert _parse_b_grid("0.1,0.9") == [0.1, 0.9]
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="^b-grid: step must be > 0$"):
         _parse_b_grid("0:1:0")
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="^b-grid: expected start:stop:step"):
         _parse_b_grid("a:b:c")
-    with pytest.raises(SystemExit, match="^error: b-grid: start 2 must be <= stop 1$"):
+    with pytest.raises(ValueError, match="^b-grid: start 2 must be <= stop 1$"):
         _parse_b_grid("2:1:0.5")
 
 
@@ -101,8 +101,35 @@ def test_run_pipeline(tmp_path, capsys):
 def test_run_pipeline_bad_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"level": "nope"}))
+    assert run(tmp_path, "run-pipeline", str(cfg)) == 2
+    assert capsys.readouterr().out == "error: level: unknown value 'nope'\n"
+
+
+# A two-way walk from the far corner of a 60x60 grid misses a zero-length
+# receptor within the step limit for master seeds 1-4 (seed 5 meets it).
+NO_RENDEZVOUS = {
+    "level": "anonymity-only", "width": 60, "height": 60, "sources": [3599],
+    "readings": {"3599": 1}, "master_seed": 1, "receptor_length": 0,
+}
+
+
+def test_run_pipeline_failed_run_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(NO_RENDEZVOUS))
     assert run(tmp_path, "run-pipeline", str(cfg)) == 1
-    assert "level" in capsys.readouterr().out
+    assert capsys.readouterr().out == "error: no rendezvous with receptor within 10000 steps\n"
+
+
+def test_run_scenarios_failed_run_keeps_batch_going(tmp_path, capsys):
+    batch = tmp_path / "batch.json"
+    ok = {"name": "ok", "level": "full", "width": 5, "height": 5, "sources": [22, 24],
+          "readings": {"22": 5, "24": 7}, "master_seed": 42}
+    batch.write_text(json.dumps({"scenarios": [{"name": "lost", **NO_RENDEZVOUS}, ok]}))
+    assert run(tmp_path, "run-scenarios", str(batch)) == 1
+    out = capsys.readouterr().out
+    assert "error: lost: no rendezvous with receptor within 10000 steps\n" in out
+    assert "ok: ok: 1 flow(s)" in out
+    assert (tmp_path / "ok.json").exists() and not (tmp_path / "lost.json").exists()
 
 
 def test_run_scenarios_cli(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnpriv.cli import main
 from wsnpriv.climetrics import (
     SPPDA_DIST,
     ClusterSizeDist,
@@ -21,7 +22,8 @@ from wsnpriv.climetrics import (
     run_scenarios,
 )
 from wsnpriv.netsim import build_grid
-from wsnpriv.phantom import FloodOnly, Phantom, TwoWay, hunt
+from wsnpriv.phantom import FloodOnly, Phantom, TwoWay, WalkConfig, WalkMode, hunt
+from wsnpriv.pipeline import PipelineConfig
 from wsnpriv.rng import SimRng
 
 
@@ -209,6 +211,21 @@ def test_scenario_doc_validation_names_field():
         pipeline_config_from_doc(missing)
 
 
+def test_partial_walk_takes_pipeline_default():
+    base = {
+        "level": "full", "width": 5, "height": 5, "sources": [22, 24],
+        "readings": {"22": 5, "24": 7}, "master_seed": 1,
+    }
+    default = PipelineConfig.walk
+    assert pipeline_config_from_doc(base).walk == default
+    assert pipeline_config_from_doc({**base, "walk": {}}).walk == default
+    assert pipeline_config_from_doc({**base, "walk": {"hops": 2}}).walk == WalkConfig(
+        mode=default.mode, hops=2)
+    assert pipeline_config_from_doc({**base, "walk": {"mode": "pure"}}).walk == WalkConfig(
+        mode=WalkMode.PURE, hops=default.hops)
+    assert pipeline_config_from_doc({**base, "name": "x", "extra": [1]}).sources == (22, 24)
+
+
 def test_run_scenarios_empty_list(tmp_path):
     f = tmp_path / "s.json"
     f.write_text(json.dumps({"scenarios": []}))
@@ -218,7 +235,10 @@ def test_run_scenarios_empty_list(tmp_path):
 def test_run_scenarios_bad_file(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text("{not json")
-    assert run_scenarios(str(f), str(tmp_path / "out")) == 1
+    with pytest.raises(ScenarioError, match="^file: "):
+        run_scenarios(str(f), str(tmp_path / "out"))
+    assert main(["--out", str(tmp_path / "out"), "run-scenarios", str(f)]) == 2
+    assert capsys.readouterr().out.startswith("error: file: ")
 
     f.write_text(json.dumps({"scenarios": [{"name": "broken", "level": "full"}]}))
     assert run_scenarios(str(f), str(tmp_path / "out")) == 1

@@ -14,6 +14,8 @@ from wsnpriv.climetrics import (
     run_scenarios,
 )
 from wsnpriv.pipeline import ConfigError, PipelineConfig, PrivacyLevel
+from wsnpriv.ppda import SppdaCluster
+from wsnpriv.rng import SimRng
 
 SCENARIO = {
     "name": "ok-scenario", "level": "full", "width": 5, "height": 5,
@@ -53,7 +55,7 @@ def zero_trials(tmp_path, capsys):
                                      trials=0, message_budget=5, master_seed=1))
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
             "--strategy", "flood", "--trials", "0"]
-    assert cli_main(argv) == 1
+    assert cli_main(argv) == 2
     assert capsys.readouterr().out == "error: trials: must be >= 1\n"
 
 
@@ -75,14 +77,14 @@ def strategy_not_integer(tmp_path, capsys):
         parse_strategy("twoway:x")
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
             "--strategy", "twoway:x", "--trials", "1"]
-    assert cli_main(argv) == 1
+    assert cli_main(argv) == 2
     assert capsys.readouterr().out.startswith("error: strategy: ")
 
 
 def grid_zero_width(tmp_path, capsys):
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "0x4",
             "--strategy", "flood", "--trials", "1"]
-    assert cli_main(argv) == 1
+    assert cli_main(argv) == 2
     assert capsys.readouterr().out == "error: width: must be >= 1\n"
 
 
@@ -97,7 +99,7 @@ def pool_size_not_int(tmp_path, capsys):
         for value in ("x", 1.5, True):
             with pytest.raises(ScenarioError, match=f"^{field}: expected int$"):
                 pipeline_config_from_doc({**SCENARIO, field: value})
-    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": "x"}) == 1
+    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": "x"}) == 2
     assert capsys.readouterr().out == "error: pool_size: expected int\n"
 
 
@@ -106,21 +108,70 @@ def bank_split_invalid(tmp_path, capsys):
         cfg = pipeline_config_from_doc({**SCENARIO, "pool_size": pool_size, "af_bank": af_bank})
         with pytest.raises(ConfigError, match="^af_bank: "):
             cfg.validate()
-    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": 4, "af_bank": 4}) == 1
+    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": 4, "af_bank": 4}) == 2
     assert capsys.readouterr().out == "error: af_bank: must be in [1, pool_size=4)\n"
 
 
 def ss_bank_too_large(tmp_path, capsys):
-    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": 70000, "af_bank": 1}) == 1
+    assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": 70000, "af_bank": 1}) == 2
     assert capsys.readouterr().out == (
         "error: pool_size: SS bank (pool_size - af_bank) over 65536 keys\n"
     )
 
 
+def ss_bank_too_large_direct(tmp_path, capsys):
+    with pytest.raises(ValueError, match="^pool_size: SS bank"):
+        SppdaCluster(SimRng(1, "direct"), pool_size=70000, af_bank=1)
+
+
+def modulus_too_small(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "aggregate", "--x", "1", "--y", "2", "--modulus", "3"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: modulus: GF(3) has fewer than 3 nonzero seeds\n"
+
+
+def _pipeline_error(name, field, message):
+    """A case: run-pipeline on SCENARIO updated by `field` exits 2 with `message`."""
+    def case(tmp_path, capsys):
+        assert run_pipeline_doc(tmp_path, {**SCENARIO, **field}) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+    case.__name__ = name
+    return case
+
+
+PIPELINE_ERRORS = [
+    ("source_out_of_range", {"sources": [22, 99], "readings": {"22": 5, "99": 7}},
+     "sources: node 99 outside [0, 25)"),
+    ("sink_out_of_range", {"sink": 25}, "sink: node 25 outside [0, 25)"),
+    ("source_at_sink", {"sources": [22, 0], "readings": {"22": 5, "0": 7}},
+     "sources: node 0 is the sink"),
+    ("reading_missing", {"readings": {"22": 5}}, "readings: missing for sources [24]"),
+    ("no_sources", {"sources": []}, "sources: at least one source required"),
+    ("one_source_perturbed", {"sources": [22]},
+     "sources: perturbation layer needs at least two sources to form a cluster"),
+    ("receptor_length_negative", {"receptor_length": -1, "level": "none"},
+     "receptor_length: must be >= 0"),
+    ("radio_range_list", {"radio_range": [1]}, "radio_range: expected number"),
+    ("radio_range_string", {"radio_range": "1.5"}, "radio_range: expected number"),
+    ("sink_string", {"sink": "3"}, "sink: expected int"),
+    ("source_string", {"sources": ["22", 24]}, "sources: expected int"),
+    ("source_float", {"sources": [22.7, 24]}, "sources: expected int"),
+    ("reading_string", {"readings": {"22": 5, "24": "a"}}, "readings.24: expected int"),
+    ("reading_key_not_decimal", {"readings": {"22": 5, "x": 7}},
+     "readings: key 'x' is not a decimal node id"),
+    ("aggregator_dummy_string", {"aggregator_dummy": "x"}, "aggregator_dummy: expected int"),
+    ("receptor_length_string", {"receptor_length": "x"},
+     "receptor_length: expected int or null"),
+    ("walk_hops_negative", {"walk": {"hops": -1}}, "walk.hops: must be >= 0"),
+]
+
+
 @pytest.mark.parametrize(
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
              zone_probability_zero, modulus_not_prime, strategy_not_integer,
-             grid_zero_width, pool_size_not_int, bank_split_invalid, ss_bank_too_large],
+             grid_zero_width, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
+             ss_bank_too_large_direct, modulus_too_small,
+             *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],
     ids=lambda case: case.__name__,
 )
 def test_bad_input_is_a_typed_error(case, tmp_path, capsys):
