@@ -12,6 +12,7 @@ fails (for run-scenarios, when any scenario in the batch failed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -76,10 +77,12 @@ def _parse_b_grid(spec: str) -> list[float]:
             return [float(x) for x in spec.split(",")]
     with expecting("b-grid", "start:stop:step", spec):
         start, stop, step = (float(x) for x in spec.split(":"))
-    if step <= 0:
+    if not step > 0:
         raise ValueError("b-grid: step must be > 0")
     if start > stop:
         raise ValueError(f"b-grid: start {start:g} must be <= stop {stop:g}")
+    if not (0.0 <= start and stop <= 1.0):
+        raise ValueError("b: must be in [0, 1]")
     points = (start + k * step for k in itertools.count())
     return [round(b, 12) for b in itertools.takewhile(lambda b: b <= stop + 1e-12, points)]
 
@@ -127,12 +130,7 @@ def cmd_simulate_hunt(args) -> int:
     out = _out_dir(args)
     csv_path = out / "hunt_trials.csv"
     csv_path.write_text(hunt_rows_to_csv(summary))
-    cells = [
-        {k: cell[k] for k in ("grid_w", "grid_h", "strategy", "trials",
-                              "median_safety", "q25_safety", "q75_safety",
-                              "capture_rate")}
-        for cell in summary
-    ]
+    cells = [{k: v for k, v in cell.items() if k != "trial_rows"} for cell in summary]
     _write_summary(out, "simulate-hunt",
                    {"grid": args.grid, "strategies": list(args.strategy),
                     "trials": args.trials, "budget": args.budget,
@@ -157,22 +155,20 @@ def cmd_aggregate(args) -> int:
     return 0
 
 
-def _parse_sizes(spec: str) -> list[int]:
+def _parse_sizes(spec: str) -> range | list[int]:
+    # A lo..hi range stays lazy, so bench_aggregation's per-size check
+    # stops at the first size out of bounds.
     with expecting("sizes", "lo..hi or a comma list", spec):
         if ".." in spec:
             lo, _, hi = spec.partition("..")
-            return list(range(int(lo), int(hi) + 1))
+            return range(int(lo), int(hi) + 1)
         return [int(x) for x in spec.split(",")]
 
 
 def cmd_bench(args) -> int:
     rows = bench_aggregation(_parse_sizes(args.sizes), args.reps, args.seed)
     out = _out_dir(args)
-    docs = [
-        {"scheme": r.scheme, "cluster_size": r.cluster_size,
-         "median_ns": r.median_ns, "repetitions": r.repetitions}
-        for r in rows
-    ]
+    docs = [dataclasses.asdict(r) for r in rows]
     csv_path = out / "bench.csv"
     csv_path.write_text(rows_to_csv(
         docs, ["scheme", "cluster_size", "median_ns", "repetitions"]

@@ -17,6 +17,7 @@ import pathlib
 import statistics
 import time
 import typing
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .netsim import NodeId, build_grid
@@ -155,32 +156,19 @@ def _median_timing(fn, repetitions: int, warmup: int = 3) -> int:
 
 
 def bench_aggregation(
-    sizes: list[int], repetitions: int, master_seed: int = 1
+    sizes: Sequence[int], repetitions: int, master_seed: int = 1
 ) -> list[TimingRow]:
-    """Median per-aggregation cost: fixed-3 scheme plus the n-party baseline."""
+    """Median per-aggregation cost: fixed-3 scheme plus the n-party baseline.
+
+    The fixed-3 row is bench_pipeline_pairs' one-cluster row: one warm round."""
     if repetitions < 30:
         raise ValueError("repetitions: must be >= 30 for stable medians")
     for n in sizes:
         if not 3 <= n <= 64:
             raise ValueError("sizes: cluster sizes must lie in [3, 64]")
     field_ = PrimeField()
-    rows: list[TimingRow] = []
-
-    rng = SimRng(master_seed, "bench/sppda")
-    cluster = SppdaCluster(rng.stream("setup"), field_=field_)
-    vals = rng.stream("values")
-    rows.append(TimingRow(
-        scheme="sppda", cluster_size=3,
-        median_ns=_median_timing(
-            lambda: cluster.run_round(
-                vals.randrange(field_.p), vals.randrange(field_.p),
-                vals.randrange(field_.p),
-            ),
-            repetitions,
-        ),
-        repetitions=repetitions,
-    ))
-
+    (one_cluster,) = bench_pipeline_pairs([1], repetitions, master_seed)
+    rows = [replace(one_cluster, scheme="sppda", cluster_size=3)]
     for n in sizes:
         rng_n = SimRng(master_seed, f"bench/cpda:{n}")
         vals = rng_n.stream("values")
@@ -411,6 +399,10 @@ def run_scenarios(path: str, out_dir: str) -> int:
             status = 1
             continue
         name = scen.get("name", f"scenario-{i}")
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            print(f"error: name: {name!r} is not a plain file name")
+            status = 1
+            continue
         try:
             report_doc = run_pipeline(pipeline_config_from_doc(scen)).to_doc()
             (out / f"{name}.json").write_text(

@@ -9,8 +9,10 @@ source decrypt any other's traffic.  Each pair therefore fixes its own
 secret permutation of the bank, and the session key for a message is
 announced as a plaintext index R_c into that permuted ordering: useless to
 anyone who does not know the permutation.  Every sealed frame is built by
-seal_frame and opened by open_frame; the inner SS layer of the relay uses
-the raw bank order as its ordering.
+seal_frame and opened by open_frame.  A source pair's SS orderings are
+bootstrapped by establish_ss_channel, which ships each permutation through
+the AF inside an inner frame sealed under the raw SS-bank order; a pair's
+SS schedule is then the plain mapping {owner: permutation}.
 
 Wire formats (simulated, documented for log parsing):
 
@@ -45,7 +47,6 @@ __all__ = [
     "StreamMacCipher",
     "SourceNode",
     "AggregatorNode",
-    "SsSchedule",
     "check_bank_split",
     "generate_pool",
     "permute_bank_for_pair",
@@ -184,27 +185,16 @@ def permute_bank_for_pair(bank_size: int, rng: SimRng) -> tuple[int, ...]:
 
 
 @dataclass
-class SsSchedule:
-    """Shared source<->source key ordering for one pair.
-
-    Messages addressed to a peer are keyed through that peer's own
-    permutation of the SS bank, with the slot index announced in plaintext
-    by the sender.
-    """
-
-    perm_by_owner: dict[NodeId, tuple[int, ...]]
-
-
-@dataclass
 class SourceNode:
-    """Per-source key state: both banks, its AF-pair permutation, and any
-    established SS schedules."""
+    """Per-source key state: both banks, its AF-pair permutation, and, per
+    peer with an established SS channel, each end's {owner: permutation}
+    of the SS bank."""
 
     node_id: NodeId
     bank_af: tuple[bytes, ...]
     bank_ss: tuple[bytes, ...]
     af_perm: tuple[int, ...] | None = None
-    ss_schedules: dict[NodeId, SsSchedule] = field(default_factory=dict)
+    ss_schedules: dict[NodeId, dict[NodeId, tuple[int, ...]]] = field(default_factory=dict)
 
     def af_ordering(self, peer: NodeId | None = None) -> tuple[int, ...]:
         """This source's ordering of the AF bank; `peer` is its one AF."""
@@ -216,7 +206,7 @@ class SourceNode:
         """`owner`'s ordering of the SS bank in this source's schedule with `peer`."""
         if peer not in self.ss_schedules:
             raise ProtocolError(f"no SS schedule between {self.node_id} and {peer}")
-        return self.ss_schedules[peer].perm_by_owner[owner]
+        return self.ss_schedules[peer][owner]
 
 
 @dataclass
@@ -286,53 +276,6 @@ def _decode_perm(blob: bytes) -> tuple[int, ...]:
     return struct.unpack(f">{len(blob) // 2}H", blob)
 
 
-def _wrap_perm_message(
-    sender: SourceNode,
-    receiver_id: NodeId,
-    perm: tuple[int, ...],
-    rng: SimRng,
-    cipher: CipherSuite,
-) -> tuple[int, int, SealedFrame]:
-    """Double-wrap the sender's SS-bank permutation.
-
-    Inner layer: sealed under an SS-bank key (raw bank order, slot announced
-    in plaintext) so the relaying AF cannot read it.  Outer layer: sealed
-    under the sender's AF session key, per the pairwise-key relay rule.
-    Returns (af slot, ss slot, outer frame).
-    """
-    ss_index, inner = seal_frame(
-        sender.bank_ss, range(len(sender.bank_ss)), sender.node_id, receiver_id,
-        _encode_perm(perm), f"ss-perm:{sender.node_id}->{receiver_id}".encode(), rng, cipher,
-    )
-    # Binary relay payload: ss slot (u32) || inner nonce || inner sealed body.
-    payload = struct.pack(">I", ss_index) + inner.nonce + inner.body
-    r_c, frame = seal_frame(
-        sender.bank_af, sender.af_ordering(), sender.node_id, receiver_id,
-        payload, f"relay:{sender.node_id}->{receiver_id}".encode(), rng, cipher,
-    )
-    return r_c, ss_index, frame
-
-
-def _unwrap_perm_message(
-    receiver: SourceNode,
-    sender_id: NodeId,
-    relayed_r_c: int,
-    frame: SealedFrame,
-    cipher: CipherSuite,
-) -> tuple[int, ...]:
-    outer_aad = f"relay:{sender_id}->{receiver.node_id}".encode()
-    payload = open_frame(receiver.bank_af, receiver.af_ordering(), relayed_r_c, frame,
-                         outer_aad, cipher)
-    if len(payload) < 4 + NONCE_LEN + TAG_LEN:
-        raise ProtocolError("malformed relay payload: too short")
-    (ss_index,) = struct.unpack(">I", payload[:4])
-    inner = SealedFrame(sender_id, receiver.node_id, payload[4:4 + NONCE_LEN],
-                        payload[4 + NONCE_LEN:])
-    inner_aad = f"ss-perm:{sender_id}->{receiver.node_id}".encode()
-    return _decode_perm(open_frame(receiver.bank_ss, range(len(receiver.bank_ss)),
-                                   ss_index, inner, inner_aad, cipher))
-
-
 def establish_ss_channel(
     s1: SourceNode,
     s2: SourceNode,
@@ -340,40 +283,53 @@ def establish_ss_channel(
     rng: SimRng,
     cipher: CipherSuite = DEFAULT_CIPHER,
     tamper=None,
-) -> SsSchedule:
-    """Bootstrap the source<->source schedule through the AF relay.
+) -> dict[NodeId, tuple[int, ...]]:
+    """Bootstrap the source<->source orderings through the AF relay.
 
     Each source draws its own permutation of the SS bank and ships it to
-    the peer, double-wrapped (see _wrap_perm_message).  The AF re-wraps the
-    outer layer for the receiving pair but never sees inside the inner one.
-    Both ends install the identical schedule.  `tamper`, if given, is
-    applied to each relayed frame (test hook for fault injection).
+    the peer double-wrapped.  Inner layer: sealed under an SS-bank key (raw
+    bank order, slot announced in plaintext), so the relaying AF cannot read
+    it.  Outer layer: sealed under the sender's AF pairing; the AF opens it
+    and re-seals the still-sealed inner frame under the receiver's AF
+    pairing.  `tamper`, if given, is applied to each relayed frame (test
+    hook for fault injection).  Both ends install the same {owner:
+    permutation} mapping, which is returned.
     """
     perms: dict[NodeId, tuple[int, ...]] = {}
     for sender, receiver in ((s1, s2), (s2, s1)):
+        a, b = sender.node_id, receiver.node_id
+        inner_aad = f"ss-perm:{a}->{b}".encode()
+        relay_aad = f"relay:{a}->{b}".encode()
         perm = permute_bank_for_pair(len(sender.bank_ss), rng)
-        r_c, _, frame = _wrap_perm_message(sender, receiver.node_id, perm, rng, cipher)
+        ss_index, inner = seal_frame(sender.bank_ss, range(len(sender.bank_ss)), a, b,
+                                     _encode_perm(perm), inner_aad, rng, cipher)
+        # Binary relay payload: ss slot (u32) || inner nonce || inner sealed body.
+        payload = struct.pack(">I", ss_index) + inner.nonce + inner.body
+        r_c, frame = seal_frame(sender.bank_af, sender.af_ordering(), a, b, payload,
+                                relay_aad, rng, cipher)
 
-        # AF relay: unwrap the sender-side outer layer, re-wrap toward the
-        # receiver under the receiver's AF pairing.  The payload it handles
-        # is still sealed under an SS-bank key it does not hold.
-        aad = f"relay:{sender.node_id}->{receiver.node_id}".encode()
-        payload = open_frame(af.bank_af, af.af_ordering(sender.node_id), r_c, frame, aad, cipher)
-        out_r_c, relayed = seal_frame(af.bank_af, af.af_ordering(receiver.node_id),
-                                      sender.node_id, receiver.node_id, payload, aad, rng, cipher)
+        # AF relay: open the sender-side outer layer, re-seal it toward the
+        # receiver under the receiver's AF pairing.
+        payload = open_frame(af.bank_af, af.af_ordering(a), r_c, frame, relay_aad, cipher)
+        r_c, frame = seal_frame(af.bank_af, af.af_ordering(b), a, b, payload, relay_aad,
+                                rng, cipher)
         if tamper is not None:
-            relayed = tamper(relayed)
+            frame = tamper(frame)
 
-        perms[sender.node_id] = _unwrap_perm_message(
-            receiver, sender.node_id, out_r_c, relayed, cipher
-        )
-        if perms[sender.node_id] != perm:
+        payload = open_frame(receiver.bank_af, receiver.af_ordering(), r_c, frame,
+                             relay_aad, cipher)
+        if len(payload) < 4 + NONCE_LEN + TAG_LEN:
+            raise ProtocolError("malformed relay payload: too short")
+        (ss_index,) = struct.unpack(">I", payload[:4])
+        inner = SealedFrame(a, b, payload[4:4 + NONCE_LEN], payload[4 + NONCE_LEN:])
+        perms[a] = _decode_perm(open_frame(receiver.bank_ss, range(len(receiver.bank_ss)),
+                                           ss_index, inner, inner_aad, cipher))
+        if perms[a] != perm:
             raise ProtocolError("relayed permutation does not match the original")
 
-    schedule = SsSchedule(perm_by_owner=dict(perms))
-    s1.ss_schedules[s2.node_id] = schedule
-    s2.ss_schedules[s1.node_id] = SsSchedule(perm_by_owner=dict(perms))
-    return schedule
+    s1.ss_schedules[s2.node_id] = perms
+    s2.ss_schedules[s1.node_id] = dict(perms)
+    return perms
 
 
 def ss_send(

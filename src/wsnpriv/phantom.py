@@ -77,10 +77,6 @@ class ReceptorPath:
     def destination(self) -> NodeId:
         return self.nodes[-1]
 
-    @property
-    def length(self) -> int:
-        return len(self.nodes) - 1
-
 
 # Routing strategies for hunt().
 @dataclass(frozen=True)
@@ -95,8 +91,9 @@ class Phantom:
 
 @dataclass(frozen=True)
 class TwoWay:
+    """hunt() builds a receptor of this length and routes every message by it."""
+
     receptor_length: int
-    max_steps: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -287,19 +284,18 @@ def route_message(
     topology: Topology,
     source: NodeId,
     destination: NodeId,
-    strategy: FloodOnly | Phantom | TwoWay,
+    strategy: FloodOnly | Phantom | ReceptorPath,
     rng: SimRng | None,
-    receptor: ReceptorPath | None = None,
 ) -> Schedule:
     """Route one message from source to destination under `strategy`.
 
     Phantom walks h hops, then floods from the walk's end (flood is the
-    h = 0 case), with BFS distances from the topology's memo.  Two-way
-    walks until it meets the receptor and follows it home, or raises
-    NoRendezvousError.
+    h = 0 case), with BFS distances from the topology's memo.  A receptor
+    is two-way routing: the message walks until it meets the receptor and
+    follows it home, or raises NoRendezvousError.
     """
-    if isinstance(strategy, TwoWay):
-        route = deliver_two_way(topology, source, receptor, rng, strategy.max_steps)
+    if isinstance(strategy, ReceptorPath):
+        route = deliver_two_way(topology, source, strategy, rng)
         hops = len(route) - 1
         return Schedule(route[:-1], None, destination, hops, hops)
 
@@ -319,7 +315,6 @@ def hunt(
     strategy: FloodOnly | Phantom | TwoWay,
     message_budget: int,
     rng: SimRng,
-    adversary_start: NodeId | None = None,
     record_log: bool = False,
 ) -> HuntReport:
     """Run a back-tracing adversary against the chosen routing strategy.
@@ -327,18 +322,19 @@ def hunt(
     The adversary relocates at most once per message, to the transmitter it
     heard earliest from its current position.  Capture: the adversary is at
     the source when the source transmits (it either sat there at message
-    start, or relocated there because it heard the source itself).
+    start, or relocated there because it heard the source itself).  The
+    adversary starts at the sink.
     """
     if message_budget < 1:
         raise ValueError("message_budget: must be >= 1")
     source = topology.sources[0]
     destination = topology.sink
-    adversary = topology.sink if adversary_start is None else adversary_start
+    adversary = destination
 
     walk_rng = rng.stream("walk")
-    receptor: ReceptorPath | None = None
+    route = strategy
     if isinstance(strategy, TwoWay):
-        receptor = build_receptor(
+        route = build_receptor(
             topology, destination, strategy.receptor_length, rng.stream("receptor")
         )
 
@@ -351,9 +347,7 @@ def hunt(
 
     for msg in range(1, message_budget + 1):
         try:
-            sched = route_message(
-                topology, source, destination, strategy, walk_rng, receptor
-            )
+            sched = route_message(topology, source, destination, route, walk_rng)
         except NoRendezvousError:
             # Message lost; nothing transmitted beyond the failed walk is
             # modelled, and the adversary hears nothing this round.
@@ -365,26 +359,22 @@ def hunt(
         if record_log:
             log.extend(sched.log(topology, f"msg:{msg}"))
 
-        # Source transmits at tick 0 of every message; an adversary camped
-        # on it catches it immediately.
+        # Source transmits at tick 0 of every message, so an adversary
+        # camped on it (only when the sink is the source) stays and catches it.
+        if adversary != source:
+            heard = [
+                (t, u)
+                for u in topology.adjacency[adversary]
+                if (t := sched.tick(u)) is not None
+            ]
+            if heard:
+                _, target = min(heard)
+                moves.append((msg, adversary, target))
+                adversary = target
         if adversary == source:
             captured = True
             safety_period = msg
             break
-
-        heard = [
-            (t, u)
-            for u in topology.adjacency[adversary]
-            if (t := sched.tick(u)) is not None
-        ]
-        if heard:
-            _, target = min(heard)
-            moves.append((msg, adversary, target))
-            adversary = target
-            if adversary == source:
-                captured = True
-                safety_period = msg
-                break
 
     return HuntReport(
         safety_period=safety_period,
@@ -410,19 +400,26 @@ def min_zone_nodes(p_r: float, hops: int) -> ZonePlan:
 
     Finds the least N >= hops with C(N, hops) > 1/p_r, i.e. the zone is
     large enough that picking the true source among the C(N, H) candidate
-    hop-subsets succeeds with probability below p_r.
+    hop-subsets succeeds with probability below p_r.  C(N, hops) grows
+    with N, so N is found by galloping from hops, then bisecting.
     """
     if not 0.0 < p_r <= 1.0:
         raise ValueError("p_r: must be in (0, 1]")
     if hops < 1:
         raise ValueError("hops: must be >= 1")
     threshold = 1.0 / p_r
-    n = hops
-    while True:
-        k = binom(n, hops)
-        if k > threshold:
-            return ZonePlan(p_r=p_r, hops=hops, n_min=n, k=k)
-        n += 1
+    if not math.isfinite(threshold):
+        raise ValueError(f"p_r: 1/p_r overflows for p_r={p_r!r}")
+    lo, hi = hops, hops + 1  # C(hops, hops) = 1 <= threshold, since p_r <= 1
+    while binom(hi, hops) <= threshold:
+        lo, hi = hi, hops + 2 * (hi - hops)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if binom(mid, hops) > threshold:
+            hi = mid
+        else:
+            lo = mid
+    return ZonePlan(p_r=p_r, hops=hops, n_min=hi, k=binom(hi, hops))
 
 
 def traceback_probability(n: int, h: int) -> float:

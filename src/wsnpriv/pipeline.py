@@ -15,16 +15,8 @@ import enum
 from dataclasses import dataclass, field
 
 from .keymgmt import check_bank_split
-from .netsim import NodeId, Topology, build_grid, shortest_path
-from .phantom import (
-    Phantom,
-    ReceptorPath,
-    TwoWay,
-    WalkConfig,
-    WalkMode,
-    build_receptor,
-    route_message,
-)
+from .netsim import NodeId, Topology, build_grid
+from .phantom import Phantom, WalkConfig, WalkMode, build_receptor, route_message
 from .ppda import PrimeField, RoundTranscript, SppdaCluster
 from .rng import SimRng
 
@@ -199,23 +191,6 @@ def pair_sources(
     return clusters, remaining
 
 
-def _route(
-    topology: Topology,
-    origin: NodeId,
-    cfg: PipelineConfig,
-    anonymity: bool,
-    rng: SimRng,
-    receptor: ReceptorPath | None,
-) -> tuple[int, int]:
-    """Deliver origin -> sink; returns (route_hops, transmissions)."""
-    if not anonymity:
-        hops = len(shortest_path(topology, origin, topology.sink)) - 1
-        return hops, hops
-    strategy = Phantom(cfg.walk) if receptor is None else TwoWay(receptor.length)
-    sched = route_message(topology, origin, topology.sink, strategy, rng, receptor)
-    return sched.latency_hops, sched.transmissions
-
-
 def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     """Execute one scenario: layer selection, aggregation, delivery."""
     config.validate()
@@ -228,16 +203,10 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     field_ = PrimeField(config.modulus)
     report = DeliveryReport(level=config.level)
 
-    receptor = None
-    if LAYER_ANONYMITY in layers and config.receptor_length is not None:
-        receptor = build_receptor(
-            topology, topology.sink, config.receptor_length, rng.stream("receptor")
-        )
-
-    anonymity = LAYER_ANONYMITY in layers
     if LAYER_PERTURBATION in layers:
         clusters, unpaired = pair_sources(config.sources, topology)
         report.unpaired_sources = tuple(unpaired)
+        outbound = []
         for i, cluster in enumerate(clusters):
             sppda = SppdaCluster(
                 rng.stream(f"cluster:{i}"),
@@ -253,24 +222,29 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
             )
             report.transcripts.append(transcript)
             # The aggregate leaves from the AF; the gateway records x + y only.
-            hops, tx = _route(
-                topology, cluster.af, config, anonymity,
-                rng.stream(f"route:{i}"), receptor,
-            )
-            report.flows.append(FlowRecord(
-                level=config.level, origin=cluster.af,
-                delivered_value=result.pair_sum,
-                route_hops=hops, transmissions=tx, cluster=cluster,
-            ))
+            outbound.append((cluster.af, result.pair_sum, cluster))
     else:
-        for i, source in enumerate(config.sources):
-            hops, tx = _route(
-                topology, source, config, anonymity,
-                rng.stream(f"route:{i}"), receptor,
+        outbound = [(s, field_.norm(config.readings[s]), None) for s in config.sources]
+
+    # Plain delivery takes a shortest path; the anonymity layer routes by
+    # phantom flood, or two-way along one receptor shared by every flow.
+    strategy = None
+    if LAYER_ANONYMITY in layers:
+        strategy = Phantom(config.walk)
+        if config.receptor_length is not None:
+            strategy = build_receptor(
+                topology, topology.sink, config.receptor_length, rng.stream("receptor")
             )
-            report.flows.append(FlowRecord(
-                level=config.level, origin=source,
-                delivered_value=field_.norm(config.readings[source]),
-                route_hops=hops, transmissions=tx,
-            ))
+    for i, (origin, value, cluster) in enumerate(outbound):
+        if strategy is None:
+            hops = tx = topology.distances_from(topology.sink)[origin]
+        else:
+            sched = route_message(
+                topology, origin, topology.sink, strategy, rng.stream(f"route:{i}")
+            )
+            hops, tx = sched.latency_hops, sched.transmissions
+        report.flows.append(FlowRecord(
+            level=config.level, origin=origin, delivered_value=value,
+            route_hops=hops, transmissions=tx, cluster=cluster,
+        ))
     return report

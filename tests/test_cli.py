@@ -23,7 +23,7 @@ def test_parse_b_grid():
 
 
 def test_parse_sizes():
-    assert _parse_sizes("3..6") == [3, 4, 5, 6]
+    assert list(_parse_sizes("3..6")) == [3, 4, 5, 6]
     assert _parse_sizes("3,8,12") == [3, 8, 12]
 
 

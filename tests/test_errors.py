@@ -65,6 +65,42 @@ def zone_probability_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "error: p_r: must be in (0, 1]\n"
 
 
+def zone_probability_subnormal(tmp_path, capsys):
+    for pr in ("5e-324", "1e-310"):  # 1 / p_r overflows; a linear search never ends
+        argv = ["--out", str(tmp_path), "plan-zone", "--pr", pr, "--hops", "1"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().out.startswith("error: p_r: ")
+
+
+def b_grid_range_outside_unit(tmp_path, capsys):
+    # Rejected before expansion: 0:2:0.0000005 built 4M points, 0:inf:0.5 never stopped.
+    for spec in ("0:2:0.0000005", "0:inf:0.5", "-0.5:1:0.5", "nan:1:0.5", "0:nan:0.5"):
+        argv = ["--out", str(tmp_path), "disclosure-curve", f"--b-grid={spec}"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().out == "error: b: must be in [0, 1]\n"
+
+
+def sizes_range_huge(tmp_path, capsys):
+    # The range stays lazy: the check stops at 65 instead of building 10^9 sizes.
+    argv = ["--out", str(tmp_path), "bench", "--sizes", "3..1000000000"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: sizes: cluster sizes must lie in [3, 64]\n"
+
+
+def scenario_name_not_plain(tmp_path, capsys):
+    names = ["../escaped", "/tmp/abs", "a/b", "a\\b", ".", "..", "", 7, None]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"scenarios": [{**SCENARIO, "name": n} for n in names]
+                                + [SCENARIO]}))
+    out_dir = tmp_path / "sub" / "out"
+    assert cli_main(["--out", str(out_dir), "run-scenarios", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"error: name: {n!r} is not a plain file name" for n in names] + [
+        "ok: ok-scenario: 1 flow(s)"]
+    written = {p for p in tmp_path.rglob("*") if p.is_file()}
+    assert written == {path, out_dir / "ok-scenario.json", out_dir / "ok-scenario.csv"}
+
+
 def modulus_not_prime(tmp_path, capsys):
     argv = ["--out", str(tmp_path), "aggregate", "--x", "1", "--y", "2", "--z", "3",
             "--modulus", "10"]
@@ -168,7 +204,8 @@ PIPELINE_ERRORS = [
 
 @pytest.mark.parametrize(
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
-             zone_probability_zero, modulus_not_prime, strategy_not_integer,
+             zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
+             sizes_range_huge, scenario_name_not_plain, modulus_not_prime, strategy_not_integer,
              grid_zero_width, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
              ss_bank_too_large_direct, modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],

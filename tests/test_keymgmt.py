@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +11,8 @@ from wsnpriv.keymgmt import (
     ProtocolError,
     SealedFrame,
     SourceNode,
-    SsSchedule,
     StreamMacCipher,
     UnknownSourceError,
-    _wrap_perm_message,
     establish_ss_channel,
     KEY_LEN,
     generate_pool,
@@ -249,9 +249,9 @@ def test_seal_frame_draws_slot_then_nonce():
 def test_ss_channel_both_ends_identical():
     _, agg, s1, s2 = make_trio()
     schedule = establish_ss_channel(s1, s2, agg, SimRng(8), CIPHER)
-    assert s1.ss_schedules[2].perm_by_owner == s2.ss_schedules[1].perm_by_owner
-    assert schedule.perm_by_owner.keys() == {1, 2}
-    for perm in schedule.perm_by_owner.values():
+    assert s1.ss_schedules[2] == s2.ss_schedules[1]
+    assert schedule.keys() == {1, 2}
+    for perm in schedule.values():
         assert sorted(perm) == list(range(len(s1.bank_ss)))
 
 
@@ -259,7 +259,7 @@ def test_ss_channel_deterministic():
     def run(seed):
         _, agg, s1, s2 = make_trio(seed=9)
         establish_ss_channel(s1, s2, agg, SimRng(seed, "ss"), CIPHER)
-        return s1.ss_schedules[2].perm_by_owner
+        return s1.ss_schedules[2]
 
     assert run(10) == run(10)
     assert run(10) != run(11)
@@ -278,20 +278,37 @@ def test_ss_channel_tamper_detected():
 
 
 def test_relay_opacity_inner_frame_unreadable_by_af():
-    # The inner permutation message is sealed under an SS-bank key; every
-    # key the AF holds must fail authentication against it.
+    # The inner permutation message the AF relays is sealed under an SS-bank
+    # key; every key the AF holds must fail authentication against it.
     _, agg, s1, s2 = make_trio()
-    perm = permute_bank_for_pair(len(s1.bank_ss), SimRng(13))
-    _, ss_index, _ = _wrap_perm_message(s1, s2.node_id, perm, SimRng(14), CIPHER)
-    inner_aad = f"ss-perm:{s1.node_id}->{s2.node_id}".encode()
-    inner_nonce = SimRng(15).randbytes(16)
-    inner_body = CIPHER.seal(s1.bank_ss[ss_index - 1], inner_nonce,
-                             b"\x00\x01" * len(perm), inner_aad)
-    for key in agg.held_keys():
-        with pytest.raises(AuthenticationError):
-            CIPHER.open(key, inner_nonce, inner_body, inner_aad)
-    # The intended receiver can open it.
-    CIPHER.open(s1.bank_ss[ss_index - 1], inner_nonce, inner_body, inner_aad)
+    relayed = []
+
+    def capture(frame):
+        relayed.append(frame)
+        return frame
+
+    schedule = establish_ss_channel(s1, s2, agg, SimRng(13), CIPHER, tamper=capture)
+    assert len(relayed) == 2
+    for frame, receiver in zip(relayed, (s2, s1)):
+        outer_aad = f"relay:{frame.sender}->{frame.receiver}".encode()
+        payloads = []
+        for slot in range(1, len(receiver.af_ordering()) + 1):
+            try:
+                payloads.append(open_frame(receiver.bank_af, receiver.af_ordering(), slot,
+                                           frame, outer_aad, CIPHER))
+            except AuthenticationError:
+                pass
+        assert len(payloads) == 1  # the outer layer opens at one slot only
+        payload = payloads[0]
+        ss_index = int.from_bytes(payload[:4], "big")
+        inner = SealedFrame(frame.sender, frame.receiver, payload[4:20], payload[20:])
+        inner_aad = f"ss-perm:{frame.sender}->{frame.receiver}".encode()
+        for key in agg.held_keys():
+            with pytest.raises(AuthenticationError):
+                CIPHER.open(key, inner.nonce, inner.body, inner_aad)
+        # The intended receiver opens it with its SS key and reads the sender's ordering.
+        plain = CIPHER.open(receiver.bank_ss[ss_index - 1], inner.nonce, inner.body, inner_aad)
+        assert plain == struct.pack(f">{len(s1.bank_ss)}H", *schedule[frame.sender])
 
 
 def test_af_never_holds_ss_keys():
@@ -319,7 +336,7 @@ def test_ss_send_without_schedule():
 
 def test_identity_schedule_is_identity_order():
     bank = tuple(bytes([i]) * 16 for i in range(4))
-    schedule = SsSchedule(perm_by_owner={1: (0, 1, 2, 3), 2: (0, 1, 2, 3)})
+    schedule = {1: (0, 1, 2, 3), 2: (0, 1, 2, 3)}
     receiver = SourceNode(node_id=2, bank_af=bank, bank_ss=bank, ss_schedules={1: schedule})
     nonce = b"n" * 16
     for i in range(1, 5):

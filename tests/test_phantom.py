@@ -1,4 +1,5 @@
 import math
+import time
 
 import networkx as nx
 import pytest
@@ -8,6 +9,7 @@ from wsnpriv.phantom import (
     FloodOnly,
     NoRendezvousError,
     Phantom,
+    ReceptorPath,
     TwoWay,
     WalkConfig,
     WalkMode,
@@ -205,7 +207,7 @@ def test_two_way_no_rendezvous_error():
 def reference_ticks(g, strategy, walk, destination):
     """Tick map as a whole-field router builds it, from the walk it drew."""
     ticks = {}
-    if isinstance(strategy, TwoWay):
+    if isinstance(strategy, ReceptorPath):
         for i, node in enumerate(walk[:-1]):  # the destination never forwards
             ticks.setdefault(node, i)
         return ticks
@@ -222,16 +224,16 @@ def reference_ticks(g, strategy, walk, destination):
 def test_tick_matches_full_tick_map():
     field = build_random_geometric(40, 8.0, 2.5, SimRng(6))
     strategies = (FloodOnly(), Phantom(WalkConfig(hops=5)),
-                  Phantom(WalkConfig(WalkMode.DIRECTED, 3)), TwoWay(4))
+                  Phantom(WalkConfig(WalkMode.DIRECTED, 3)))
     for topo in (build_grid(6, 5), build_grid(7, 7, sink=24), field):
         g = to_networkx(topo)
         rec = build_receptor(topo, topo.sink, 4, SimRng(2))
-        for strategy in strategies:
+        for strategy in (*strategies, rec):
             for seed in range(8):
                 source = (7 * seed + 3) % topo.node_count
                 a, b = SimRng(seed, "walk"), SimRng(seed, "walk")
-                sched = route_message(topo, source, topo.sink, strategy, a, rec)
-                if isinstance(strategy, TwoWay):
+                sched = route_message(topo, source, topo.sink, strategy, a)
+                if isinstance(strategy, ReceptorPath):
                     walk = deliver_two_way(topo, source, rec, b)
                 elif isinstance(strategy, Phantom):
                     walk = random_walk(topo, source, strategy.walk, b)
@@ -249,7 +251,7 @@ def test_destination_ticks_only_when_the_walk_passes_it():
     strategy = Phantom(WalkConfig(hops=6))
     passed = 0
     for seed in range(40):
-        sched = route_message(topo, 1, 0, strategy, SimRng(seed), None)
+        sched = route_message(topo, 1, 0, strategy, SimRng(seed))
         walk = random_walk(topo, 1, strategy.walk, SimRng(seed))
         expected = walk.index(0) if 0 in walk[:-1] else None
         assert sched.tick(0) == sched.ticks.get(0) == expected
@@ -354,7 +356,8 @@ def test_min_zone_nodes_reference_instances():
     assert plan4.n_min == 9
 
 
-@pytest.mark.parametrize("p_r", [1e-1, 1e-2, 1e-3])
+# With 1/120 and 1/126, 1/p_r equals C(10, 3) and C(9, 4): the strict > decides.
+@pytest.mark.parametrize("p_r", [1e-1, 1e-2, 1e-3, 1.0, 0.5, 1 / 3, 0.07, 1 / 120, 1 / 126, 3e-3])
 @pytest.mark.parametrize("hops", range(1, 9))
 def test_min_zone_nodes_matches_brute_scan(p_r, hops):
     plan = min_zone_nodes(p_r, hops)
@@ -362,6 +365,17 @@ def test_min_zone_nodes_matches_brute_scan(p_r, hops):
     assert binom(plan.n_min, hops) > 1.0 / p_r
     if plan.n_min > hops:
         assert binom(plan.n_min - 1, hops) <= 1.0 / p_r
+
+
+def test_min_zone_nodes_tiny_p_r():
+    start = time.perf_counter()
+    assert min_zone_nodes(1e-12, 1).n_min == 10**12 + 1
+    assert time.perf_counter() - start < 1.0  # a linear scan takes 10^12 steps
+    plan, threshold = min_zone_nodes(1e-300, 8), 1.0 / 1e-300
+    assert binom(plan.n_min - 1, 8) <= threshold < plan.k == binom(plan.n_min, 8)
+    for p_r in (5e-324, 1e-310):  # 1 / p_r overflows to inf
+        with pytest.raises(ValueError, match="^p_r: "):
+            min_zone_nodes(p_r, 1)
 
 
 def test_min_zone_trivial_boundary():

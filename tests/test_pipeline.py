@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wsnpriv.netsim import bfs_distances, build_grid
+from wsnpriv.netsim import bfs_distances, build_grid, shortest_path
 from wsnpriv.phantom import WalkConfig, WalkMode
 from wsnpriv.pipeline import (
     Cluster,
@@ -77,6 +77,20 @@ def test_none_level_delivers_raw_via_shortest_path():
     assert flow.delivered_value == 5
     assert flow.route_hops == 8  # corner-to-corner on the 5x5 grid
     assert report.transcripts == []
+
+
+def test_plain_delivery_hops_equal_shortest_path():
+    for width, height, sink in ((5, 5, 0), (7, 4, 12)):
+        sources = tuple(n for n in range(width * height) if n != sink)
+        report = run_pipeline(base_config(
+            width=width, height=height, sink=sink, sources=sources,
+            readings={s: 1 for s in sources},
+        ))
+        topo = build_grid(width, height, sink=sink, sources=sources)
+        assert [fl.origin for fl in report.flows] == list(sources)
+        for fl in report.flows:
+            hops = len(shortest_path(topo, fl.origin, sink)) - 1
+            assert fl.route_hops == fl.transmissions == hops
 
 
 def test_anonymity_only_no_layer2_events():
