@@ -35,10 +35,12 @@ from .climetrics import (
 )
 from .phantom import min_zone_nodes
 from .pipeline import run_pipeline
-from .ppda import PrimeField, run_sppda
+from .ppda import DEFAULT_MODULUS, PrimeField, run_sppda
 from .rng import SimRng
 
 __all__ = ["main"]
+
+B_GRID_MAX = 100_001  # points in a start:stop:step range; 0:1:0.00001 fits
 
 
 def _out_dir(args) -> pathlib.Path:
@@ -84,7 +86,11 @@ def _parse_b_grid(spec: str) -> list[float]:
     if not (0.0 <= start and stop <= 1.0):
         raise ValueError("b: must be in [0, 1]")
     points = (start + k * step for k in itertools.count())
-    return [round(b, 12) for b in itertools.takewhile(lambda b: b <= stop + 1e-12, points)]
+    in_range = itertools.takewhile(lambda b: b <= stop + 1e-12, points)
+    grid = [round(b, 12) for b in itertools.islice(in_range, B_GRID_MAX + 1)]
+    if len(grid) > B_GRID_MAX:
+        raise ValueError(f"b-grid: range gives more than {B_GRID_MAX} points")
+    return grid
 
 
 def _parse_dist(spec: str) -> ClusterSizeDist:
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--z", type=int, default=0)
-    p.add_argument("--modulus", type=int, default=2**31 - 1)
+    p.add_argument("--modulus", type=int, default=DEFAULT_MODULUS)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_aggregate)
 

@@ -2,7 +2,7 @@
 
 Everything here emits deterministic CSV (fixed row order under a fixed
 master seed) plus a JSON summary; plotting is downstream.  Benchmark rows
-report medians of repeated runs with warm-up excluded, because absolute
+report warm medians of repeated runs, rows timed in turn, because absolute
 wall-clock numbers are machine-bound — the contracts are growth ratios.
 """
 
@@ -12,6 +12,7 @@ import contextlib
 import csv
 import enum
 import io
+import itertools
 import json
 import pathlib
 import statistics
@@ -144,15 +145,52 @@ class TimingRow:
     repetitions: int
 
 
-def _median_timing(fn, repetitions: int, warmup: int = 3) -> int:
-    for _ in range(warmup):
-        fn()
-    samples = []
+WARMUP = 3  # untimed calls of every row before any row is timed
+
+
+def _timed_rows(rows: list[tuple[str, int, typing.Callable[[], None]]],
+                repetitions: int) -> list[TimingRow]:
+    """One TimingRow per (scheme, cluster_size, fn): fn's median ns per call.
+
+    Every fn is warmed up first; then each repetition times every fn once
+    in turn, so a burst of host load lands on all rows alike instead of on
+    whichever row happened to be running.
+    """
+    for _, _, fn in rows:
+        for _ in range(WARMUP):
+            fn()
+    samples: list[list[int]] = [[] for _ in rows]
     for _ in range(repetitions):
-        t0 = time.perf_counter_ns()
-        fn()
-        samples.append(time.perf_counter_ns() - t0)
-    return int(statistics.median(samples))
+        for (_, _, fn), row in zip(rows, samples):
+            t0 = time.perf_counter_ns()
+            fn()
+            row.append(time.perf_counter_ns() - t0)
+    return [TimingRow(scheme, size, int(statistics.median(row)), repetitions)
+            for (scheme, size, _), row in zip(rows, samples)]
+
+
+def _pairs_round(pairs: int, master_seed: int, field_: PrimeField):
+    """One warm round over `pairs` clusters set up from the bench/pairs streams."""
+    rng = SimRng(master_seed, f"bench/pairs:{pairs}")
+    clusters = [SppdaCluster(rng.stream(f"setup:{i}"), field_=field_) for i in range(pairs)]
+    vals = rng.stream("values")
+
+    def all_rounds():
+        for c in clusters:  # fresh x, y, z per cluster
+            c.run_round(*(vals.randrange(field_.p) for _ in range(3)))
+    return all_rounds
+
+
+def _cpda_round(n: int, master_seed: int, field_: PrimeField):
+    """One run_cpda over n fresh values from the bench/cpda stream of size n."""
+    rng_n = SimRng(master_seed, f"bench/cpda:{n}")
+    vals = rng_n.stream("values")
+    counter = itertools.count(1)
+
+    def one_round():
+        run_cpda([vals.randrange(field_.p) for _ in range(n)],
+                 rng_n.stream(f"r:{next(counter)}"), field_)
+    return one_round
 
 
 def bench_aggregation(
@@ -160,31 +198,17 @@ def bench_aggregation(
 ) -> list[TimingRow]:
     """Median per-aggregation cost: fixed-3 scheme plus the n-party baseline.
 
-    The fixed-3 row is bench_pipeline_pairs' one-cluster row: one warm round."""
+    The fixed-3 row is bench_pipeline_pairs' one-cluster row: one warm
+    round.  All rows are timed together, interleaved."""
     if repetitions < 30:
         raise ValueError("repetitions: must be >= 30 for stable medians")
     for n in sizes:
         if not 3 <= n <= 64:
             raise ValueError("sizes: cluster sizes must lie in [3, 64]")
     field_ = PrimeField()
-    (one_cluster,) = bench_pipeline_pairs([1], repetitions, master_seed)
-    rows = [replace(one_cluster, scheme="sppda", cluster_size=3)]
-    for n in sizes:
-        rng_n = SimRng(master_seed, f"bench/cpda:{n}")
-        vals = rng_n.stream("values")
-        counter = [0]
-        def one_round(n=n, rng_n=rng_n, vals=vals, counter=counter):
-            counter[0] += 1
-            run_cpda(
-                [vals.randrange(field_.p) for _ in range(n)],
-                rng_n.stream(f"r:{counter[0]}"), field_,
-            )
-        rows.append(TimingRow(
-            scheme="cpda", cluster_size=n,
-            median_ns=_median_timing(one_round, repetitions),
-            repetitions=repetitions,
-        ))
-    return rows
+    rows = [("sppda", 3, _pairs_round(1, master_seed, field_))]
+    rows += [("cpda", n, _cpda_round(n, master_seed, field_)) for n in sizes]
+    return _timed_rows(rows, repetitions)
 
 
 def bench_pipeline_pairs(
@@ -192,26 +216,9 @@ def bench_pipeline_pairs(
 ) -> list[TimingRow]:
     """Total fixed-3 aggregation cost over S clusters; contract is linear growth."""
     field_ = PrimeField()
-    rows = []
-    for pairs in pair_counts:
-        rng = SimRng(master_seed, f"bench/pairs:{pairs}")
-        clusters = [
-            SppdaCluster(rng.stream(f"setup:{i}"), field_=field_)
-            for i in range(pairs)
-        ]
-        vals = rng.stream("values")
-        def all_rounds(clusters=clusters, vals=vals):
-            for c in clusters:
-                c.run_round(
-                    vals.randrange(field_.p), vals.randrange(field_.p),
-                    vals.randrange(field_.p),
-                )
-        rows.append(TimingRow(
-            scheme="sppda-pipeline", cluster_size=pairs,
-            median_ns=_median_timing(all_rounds, repetitions),
-            repetitions=repetitions,
-        ))
-    return rows
+    rows = [("sppda-pipeline", pairs, _pairs_round(pairs, master_seed, field_))
+            for pairs in pair_counts]
+    return _timed_rows(rows, repetitions)
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,14 @@ Because every source holds the same banks, a raw index would let any
 source decrypt any other's traffic.  Each pair therefore fixes its own
 secret permutation of the bank, and the session key for a message is
 announced as a plaintext index R_c into that permuted ordering: useless to
-anyone who does not know the permutation.  Every sealed frame is built by
-seal_frame and opened by open_frame.  A source pair's SS orderings are
-bootstrapped by establish_ss_channel, which ships each permutation through
-the AF inside an inner frame sealed under the raw SS-bank order; a pair's
-SS schedule is then the plain mapping {owner: permutation}.
+anyone who does not know the permutation.  Each node answers "which bank,
+in whose ordering, keys a frame with this peer" in one place, its
+link(peer, receiver); every sealed frame is built by seal_frame and opened
+by open_frame under the (bank, ordering) a link returns.  A source pair's
+SS orderings are bootstrapped by establish_ss_channel, which ships each
+permutation through the AF inside an inner frame sealed under the raw
+SS-bank order; a pair's SS schedule is then the plain mapping {owner:
+permutation}.
 
 Wire formats (simulated, documented for log parsing):
 
@@ -53,8 +56,6 @@ __all__ = [
     "seal_frame",
     "open_frame",
     "establish_ss_channel",
-    "ss_send",
-    "ss_receive",
 ]
 
 KEY_LEN = 16  # 128-bit keys
@@ -186,27 +187,25 @@ def permute_bank_for_pair(bank_size: int, rng: SimRng) -> tuple[int, ...]:
 
 @dataclass
 class SourceNode:
-    """Per-source key state: both banks, its AF-pair permutation, and, per
-    peer with an established SS channel, each end's {owner: permutation}
-    of the SS bank."""
+    """Per-source key state: both banks, the AF it is registered with and
+    their ordering of the AF bank, and, per peer with an established SS
+    channel, each end's {owner: permutation} of the SS bank."""
 
     node_id: NodeId
     bank_af: tuple[bytes, ...]
     bank_ss: tuple[bytes, ...]
-    af_perm: tuple[int, ...] | None = None
+    af_pair: tuple[NodeId, tuple[int, ...]] | None = None  # (AF id, ordering)
     ss_schedules: dict[NodeId, dict[NodeId, tuple[int, ...]]] = field(default_factory=dict)
 
-    def af_ordering(self, peer: NodeId | None = None) -> tuple[int, ...]:
-        """This source's ordering of the AF bank; `peer` is its one AF."""
-        if self.af_perm is None:
-            raise ProtocolError(f"source {self.node_id} has no registered AF pair")
-        return self.af_perm
-
-    def ss_ordering(self, peer: NodeId, owner: NodeId) -> tuple[int, ...]:
-        """`owner`'s ordering of the SS bank in this source's schedule with `peer`."""
-        if peer not in self.ss_schedules:
-            raise ProtocolError(f"no SS schedule between {self.node_id} and {peer}")
-        return self.ss_schedules[peer][owner]
+    def link(self, peer: NodeId, receiver: NodeId) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+        """(bank, ordering) keying a frame between this source and `peer`
+        that `receiver` opens: the AF pairing with its AF, else `receiver`'s
+        ordering of the SS bank in the schedule with SS peer `peer`."""
+        if self.af_pair is not None and peer == self.af_pair[0]:
+            return self.bank_af, self.af_pair[1]
+        if peer in self.ss_schedules:
+            return self.bank_ss, self.ss_schedules[peer][receiver]
+        raise ProtocolError(f"source {self.node_id} has no key link to node {peer}")
 
 
 @dataclass
@@ -221,18 +220,19 @@ class AggregatorNode:
     def held_keys(self) -> set[bytes]:
         return set(self.bank_af)
 
-    def af_ordering(self, peer: NodeId) -> tuple[int, ...]:
-        """The ordering of the AF bank this AF shares with source `peer`."""
+    def link(self, peer: NodeId, receiver: NodeId) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+        """(bank, ordering) keying a frame with source `peer`: the AF bank in
+        the one ordering the pair shares, whichever end is `receiver`."""
         perm = self.pair_perms.get(peer)
         if perm is None:
             raise UnknownSourceError(f"no pair registered for source {peer}")
-        return perm
+        return self.bank_af, perm
 
 
 def register_pair(source: SourceNode, af: AggregatorNode, rng: SimRng) -> tuple[int, ...]:
     """Fix the pair's secret ordering of the AF bank, stored at both ends."""
     perm = permute_bank_for_pair(len(af.bank_af), rng)
-    source.af_perm = perm
+    source.af_pair = (af.node_id, perm)
     af.pair_perms[source.node_id] = perm
     return perm
 
@@ -289,11 +289,11 @@ def establish_ss_channel(
     Each source draws its own permutation of the SS bank and ships it to
     the peer double-wrapped.  Inner layer: sealed under an SS-bank key (raw
     bank order, slot announced in plaintext), so the relaying AF cannot read
-    it.  Outer layer: sealed under the sender's AF pairing; the AF opens it
-    and re-seals the still-sealed inner frame under the receiver's AF
-    pairing.  `tamper`, if given, is applied to each relayed frame (test
-    hook for fault injection).  Both ends install the same {owner:
-    permutation} mapping, which is returned.
+    it.  Outer layer: keyed by the sender's link to the AF; the AF opens it
+    under its link to the sender and re-seals the still-sealed inner frame
+    under its link to the receiver.  `tamper`, if given, is applied to each
+    relayed frame (test hook for fault injection).  Both ends install the
+    same {owner: permutation} mapping, which is returned.
     """
     perms: dict[NodeId, tuple[int, ...]] = {}
     for sender, receiver in ((s1, s2), (s2, s1)):
@@ -305,19 +305,17 @@ def establish_ss_channel(
                                      _encode_perm(perm), inner_aad, rng, cipher)
         # Binary relay payload: ss slot (u32) || inner nonce || inner sealed body.
         payload = struct.pack(">I", ss_index) + inner.nonce + inner.body
-        r_c, frame = seal_frame(sender.bank_af, sender.af_ordering(), a, b, payload,
+        r_c, frame = seal_frame(*sender.link(af.node_id, af.node_id), a, b, payload,
                                 relay_aad, rng, cipher)
 
         # AF relay: open the sender-side outer layer, re-seal it toward the
         # receiver under the receiver's AF pairing.
-        payload = open_frame(af.bank_af, af.af_ordering(a), r_c, frame, relay_aad, cipher)
-        r_c, frame = seal_frame(af.bank_af, af.af_ordering(b), a, b, payload, relay_aad,
-                                rng, cipher)
+        payload = open_frame(*af.link(a, af.node_id), r_c, frame, relay_aad, cipher)
+        r_c, frame = seal_frame(*af.link(b, b), a, b, payload, relay_aad, rng, cipher)
         if tamper is not None:
             frame = tamper(frame)
 
-        payload = open_frame(receiver.bank_af, receiver.af_ordering(), r_c, frame,
-                             relay_aad, cipher)
+        payload = open_frame(*receiver.link(af.node_id, b), r_c, frame, relay_aad, cipher)
         if len(payload) < 4 + NONCE_LEN + TAG_LEN:
             raise ProtocolError("malformed relay payload: too short")
         (ss_index,) = struct.unpack(">I", payload[:4])
@@ -330,30 +328,3 @@ def establish_ss_channel(
     s1.ss_schedules[s2.node_id] = perms
     s2.ss_schedules[s1.node_id] = dict(perms)
     return perms
-
-
-def ss_send(
-    sender: SourceNode,
-    receiver_id: NodeId,
-    plaintext: bytes,
-    rng: SimRng,
-    cipher: CipherSuite = DEFAULT_CIPHER,
-) -> tuple[int, SealedFrame]:
-    """Seal a source->source message under the peer's permuted SS ordering.
-
-    Returns (announced slot index, frame).  The frame is relayed verbatim
-    by the AF, which cannot open it.
-    """
-    return seal_frame(sender.bank_ss, sender.ss_ordering(receiver_id, receiver_id),
-                      sender.node_id, receiver_id, plaintext,
-                      f"ss:{sender.node_id}->{receiver_id}".encode(), rng, cipher)
-
-
-def ss_receive(
-    receiver: SourceNode,
-    index: int,
-    frame: SealedFrame,
-    cipher: CipherSuite = DEFAULT_CIPHER,
-) -> bytes:
-    return open_frame(receiver.bank_ss, receiver.ss_ordering(frame.sender, receiver.node_id),
-                      index, frame, f"ss:{frame.sender}->{receiver.node_id}".encode(), cipher)

@@ -89,15 +89,6 @@ class Topology:
             dist = self._memo[key] = bfs_distances(self, origin)
         return dist
 
-    def reach_from(self, origin: NodeId) -> int:
-        """How many nodes distances_from(origin) reaches, origin included."""
-        key = ("reach", origin)
-        reach = self._memo.get(key)
-        if reach is None:
-            dist = self.distances_from(origin)
-            reach = self._memo[key] = len(dist) - dist.count(-1)
-        return reach
-
     def step_row(self, cur: NodeId) -> dict[NodeId | None, StepDraw]:
         """Non-backtracking walk steps out of `cur`, built on first use.
 
@@ -237,7 +228,7 @@ def _finish(
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),
     )
-    if n == 0 or topology.reach_from(0) < n:
+    if n == 0 or -1 in topology.distances_from(0):
         raise DisconnectedGraphError(
             f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
         )

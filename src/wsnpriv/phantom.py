@@ -152,12 +152,12 @@ class Schedule:
     """One routed message: who forwards it when, what it cost, when it lands.
 
     Node walk[i] forwards at tick i (its first place on the walk wins).  A
-    flood then starts from the walk's end at tick len(walk): every node
-    reachable in flood_dist forwards at len(walk) + its hop distance,
-    destination excepted, unless the walk already had it forward.  Two-way
-    routes have no flood (flood_dist is None).  `transmissions` counts every
-    broadcast (walk revisits included) and `latency_hops` is the tick the
-    destination first hears the message (-1 if never).
+    flood then starts from the walk's end at tick len(walk): every node of
+    the (connected) field forwards at len(walk) + its hop distance in
+    flood_dist, destination excepted, unless the walk already had it
+    forward.  Two-way routes have no flood (flood_dist is None).
+    `transmissions` counts every broadcast (walk revisits included) and
+    `latency_hops` is the tick the destination first hears the message.
     """
 
     walk: list[NodeId]
@@ -176,7 +176,7 @@ class Schedule:
         if node in walk:
             return walk.index(node)
         dist = self.flood_dist
-        if dist is None or node == self.destination or dist[node] < 0:
+        if dist is None or node == self.destination:
             return None
         return len(walk) + dist[node]
 
@@ -189,7 +189,7 @@ class Schedule:
             ticks = {
                 node: h + d
                 for node, d in enumerate(self.flood_dist)
-                if d >= 0 and node != self.destination
+                if node != self.destination
             }
         for i, node in enumerate(self.walk):
             if node not in ticks or i < ticks[node]:
@@ -304,10 +304,9 @@ def route_message(
         path = random_walk(topology, source, strategy.walk, rng)
     h = len(path) - 1
     dist = topology.distances_from(path[-1])
-    d_dest = dist[destination]
-    flooded = topology.reach_from(path[-1]) - (d_dest >= 0)
-    latency = h + d_dest if d_dest >= 0 else -1
-    return Schedule(path[:h], dist, destination, flooded + h, latency)
+    # The field is connected: every node but the destination floods once.
+    flooded = topology.node_count - 1
+    return Schedule(path[:h], dist, destination, flooded + h, h + dist[destination])
 
 
 def hunt(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .keymgmt import check_bank_split
 from .netsim import NodeId, Topology, build_grid
 from .phantom import Phantom, WalkConfig, WalkMode, build_receptor, route_message
-from .ppda import PrimeField, RoundTranscript, SppdaCluster
+from .ppda import DEFAULT_MODULUS, PrimeField, RoundTranscript, SppdaCluster
 from .rng import SimRng
 
 __all__ = [
@@ -79,7 +79,7 @@ class PipelineConfig:
     sink: NodeId = 0
     walk: WalkConfig = WalkConfig(mode=WalkMode.DIRECTED, hops=5)
     receptor_length: int | None = None  # None -> phantom flood delivery
-    modulus: int = 2**31 - 1
+    modulus: int = DEFAULT_MODULUS
     pool_size: int = 256
     af_bank: int = 128
     aggregator_dummy: int = 0
@@ -158,15 +158,10 @@ def pair_sources(
     dist_from = {s: topology.distances_from(s) for s in remaining}
     clusters: list[Cluster] = []
     while len(remaining) >= 2:
-        best = None
-        for i, a in enumerate(remaining):
-            for b in remaining[i + 1:]:
-                d = dist_from[a][b]
-                if d >= 0 and (best is None or d < best[0]):
-                    best = (d, a, b)
-        if best is None:
-            break
-        _, s1, s2 = best
+        # Closest pair, ties to the lowest ids.
+        _, s1, s2 = min(
+            (dist_from[a][b], a, b) for i, a in enumerate(remaining) for b in remaining[i + 1:]
+        )
         remaining.remove(s1)
         remaining.remove(s2)
         common = sorted(
@@ -179,8 +174,6 @@ def pair_sources(
                 (dist_from[s1][n] + dist_from[s2][n], n)
                 for n in range(topology.node_count)
                 if n not in forbidden
-                and dist_from[s1][n] >= 0
-                and dist_from[s2][n] >= 0
             ]
             if not candidates:
                 raise ConfigError(

@@ -26,8 +26,6 @@ from .keymgmt import (
     open_frame,
     register_pair,
     seal_frame,
-    ss_receive,
-    ss_send,
     DEFAULT_CIPHER,
 )
 from .rng import SimRng
@@ -353,23 +351,23 @@ class SppdaCluster:
 
     def _send(self, kind: str, sender: str, receiver: str, payload: bytes, rng: SimRng,
               transcript: RoundTranscript, fields: dict) -> bytes:
-        """Seal one message between participants and log it; returns what the
-        receiver decrypts.  S1<->S2 traffic goes through the SS relay, which
-        the AF cannot open."""
+        """Seal one message between participants under both ends' link to
+        each other and log it; returns what the receiver decrypts.  S1<->S2
+        frames are keyed in the SS bank, which the relaying AF cannot open."""
         src, dst = self._nodes[sender], self._nodes[receiver]
+        a, b = src.node_id, dst.node_id
         if "A" in (sender, receiver):
-            aad = (f"{kind}:af->{dst.node_id}" if sender == "A"
-                   else f"{kind}:{src.node_id}->af").encode()
-            slot, frame = seal_frame(src.bank_af, src.af_ordering(dst.node_id), src.node_id,
-                                     dst.node_id, payload, aad, rng, self.cipher)
-            opened = open_frame(dst.bank_af, dst.af_ordering(src.node_id), slot, frame, aad,
-                                self.cipher)
-            fields = {"r_c": slot, **fields}
-        else:
-            slot, frame = ss_send(src, dst.node_id, payload, rng, self.cipher)
-            opened = ss_receive(dst, slot, frame, self.cipher)
-            fields = {"ss_index": slot, "relayed_by": "A"}
-        transcript.frames.append(FrameRecord(kind, sender, receiver, fields, frame))
+            aad = (f"{kind}:af->{b}" if sender == "A" else f"{kind}:{a}->af").encode()
+            slot_field = "r_c"
+        else:  # logged as relayed by the AF, with the slot only
+            aad = f"ss:{a}->{b}".encode()
+            slot_field, fields = "ss_index", {"relayed_by": "A"}
+        bank, ordering = src.link(b, b)  # not a starred call: this is the round's hot path
+        slot, frame = seal_frame(bank, ordering, a, b, payload, aad, rng, self.cipher)
+        bank, ordering = dst.link(a, b)
+        opened = open_frame(bank, ordering, slot, frame, aad, self.cipher)
+        transcript.frames.append(
+            FrameRecord(kind, sender, receiver, {slot_field: slot, **fields}, frame))
         return opened
 
     def run_round(self, x: int, y: int, z: int) -> tuple[AggregationResult, RoundTranscript]:

@@ -212,13 +212,13 @@ def test_criterion_8_key_management():
             return bytes(n)
 
     for r_c in range(1, len(pool.bank_af) + 1):
-        slot, frame = seal_frame(s1.bank_af, s1.af_ordering(), 1, 0, b"up", b"acc8",
+        slot, frame = seal_frame(s1.bank_af, s1.af_pair[1], 1, 0, b"up", b"acc8",
                                  AnnounceSlot(r_c), cipher)
         assert slot == r_c
-        assert open_frame(agg.bank_af, agg.af_ordering(1), r_c, frame, b"acc8", cipher) == b"up"
-        _, frame = seal_frame(agg.bank_af, agg.af_ordering(1), 0, 1, b"down", b"acc8",
+        assert open_frame(agg.bank_af, agg.pair_perms[1], r_c, frame, b"acc8", cipher) == b"up"
+        _, frame = seal_frame(agg.bank_af, agg.pair_perms[1], 0, 1, b"down", b"acc8",
                               AnnounceSlot(r_c), cipher)
-        assert open_frame(s1.bank_af, s1.af_ordering(), r_c, frame, b"acc8", cipher) == b"down"
+        assert open_frame(s1.bank_af, s1.af_pair[1], r_c, frame, b"acc8", cipher) == b"down"
 
     # 10^3 relay fault injections: every one must surface as an auth failure.
     detected = 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wsnpriv.cli import main as cli_main
+from wsnpriv.cli import _parse_b_grid, main as cli_main
 from wsnpriv.climetrics import (
     HuntCampaign,
     ScenarioError,
@@ -78,6 +78,16 @@ def b_grid_range_outside_unit(tmp_path, capsys):
         argv = ["--out", str(tmp_path), "disclosure-curve", f"--b-grid={spec}"]
         assert cli_main(argv) == 2
         assert capsys.readouterr().out == "error: b: must be in [0, 1]\n"
+
+
+def b_grid_too_many_points(tmp_path, capsys):
+    # A tiny step inside [0, 1] stops at 100,001 points: 0:1:0.000001 wrote 1,000,001
+    # points in 10 s, 0:1:1e-300 never stopped.  0:1:0.00001 is the largest that fits.
+    assert len(_parse_b_grid("0:1:0.00001")) == 100_001
+    for spec in ("0:1:0.000001", "0:1:1e-300"):
+        argv = ["--out", str(tmp_path), "disclosure-curve", f"--b-grid={spec}"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().out == "error: b-grid: range gives more than 100001 points\n"
 
 
 def sizes_range_huge(tmp_path, capsys):
@@ -199,15 +209,18 @@ PIPELINE_ERRORS = [
     ("receptor_length_string", {"receptor_length": "x"},
      "receptor_length: expected int or null"),
     ("walk_hops_negative", {"walk": {"hops": -1}}, "walk.hops: must be >= 0"),
+    ("no_af_candidate",  # every node of a 3x1 grid is the sink or a source
+     {"width": 3, "height": 1, "sources": [1, 2], "readings": {"1": 5, "2": 7}},
+     "sources: no aggregator-forwarder candidate can reach both 1 and 2"),
 ]
 
 
 @pytest.mark.parametrize(
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
-             sizes_range_huge, scenario_name_not_plain, modulus_not_prime, strategy_not_integer,
-             grid_zero_width, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
-             ss_bank_too_large_direct, modulus_too_small,
+             b_grid_too_many_points, sizes_range_huge, scenario_name_not_plain,
+             modulus_not_prime, strategy_not_integer, grid_zero_width, pool_size_not_int,
+             bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct, modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],
     ids=lambda case: case.__name__,
 )

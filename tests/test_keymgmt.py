@@ -20,8 +20,6 @@ from wsnpriv.keymgmt import (
     permute_bank_for_pair,
     register_pair,
     seal_frame,
-    ss_receive,
-    ss_send,
 )
 from wsnpriv.rng import SimRng
 
@@ -160,14 +158,13 @@ def test_select_resolve_round_trip_exhaustive():
     rng = SimRng(5)
     for i in range(2000):
         payload = i.to_bytes(2, "big")
-        slot, frame = seal_frame(s1.bank_af, s1.af_ordering(), 1, 0, payload, b"up", rng, CIPHER)
-        assert open_frame(agg.bank_af, agg.af_ordering(1), slot, frame, b"up", CIPHER) == payload
-        assert CIPHER.open(s1.bank_af[s1.af_perm[slot - 1]], frame.nonce, frame.body,
+        slot, frame = seal_frame(*s1.link(0, 0), 1, 0, payload, b"up", rng, CIPHER)
+        assert open_frame(*agg.link(1, 0), slot, frame, b"up", CIPHER) == payload
+        assert CIPHER.open(s1.bank_af[s1.af_pair[1][slot - 1]], frame.nonce, frame.body,
                            b"up") == payload
         seen.add(slot)
-        slot, frame = seal_frame(agg.bank_af, agg.af_ordering(1), 0, 1, payload, b"down", rng,
-                                 CIPHER)
-        assert open_frame(s1.bank_af, s1.af_ordering(), slot, frame, b"down", CIPHER) == payload
+        slot, frame = seal_frame(*agg.link(1, 1), 0, 1, payload, b"down", rng, CIPHER)
+        assert open_frame(*s1.link(0, 1), slot, frame, b"down", CIPHER) == payload
         seen.add(slot)
     assert seen == set(range(1, len(s1.bank_af) + 1))
 
@@ -181,7 +178,7 @@ def test_select_uniformity():
     n = 10_000
     rng = SimRng(7)
     for _ in range(n):
-        slot, _ = seal_frame(src.bank_af, src.af_ordering(), 1, 0, b"", b"", rng, CIPHER)
+        slot, _ = seal_frame(*src.link(0, 0), 1, 0, b"", b"", rng, CIPHER)
         counts[slot - 1] += 1
     mean = n / 8
     sigma = (n * (1 / 8) * (7 / 8)) ** 0.5
@@ -191,13 +188,13 @@ def test_select_uniformity():
 
 def test_af_resolve_errors():
     _, agg, s1, _ = make_trio()
-    slot, frame = seal_frame(s1.bank_af, s1.af_ordering(), 1, 0, b"x", b"", SimRng(33), CIPHER)
+    slot, frame = seal_frame(*s1.link(0, 0), 1, 0, b"x", b"", SimRng(33), CIPHER)
     with pytest.raises(KeyIndexRangeError):
-        open_frame(agg.bank_af, agg.af_ordering(1), 0, frame, b"", CIPHER)
+        open_frame(*agg.link(1, 0), 0, frame, b"", CIPHER)
     with pytest.raises(KeyIndexRangeError):
-        open_frame(agg.bank_af, agg.af_ordering(1), len(s1.bank_af) + 1, frame, b"", CIPHER)
+        open_frame(*agg.link(1, 0), len(s1.bank_af) + 1, frame, b"", CIPHER)
     with pytest.raises(UnknownSourceError):
-        open_frame(agg.bank_af, agg.af_ordering(42), slot, frame, b"", CIPHER)
+        open_frame(*agg.link(42, 0), slot, frame, b"", CIPHER)
 
 
 def test_eavesdropper_candidate_set_is_whole_bank():
@@ -211,15 +208,15 @@ def test_eavesdropper_candidate_set_is_whole_bank():
         for perm_image in range(len(pool.bank_af))
     }
     assert len(candidates) == len(pool.bank_af)
-    assert s1.bank_af[s1.af_perm[r_c - 1]] in candidates
+    assert s1.bank_af[s1.af_pair[1][r_c - 1]] in candidates
 
 
 # --- sealed-frame primitive ---
 
 def test_open_frame_at_other_slot_fails():
     _, agg, s1, _ = make_trio()
-    slot, frame = seal_frame(s1.bank_af, s1.af_perm, 1, 0, b"payload", b"aad", SimRng(30), CIPHER)
-    ordering = agg.af_ordering(1)
+    slot, frame = seal_frame(*s1.link(0, 0), 1, 0, b"payload", b"aad", SimRng(30), CIPHER)
+    _, ordering = agg.link(1, 0)
     assert open_frame(agg.bank_af, ordering, slot, frame, b"aad", CIPHER) == b"payload"
     for other in range(1, len(ordering) + 1):
         if other != slot:
@@ -229,17 +226,17 @@ def test_open_frame_at_other_slot_fails():
 
 def test_frame_slot_outside_ordering_is_range_error():
     _, agg, s1, _ = make_trio()
-    _, frame = seal_frame(s1.bank_af, s1.af_perm, 1, 0, b"x", b"", SimRng(31), CIPHER)
-    for slot in (0, len(s1.af_perm) + 1):
+    _, frame = seal_frame(*s1.link(0, 0), 1, 0, b"x", b"", SimRng(31), CIPHER)
+    for slot in (0, len(s1.bank_af) + 1):
         with pytest.raises(KeyIndexRangeError):
-            open_frame(agg.bank_af, agg.af_ordering(1), slot, frame, b"", CIPHER)
+            open_frame(*agg.link(1, 0), slot, frame, b"", CIPHER)
 
 
 def test_seal_frame_draws_slot_then_nonce():
     _, _, s1, _ = make_trio()
     used, expected = SimRng(32), SimRng(32)
-    slot, frame = seal_frame(s1.bank_af, s1.af_perm, 1, 0, b"x", b"", used, CIPHER)
-    assert slot == expected.randint(1, len(s1.af_perm))
+    slot, frame = seal_frame(*s1.link(0, 0), 1, 0, b"x", b"", used, CIPHER)
+    assert slot == expected.randint(1, len(s1.bank_af))
     assert frame.nonce == expected.randbytes(16)
     assert used.getstate() == expected.getstate()
 
@@ -291,10 +288,11 @@ def test_relay_opacity_inner_frame_unreadable_by_af():
     assert len(relayed) == 2
     for frame, receiver in zip(relayed, (s2, s1)):
         outer_aad = f"relay:{frame.sender}->{frame.receiver}".encode()
+        _, af_ordering = receiver.af_pair
         payloads = []
-        for slot in range(1, len(receiver.af_ordering()) + 1):
+        for slot in range(1, len(af_ordering) + 1):
             try:
-                payloads.append(open_frame(receiver.bank_af, receiver.af_ordering(), slot,
+                payloads.append(open_frame(receiver.bank_af, af_ordering, slot,
                                            frame, outer_aad, CIPHER))
             except AuthenticationError:
                 pass
@@ -317,21 +315,38 @@ def test_af_never_holds_ss_keys():
     assert agg.held_keys().isdisjoint(pool.bank_ss)
 
 
-# --- SS data path ---
+# --- key links ---
 
 def test_ss_send_receive_round_trip():
+    # Both ends key an S1 -> S2 frame by S2's ordering of the SS bank.
     _, agg, s1, s2 = make_trio()
     establish_ss_channel(s1, s2, agg, SimRng(17), CIPHER)
+    assert s1.link(2, 2) == s2.link(1, 2) == (s1.bank_ss, s1.ss_schedules[2][2])
     rng = SimRng(18)
     for payload in (b"", b"hello", bytes(range(256))):
-        index, frame = ss_send(s1, 2, payload, rng, CIPHER)
-        assert ss_receive(s2, index, frame, CIPHER) == payload
+        index, frame = seal_frame(*s1.link(2, 2), 1, 2, payload, b"ss:1->2", rng, CIPHER)
+        assert open_frame(*s2.link(1, 2), index, frame, b"ss:1->2", CIPHER) == payload
 
 
 def test_ss_send_without_schedule():
     _, _, s1, _ = make_trio()
     with pytest.raises(ProtocolError):
-        ss_send(s1, 2, b"x", SimRng(19), CIPHER)
+        s1.link(2, 2)
+
+
+def test_source_link_only_to_its_af_and_ss_peers():
+    # A source keys frames with the AF it was registered with and with its
+    # SS peers; any other node, another AF included, has no link.
+    _, agg, s1, s2 = make_trio()
+    establish_ss_channel(s1, s2, agg, SimRng(35), CIPHER)
+    assert s1.link(0, 0) == s1.link(0, 1) == agg.link(1, 0) == (s1.bank_af, s1.af_pair[1])
+    other_af = AggregatorNode(node_id=7, bank_af=s1.bank_af)
+    for peer in (other_af.node_id, 3, 1):
+        with pytest.raises(ProtocolError, match=f"no key link to node {peer}"):
+            s1.link(peer, peer)
+    unregistered = SourceNode(node_id=4, bank_af=s1.bank_af, bank_ss=s1.bank_ss)
+    with pytest.raises(ProtocolError):
+        unregistered.link(0, 0)
 
 
 def test_identity_schedule_is_identity_order():
@@ -341,8 +356,7 @@ def test_identity_schedule_is_identity_order():
     nonce = b"n" * 16
     for i in range(1, 5):
         frame = SealedFrame(1, 2, nonce, CIPHER.seal(bank[i - 1], nonce, b"x", b"ss"))
-        ordering = receiver.ss_ordering(1, 2)
-        assert open_frame(bank, ordering, i, frame, b"ss", CIPHER) == b"x"
+        assert open_frame(*receiver.link(1, 2), i, frame, b"ss", CIPHER) == b"x"
 
 
 # --- cipher ---

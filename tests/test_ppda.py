@@ -397,11 +397,12 @@ def test_round_frames_replay_under_receiver_keys():
         src, dst, fields = nodes[rec.sender], nodes[rec.receiver], rec.plaintext_fields
         if "ss_index" in fields:
             aad = f"ss:{src.node_id}->{dst.node_id}"
-            keys = dst.bank_ss, dst.ss_ordering(src.node_id, dst.node_id), fields["ss_index"]
+            keys = dst.bank_ss, dst.ss_schedules[src.node_id][dst.node_id], fields["ss_index"]
         else:
             aad = (f"{rec.kind}:af->{dst.node_id}" if rec.sender == "A"
                    else f"{rec.kind}:{src.node_id}->af")
-            keys = dst.bank_af, dst.af_ordering(src.node_id), fields["r_c"]
+            ordering = dst.pair_perms[src.node_id] if rec.receiver == "A" else dst.af_pair[1]
+            keys = dst.bank_af, ordering, fields["r_c"]
         value = int(open_frame(*keys, rec.frame, aad.encode(), StreamMacCipher()))
         if rec.kind == "share":
             assert value == shares[(rec.sender, rec.receiver)]
