@@ -81,6 +81,8 @@ def _parse_b_grid(spec: str) -> list[float]:
         start, stop, step = (float(x) for x in spec.split(":"))
     if not step > 0:
         raise ValueError("b-grid: step must be > 0")
+    if step == float("inf"):  # start + 0 * inf is NaN: the range would come out empty
+        raise ValueError("b-grid: step must be finite")
     if start > stop:
         raise ValueError(f"b-grid: start {start:g} must be <= stop {stop:g}")
     if not (0.0 <= start and stop <= 1.0):

@@ -24,8 +24,8 @@ Wire formats (simulated, documented for log parsing):
                             body: ciphertext || 16-byte tag}
 
 The default cipher is a keyed SHA-256 counter stream plus an HMAC tag —
-adequate for the simulation, deliberately not production cryptography, and
-pluggable behind the CipherSuite interface.
+adequate for the simulation, deliberately not production cryptography.  Any
+object with the same seal/open methods can be passed as `cipher`.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ __all__ = [
     "ProtocolError",
     "KeyPool",
     "SealedFrame",
-    "CipherSuite",
     "StreamMacCipher",
     "SourceNode",
     "AggregatorNode",
@@ -98,16 +97,6 @@ class SealedFrame:
     body: bytes  # ciphertext || tag
 
 
-class CipherSuite:
-    """Symmetric seal/open with associated data; implementations pluggable."""
-
-    def seal(self, key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        raise NotImplementedError
-
-    def open(self, key: bytes, nonce: bytes, body: bytes, aad: bytes = b"") -> bytes:
-        raise NotImplementedError
-
-
 def _xor(data: bytes, stream: bytes) -> bytes:
     n = len(data)
     return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(
@@ -115,7 +104,7 @@ def _xor(data: bytes, stream: bytes) -> bytes:
     )
 
 
-class StreamMacCipher(CipherSuite):
+class StreamMacCipher:
     """SHA-256 counter keystream + truncated HMAC-SHA-256 tag."""
 
     def _keystream(self, key: bytes, nonce: bytes, length: int) -> bytes:
@@ -129,12 +118,12 @@ class StreamMacCipher(CipherSuite):
             blocks.append(block.digest())
         return b"".join(blocks)[:length]
 
-    def seal(self, key, nonce, plaintext, aad=b""):
+    def seal(self, key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         ct = _xor(plaintext, self._keystream(key, nonce, len(plaintext)))
         tag = hmac.digest(key, nonce + aad + ct, "sha256")[:TAG_LEN]
         return ct + tag
 
-    def open(self, key, nonce, body, aad=b""):
+    def open(self, key: bytes, nonce: bytes, body: bytes, aad: bytes = b"") -> bytes:
         if len(body) < TAG_LEN:
             raise AuthenticationError("body shorter than tag")
         ct, tag = body[:-TAG_LEN], body[-TAG_LEN:]
@@ -246,7 +235,7 @@ def _slot_key(bank: tuple[bytes, ...], ordering: Sequence[int], r_c: int) -> byt
 
 def seal_frame(bank: tuple[bytes, ...], ordering: Sequence[int], sender: NodeId,
                receiver: NodeId, payload: bytes, aad: bytes, rng: SimRng,
-               cipher: CipherSuite) -> tuple[int, SealedFrame]:
+               cipher: StreamMacCipher) -> tuple[int, SealedFrame]:
     """Seal `payload` under a uniformly drawn slot of the pair's ordering.
 
     Draws the 1-based slot, then the nonce, from `rng`.  Returns (slot,
@@ -259,7 +248,7 @@ def seal_frame(bank: tuple[bytes, ...], ordering: Sequence[int], sender: NodeId,
 
 
 def open_frame(bank: tuple[bytes, ...], ordering: Sequence[int], slot: int,
-               frame: SealedFrame, aad: bytes, cipher: CipherSuite) -> bytes:
+               frame: SealedFrame, aad: bytes, cipher: StreamMacCipher) -> bytes:
     """Open a frame sealed at the announced `slot`, with the receiver's own
     copy of the ordering."""
     return cipher.open(_slot_key(bank, ordering, slot), frame.nonce, frame.body, aad)
@@ -281,7 +270,7 @@ def establish_ss_channel(
     s2: SourceNode,
     af: AggregatorNode,
     rng: SimRng,
-    cipher: CipherSuite = DEFAULT_CIPHER,
+    cipher: StreamMacCipher = DEFAULT_CIPHER,
     tamper=None,
 ) -> dict[NodeId, tuple[int, ...]]:
     """Bootstrap the source<->source orderings through the AF relay.

@@ -183,18 +183,8 @@ class Schedule:
     @property
     def ticks(self) -> dict[NodeId, int]:
         """tick() of every forwarding node, as one mapping (built per call)."""
-        h = len(self.walk)
-        ticks: dict[NodeId, int] = {}
-        if self.flood_dist is not None:
-            ticks = {
-                node: h + d
-                for node, d in enumerate(self.flood_dist)
-                if node != self.destination
-            }
-        for i, node in enumerate(self.walk):
-            if node not in ticks or i < ticks[node]:
-                ticks[node] = i
-        return ticks
+        nodes = self.walk if self.flood_dist is None else range(len(self.flood_dist))
+        return {u: t for u in nodes if (t := self.tick(u)) is not None}
 
     def log(self, topology: Topology, payload_id: str) -> list[Transmission]:
         """One Transmission per forwarding node, ordered by (tick, sender)."""

@@ -217,7 +217,7 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
             # The aggregate leaves from the AF; the gateway records x + y only.
             outbound.append((cluster.af, result.pair_sum, cluster))
     else:
-        outbound = [(s, field_.norm(config.readings[s]), None) for s in config.sources]
+        outbound = [(s, config.readings[s] % field_.p, None) for s in config.sources]
 
     # Plain delivery takes a shortest path; the anonymity layer routes by
     # phantom flood, or two-way along one receptor shared by every flow.

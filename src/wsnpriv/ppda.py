@@ -21,6 +21,7 @@ from .keymgmt import (
     ProtocolError,
     SealedFrame,
     SourceNode,
+    StreamMacCipher,
     establish_ss_channel,
     generate_pool,
     open_frame,
@@ -82,39 +83,18 @@ def _is_prime(n: int) -> bool:
 
 
 class PrimeField:
-    """Arithmetic mod a prime p; primality is checked once per distinct p."""
+    """The prime modulus p of the Layer-2 arithmetic, checked prime once per
+    distinct p.  Callers reduce with `% p` inline; only inversion lives here."""
 
     def __init__(self, modulus: int = DEFAULT_MODULUS):
         if not _is_prime(modulus):
             raise ValueError(f"modulus: {modulus} is not prime")
         self.p = modulus
 
-    def norm(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("no inverse of 0")
         return pow(a, self.p - 2, self.p)
-
-    def poly_eval(self, coeffs: list[int], x: int) -> int:
-        """coeffs[i] is the x^i coefficient (Horner)."""
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % self.p
-        return acc
-
-    def rand_nonzero(self, rng: SimRng) -> int:
-        return rng.randrange(1, self.p)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
@@ -134,7 +114,7 @@ class SeedAssignment:
     def __post_init__(self):
         if len(self.participants) != len(self.seeds):
             raise ValueError("one seed per participant required")
-        norm = [self.field.norm(s) for s in self.seeds]
+        norm = [s % self.field.p for s in self.seeds]
         if any(s == 0 for s in norm):
             raise ValueError("seeds must be nonzero")
         if len(set(norm)) != len(norm):
@@ -149,7 +129,7 @@ class SeedAssignment:
                 f"modulus: GF({field.p}) has fewer than {len(participants)} nonzero seeds")
         seeds: list[int] = []
         while len(seeds) < len(participants):
-            s = field.rand_nonzero(rng)
+            s = rng.randrange(1, field.p)
             if s not in seeds:
                 seeds.append(s)
         return cls(participants=participants, seeds=tuple(seeds), field=field)
@@ -192,14 +172,11 @@ def gen_shares(
 ) -> list[Share]:
     """One share per participant: v + R1*s_i + R2*s_i^2 at that
     participant's seed."""
-    f = seeds.field
-    v = f.norm(private_value)
+    p = seeds.field.p
+    v = private_value % p
+    r1, r2 = coeffs.r1, coeffs.r2
     return [
-        Share(
-            producer=producer,
-            evaluated_at=who,
-            value=f.poly_eval([v, coeffs.r1, coeffs.r2], s),
-        )
+        Share(producer=producer, evaluated_at=who, value=(v + s * (r1 + s * r2)) % p)
         for who, s in zip(seeds.participants, seeds.seeds)
     ]
 
@@ -214,7 +191,7 @@ def node_aggregate(
             raise MixedSeedError(
                 f"share for {share.evaluated_at!r} mixed into {participant!r}'s sum"
             )
-        total = field.add(total, share.value)
+        total = (total + share.value) % field.p
     return NodeAggregate(participant=participant, value=total)
 
 
@@ -254,7 +231,7 @@ def solve_aggregate(
 
 def recover_pair_sum(total: int, z: int, field: PrimeField) -> int:
     """x + y = D - z; the aggregator subtracts its own (dummy) value."""
-    return field.sub(total, z)
+    return (total - z) % field.p
 
 
 @dataclass
@@ -332,7 +309,7 @@ class SppdaCluster:
         pool_size: int = 256,
         af_bank: int = 128,
         node_ids: tuple[int, int, int] = (0, 1, 2),  # (AF, S1, S2)
-        cipher=DEFAULT_CIPHER,
+        cipher: StreamMacCipher = DEFAULT_CIPHER,
     ):
         self.field = field_ or PrimeField()
         self.cipher = cipher
@@ -384,7 +361,7 @@ class SppdaCluster:
             plaintext_fields={"seeds": list(seeds.seeds)},
         ))
 
-        values = {"A": f.norm(z), "S1": f.norm(x), "S2": f.norm(y)}
+        values = {"A": z % f.p, "S1": x % f.p, "S2": y % f.p}
         coeffs = {
             who: RandomCoeffs.draw(f, rng.stream(f"coeffs:{who}"))
             for who in _PARTICIPANTS

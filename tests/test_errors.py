@@ -90,6 +90,14 @@ def b_grid_too_many_points(tmp_path, capsys):
         assert capsys.readouterr().out == "error: b-grid: range gives more than 100001 points\n"
 
 
+def b_grid_infinite_step(tmp_path, capsys):
+    # start + 0 * inf is NaN, so 0:1:inf wrote a header-only CSV and exited 0.
+    argv = ["--out", str(tmp_path), "disclosure-curve", "--b-grid=0:1:inf"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: b-grid: step must be finite\n"
+    assert not (tmp_path / "disclosure_curve.csv").exists()
+
+
 def sizes_range_huge(tmp_path, capsys):
     # The range stays lazy: the check stops at 65 instead of building 10^9 sizes.
     argv = ["--out", str(tmp_path), "bench", "--sizes", "3..1000000000"]
@@ -218,7 +226,8 @@ PIPELINE_ERRORS = [
 @pytest.mark.parametrize(
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
-             b_grid_too_many_points, sizes_range_huge, scenario_name_not_plain,
+             b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
+             scenario_name_not_plain,
              modulus_not_prime, strategy_not_integer, grid_zero_width, pool_size_not_int,
              bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct, modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],

@@ -75,7 +75,7 @@ def test_primality_checked_once_per_modulus():
 @settings(max_examples=100, deadline=None)
 @given(a=st.integers(min_value=1, max_value=P - 1))
 def test_field_inverse(a):
-    assert F.mul(a, F.inv(a)) == 1
+    assert a * F.inv(a) % P == 1
 
 
 def test_seed_assignment_invariants():
@@ -181,7 +181,7 @@ def test_solve_zero_values_any_randomness():
         sums = {w: 0 for w in seeds.participants}
         for w in seeds.participants:
             for share in gen_shares(0, w, seeds, coeffs[w]):
-                sums[share.evaluated_at] = F.add(sums[share.evaluated_at], share.value)
+                sums[share.evaluated_at] = (sums[share.evaluated_at] + share.value) % P
         aggregates = [NodeAggregate(w, sums[w]) for w in seeds.participants]
         assert solve_aggregate(seeds, aggregates) == 0
 
@@ -232,7 +232,7 @@ def test_randomness_cancellation():
         for w in seeds.participants:
             coeffs = RandomCoeffs(rng.randrange(P), rng.randrange(P))
             for share in gen_shares(values[w], w, seeds, coeffs):
-                sums[share.evaluated_at] = F.add(sums[share.evaluated_at], share.value)
+                sums[share.evaluated_at] = (sums[share.evaluated_at] + share.value) % P
         results.add(solve_aggregate(seeds, [NodeAggregate(w, sums[w]) for w in seeds.participants]))
     assert results == {41 + 512 + 6003}
 
@@ -254,10 +254,7 @@ def test_aggregator_view_ambiguity():
         observed = rng.randrange(P)
         x_prime = rng.randrange(P)
         r1_prime = rng.randrange(P)
-        r2_prime = F.mul(
-            F.sub(observed, F.add(x_prime, F.mul(r1_prime, a))),
-            F.inv(F.mul(a, a)),
-        )
+        r2_prime = (observed - x_prime - r1_prime * a) * F.inv(a * a % P) % P
         assert oracle_share(x_prime, r1_prime, r2_prime, a) == observed
 
 
@@ -278,6 +275,27 @@ def test_run_sppda_worked_example_any_seed():
 def test_run_sppda_zeroes_and_wraparound():
     assert run_sppda(0, 0, 0, SimRng(1)).pair_sum == 0
     assert run_sppda(P - 1, 1, 0, SimRng(2)).pair_sum == 0
+
+
+@pytest.mark.parametrize("field_", [F, PrimeField(7919)], ids=repr)
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_values_outside_the_field_are_reduced(field_, data):
+    # Inputs may be negative or past p; every entry point reduces them mod p.
+    p = field_.p
+    x, y, z, v = (data.draw(st.integers(-3 * p, 3 * p)) for _ in range(4))
+    r1, r2 = (data.draw(st.integers(0, p - 1)) for _ in range(2))
+    names = ("A", "S1", "S2")
+    xs = data.draw(st.lists(st.integers(1, p - 1), min_size=3, max_size=3, unique=True))
+    seeds = SeedAssignment(names, tuple(xs), field_)
+    shares = gen_shares(v, "A", seeds, RandomCoeffs(r1, r2))
+    assert [sh.value for sh in shares] == [oracle_share(v % p, r1, r2, s, p) for s in xs]
+    held = [Share(who, "A", value) for who, value in zip(names, (x, y, z))]
+    assert node_aggregate("A", held, field_).value == (x + y + z) % p
+    assert recover_pair_sum(x + y + z, z, field_) == (x + y) % p
+    result = run_sppda(x, y, z, SimRng(data.draw(st.integers(0, 2**32))), field_)
+    assert result.pair_sum == (x + y) % p
+    assert result.total == (x + y + z) % p
 
 
 def test_sppda_cluster_reuse_and_transcript():
@@ -364,7 +382,7 @@ def test_node_sum_is_sum_of_decrypted_shares():
 
     honest = node_sums(StreamMacCipher())
     bumped = node_sums(BumpS1ToS2Share())
-    assert bumped["S2"] == F.add(honest["S2"], 1)
+    assert bumped["S2"] == (honest["S2"] + 1) % P
     assert bumped["A"] == honest["A"] and bumped["S1"] == honest["S1"]
 
 
@@ -406,7 +424,7 @@ def test_round_frames_replay_under_receiver_keys():
         value = int(open_frame(*keys, rec.frame, aad.encode(), StreamMacCipher()))
         if rec.kind == "share":
             assert value == shares[(rec.sender, rec.receiver)]
-            held[rec.receiver] = F.add(held[rec.receiver], value)
+            held[rec.receiver] = (held[rec.receiver] + value) % P
         else:
             assert value == summed[rec.sender]
     assert held == summed
