@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -226,6 +227,7 @@ def cmd_run_scenarios(args) -> int:
     return climetrics.run_scenarios(args.file, str(_out_dir(args)))
 
 
+@functools.cache  # built on first use, not at import: most importers never parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wsnpriv",

@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 NodeId = int
+GRID_MAX_NODES = 10**6  # a larger lattice fails as bad input, not as a MemoryError
 
 
 class DisconnectedGraphError(ValueError):
@@ -150,28 +151,25 @@ def neighbors(topology: Topology, node: NodeId) -> set[NodeId]:
 def _build_adjacency(
     positions: list[tuple[float, float]], radio_range: float
 ) -> tuple[tuple[NodeId, ...], ...]:
-    # Spatial hash with cell size = radio range keeps this near-linear.
-    cell = radio_range
-    buckets: dict[tuple[int, int], list[int]] = {}
+    # Spatial hash keeps this near-linear.  Cells are a hair wider than the
+    # radio range, so nodes two cells apart fail the distance test however
+    # it rounds.  A cell is compared with itself and its four later cells,
+    # so each node pair is tested once.
+    cell = radio_range * (1 + 1e-9)
+    buckets: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
     for i, (x, y) in enumerate(positions):
-        buckets.setdefault((int(x // cell), int(y // cell)), []).append(i)
+        buckets.setdefault((int(x // cell), int(y // cell)), []).append((i, x, y))
     r2 = radio_range * radio_range
     adjacency: list[list[int]] = [[] for _ in positions]
     for (cx, cy), members in buckets.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = buckets.get((cx + dx, cy + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    xi, yi = positions[i]
-                    for j in other:
-                        if j <= i:
-                            continue
-                        xj, yj = positions[j]
-                        if (xi - xj) ** 2 + (yi - yj) ** 2 <= r2:
-                            adjacency[i].append(j)
-                            adjacency[j].append(i)
+        pool = members.copy()
+        for later in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
+            pool += buckets.get(later, ())
+        for k, (i, xi, yi) in enumerate(members, 1):
+            for j, xj, yj in pool[k:]:
+                if (xi - xj) ** 2 + (yi - yj) ** 2 <= r2:
+                    adjacency[i].append(j)
+                    adjacency[j].append(i)
     return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
 
 
@@ -254,6 +252,8 @@ def build_grid(
     """
     if width < 1 or height < 1:
         raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
+    if width * height > GRID_MAX_NODES:
+        raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
     if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
         raise ValueError("radio_range: must be >= 1e-9")
     positions = [(float(x), float(y)) for y in range(height) for x in range(width)]

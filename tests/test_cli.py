@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from wsnpriv.cli import _parse_b_grid, _parse_dist, _parse_sizes, main
+from wsnpriv.cli import _parse_b_grid, _parse_dist, _parse_sizes, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -140,6 +140,33 @@ def test_run_scenarios_cli(tmp_path):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["no-such-command"])
+
+
+# --- one parser per process ---
+
+def test_parser_reused_across_calls(tmp_path, monkeypatch):
+    hunt = ["simulate-hunt", "--grid", "5x5", "--trials", "2", "--budget", "20"]
+    assert run(tmp_path, *hunt, "--strategy", "flood", "--strategy", "phantom:4") == 0
+    assert run(tmp_path, *hunt, "--strategy", "twoway:5") == 0  # no shared append list
+    summary = json.loads((tmp_path / "simulate-hunt.summary.json").read_text())
+    assert summary["config"]["strategies"] == ["twoway:5"]
+    assert [cell["strategy"] for cell in summary["results"]["cells"]] == ["twoway:5"]
+
+    env_out = tmp_path / "from-env"
+    monkeypatch.setenv("WSNPRIV_OUT_DIR", str(env_out))
+    assert main(["plan-zone", "--pr", "0.01", "--hops", "3"]) == 0
+    assert (env_out / "plan-zone.summary.json").exists()
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "level": "full", "width": 5, "height": 5, "sources": [22, 24],
+        "readings": {"22": 5, "24": 7}, "master_seed": 42,
+    }))
+    assert run(tmp_path, "run-pipeline", str(cfg)) == 0
+    assert run(tmp_path, "aggregate", "--x", "5", "--y", "7") == 0
+    summary = json.loads((tmp_path / "aggregate.summary.json").read_text())
+    assert summary["config"] == {"x": 5, "y": 7, "z": 0, "modulus": 2**31 - 1, "seed": 1}
+    assert build_parser() is build_parser()
 
 
 # --- determinism across runs ---

@@ -142,6 +142,17 @@ def grid_zero_width(tmp_path, capsys):
     assert capsys.readouterr().out == "error: width: must be >= 1\n"
 
 
+def grid_too_large(tmp_path, capsys):
+    # 10^10 nodes: rejected before any position is allocated.
+    argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "100000x100000",
+            "--strategy", "flood", "--trials", "1"]
+    assert cli_main(argv) == 2
+    message = "error: width: 100000x100000 grid is over 1000000 nodes\n"
+    assert capsys.readouterr().out == message
+    assert run_pipeline_doc(tmp_path, {**SCENARIO, "width": 100000, "height": 100000}) == 2
+    assert capsys.readouterr().out == message
+
+
 def run_pipeline_doc(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -228,8 +239,9 @@ PIPELINE_ERRORS = [
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
              b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
              scenario_name_not_plain,
-             modulus_not_prime, strategy_not_integer, grid_zero_width, pool_size_not_int,
-             bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct, modulus_too_small,
+             modulus_not_prime, strategy_not_integer, grid_zero_width, grid_too_large,
+             pool_size_not_int, bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct,
+             modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],
     ids=lambda case: case.__name__,
 )

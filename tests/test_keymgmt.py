@@ -1,3 +1,4 @@
+import hmac
 import struct
 
 import pytest
@@ -373,6 +374,16 @@ def test_seal_open_round_trip(payload, aad):
     key = b"\x01" * 16
     nonce = b"\x02" * 16
     assert CIPHER.open(key, nonce, CIPHER.seal(key, nonce, payload, aad), aad) == payload
+
+
+@pytest.mark.parametrize("key_len", [0, 1, 16, 63, 64, 65, 200])
+def test_seal_tag_is_truncated_hmac_sha256(key_len):
+    # Keys past the 64-byte SHA-256 block are hashed first, as RFC 2104 says.
+    key, nonce, payload, aad = bytes(range(key_len)), b"\x03" * 16, b"payload" * 9, b"aad"
+    body = CIPHER.seal(key, nonce, payload, aad)
+    ct, tag = body[:-16], body[-16:]
+    assert tag == hmac.digest(key, nonce + aad + ct, "sha256")[:16]
+    assert CIPHER.open(key, nonce, body, aad) == payload
 
 
 def test_open_with_wrong_key_fails():

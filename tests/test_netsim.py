@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wsnpriv.netsim import (
@@ -16,6 +16,7 @@ from wsnpriv.netsim import (
     neighbors,
     shortest_path,
     step_draw,
+    _build_adjacency,
 )
 from wsnpriv.rng import SimRng
 
@@ -73,6 +74,43 @@ def test_adjacency_symmetric_and_irreflexive():
             assert a not in topo.adjacency[a]
             for b in topo.adjacency[a]:
                 assert a in topo.adjacency[b]
+
+
+def all_pairs_adjacency(positions, radio_range):
+    """Independent oracle: test every node pair with the builder's expression."""
+    r2 = radio_range * radio_range
+    return tuple(
+        tuple(j for j, (xj, yj) in enumerate(positions)
+              if j != i and (xi - xj) ** 2 + (yi - yj) ** 2 <= r2)
+        for i, (xi, yi) in enumerate(positions)
+    )
+
+
+RANGES = [0.5, 1.0, math.sqrt(2), 1.5, 2.0, 3.3]
+
+
+@pytest.mark.parametrize("radio_range", RANGES)
+@pytest.mark.parametrize("width,height", [(1, 1), (1, 7), (7, 3), (20, 20)])
+def test_adjacency_matches_all_pairs_oracle_on_lattices(width, height, radio_range):
+    positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
+    assert _build_adjacency(positions, radio_range) == all_pairs_adjacency(positions, radio_range)
+
+
+@st.composite
+def fields(draw):
+    radio_range = draw(st.sampled_from(RANGES))
+    on_boundary = st.integers(-8, 8).map(lambda k: k * radio_range)  # a multiple of r
+    coord = st.one_of(on_boundary, st.floats(-10, 10))
+    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
+    coincident = draw(st.lists(st.sampled_from(points), max_size=5))
+    return points + coincident, radio_range
+
+
+@given(fields())
+@example(([(0.5, 0.0), (-2e-85, 0.0)], 0.5))  # two cells apart, yet 0.5 + 2e-85 rounds to 0.5
+def test_adjacency_matches_all_pairs_oracle_on_random_fields(field):
+    positions, radio_range = field
+    assert _build_adjacency(positions, radio_range) == all_pairs_adjacency(positions, radio_range)
 
 
 def test_disconnected_grid_rejected():
