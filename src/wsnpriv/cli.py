@@ -1,10 +1,13 @@
 """Command-line surface.
 
 Subcommands: plan-zone, simulate-hunt, aggregate, bench, disclosure-curve,
-run-pipeline, run-scenarios.  Results go to CSV files plus a JSON summary
-(config echo and a digest of every emitted file) in the output directory,
-which defaults to the WSNPRIV_OUT_DIR environment variable, then the
-current directory.  All output is byte-deterministic under a fixed seed.
+run-pipeline, run-scenarios.  Output goes to --out, else the
+WSNPRIV_OUT_DIR environment variable, else the current directory.  Each
+subcommand but run-scenarios writes its files, then <command>.summary.json:
+the config echo (the parsed options; run-pipeline's config document), the
+results and a digest of every file written.  run-scenarios writes
+<name>.json and <name>.csv per scenario and no summary.  All output is
+byte-deterministic under a fixed seed.
 Exit status: 0 on success, 2 on bad input, 1 when a run on valid input
 fails (for run-scenarios, when any scenario in the batch failed).
 """
@@ -35,36 +38,42 @@ from .climetrics import (
     rows_to_csv,
 )
 from .phantom import min_zone_nodes
-from .pipeline import run_pipeline
+from .pipeline import ConfigError, run_pipeline
 from .ppda import DEFAULT_MODULUS, PrimeField, run_sppda
 from .rng import SimRng
 
-__all__ = ["main"]
+__all__ = ["main", "run_scenarios"]
 
 B_GRID_MAX = 100_001  # points in a start:stop:step range; 0:1:0.00001 fits
 
 
-def _out_dir(args) -> pathlib.Path:
-    path = pathlib.Path(
-        args.out or os.environ.get("WSNPRIV_OUT_DIR") or "."
-    )
+def _out_dir(out: str | None) -> pathlib.Path:
+    path = pathlib.Path(out or os.environ.get("WSNPRIV_OUT_DIR") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
 
-def _write_summary(out: pathlib.Path, command: str, config: dict,
-                   results: dict, files: list[pathlib.Path]) -> None:
-    summary = {
-        "command": command,
-        "config": config,
-        "results": results,
-        "file_digests": {
-            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files
-        },
-    }
-    (out / f"{command}.summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n"
-    )
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _finish(args, results: dict, files: dict[str, str],
+            config: dict | None = None) -> pathlib.Path:
+    """Write each {name: text} file, then <command>.summary.json: the config
+    echo (the parsed options unless `config` is given), `results` and the
+    SHA-256 of every file's bytes.  Returns the output directory."""
+    out = _out_dir(args.out)
+    digests = {}
+    for name, text in files.items():
+        data = text.encode()
+        (out / name).write_bytes(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
+    if config is None:
+        config = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
+    summary = {"command": args.command, "config": config, "results": results,
+               "file_digests": digests}
+    (out / f"{args.command}.summary.json").write_text(_json(summary))
+    return out
 
 
 def _parse_grid(spec: str) -> tuple[int, int]:
@@ -117,12 +126,8 @@ def _parse_dist(spec: str) -> ClusterSizeDist:
 
 def cmd_plan_zone(args) -> int:
     plan = min_zone_nodes(args.pr, args.hops)
-    out = _out_dir(args)
-    rows = [{"p_r": plan.p_r, "hops": plan.hops, "n_min": plan.n_min, "k": plan.k}]
-    csv_path = out / "plan_zone.csv"
-    csv_path.write_text(rows_to_csv(rows, ["p_r", "hops", "n_min", "k"]))
-    _write_summary(out, "plan-zone", {"pr": args.pr, "hops": args.hops},
-                   rows[0], [csv_path])
+    row = {"p_r": plan.p_r, "hops": plan.hops, "n_min": plan.n_min, "k": plan.k}
+    _finish(args, row, {"plan_zone.csv": rows_to_csv([row], list(row))})
     print(f"zone plan: N_min={plan.n_min} (K={plan.k}) for P_r={plan.p_r}, H={plan.hops}")
     return 0
 
@@ -130,21 +135,14 @@ def cmd_plan_zone(args) -> int:
 def cmd_simulate_hunt(args) -> int:
     campaign = HuntCampaign(
         grids=(_parse_grid(args.grid),),
-        strategies=tuple(args.strategy),
+        strategies=tuple(args.strategies),
         trials=args.trials,
         message_budget=args.budget,
         master_seed=args.seed,
     )
     summary = montecarlo_hunt(campaign)
-    out = _out_dir(args)
-    csv_path = out / "hunt_trials.csv"
-    csv_path.write_text(hunt_rows_to_csv(summary))
     cells = [{k: v for k, v in cell.items() if k != "trial_rows"} for cell in summary]
-    _write_summary(out, "simulate-hunt",
-                   {"grid": args.grid, "strategies": list(args.strategy),
-                    "trials": args.trials, "budget": args.budget,
-                    "seed": args.seed},
-                   {"cells": cells}, [csv_path])
+    _finish(args, {"cells": cells}, {"hunt_trials.csv": hunt_rows_to_csv(summary)})
     for cell in cells:
         print(f"{cell['strategy']}: median safety {cell['median_safety']} "
               f"(capture rate {cell['capture_rate']:.2f})")
@@ -154,12 +152,7 @@ def cmd_simulate_hunt(args) -> int:
 def cmd_aggregate(args) -> int:
     field_ = PrimeField(args.modulus)
     result = run_sppda(args.x, args.y, args.z, SimRng(args.seed, "aggregate"), field_)
-    out = _out_dir(args)
-    doc = {"total": result.total, "pair_sum": result.pair_sum}
-    _write_summary(out, "aggregate",
-                   {"x": args.x, "y": args.y, "z": args.z,
-                    "modulus": args.modulus, "seed": args.seed},
-                   doc, [])
+    _finish(args, {"total": result.total, "pair_sum": result.pair_sum}, {})
     print(f"pair_sum = {result.pair_sum} (D = {result.total} mod {args.modulus})")
     return 0
 
@@ -176,15 +169,9 @@ def _parse_sizes(spec: str) -> range | list[int]:
 
 def cmd_bench(args) -> int:
     rows = bench_aggregation(_parse_sizes(args.sizes), args.reps, args.seed)
-    out = _out_dir(args)
     docs = [dataclasses.asdict(r) for r in rows]
-    csv_path = out / "bench.csv"
-    csv_path.write_text(rows_to_csv(
-        docs, ["scheme", "cluster_size", "median_ns", "repetitions"]
-    ))
-    _write_summary(out, "bench",
-                   {"sizes": args.sizes, "reps": args.reps, "seed": args.seed},
-                   {"rows": docs}, [csv_path])
+    columns = ["scheme", "cluster_size", "median_ns", "repetitions"]
+    _finish(args, {"rows": docs}, {"bench.csv": rows_to_csv(docs, columns)})
     for d in docs:
         print(f"{d['scheme']} n={d['cluster_size']}: {d['median_ns']} ns median")
     return 0
@@ -197,34 +184,62 @@ def cmd_disclosure_curve(args) -> int:
     if dist is not SPPDA_DIST:
         schemes.append(("cpda", dist, DisclosureModel(args.model)))
     rows = disclosure_curve(b_grid, schemes)
-    out = _out_dir(args)
-    csv_path = out / "disclosure_curve.csv"
-    csv_path.write_text(rows_to_csv(rows, ["scheme", "model", "b", "p_disclose"]))
-    _write_summary(out, "disclosure-curve",
-                   {"b_grid": args.b_grid, "dist": args.dist, "model": args.model},
-                   {"points": len(rows)}, [csv_path])
-    print(f"wrote {len(rows)} curve points to {csv_path}")
+    csv_text = rows_to_csv(rows, ["scheme", "model", "b", "p_disclose"])
+    out = _finish(args, {"points": len(rows)}, {"disclosure_curve.csv": csv_text})
+    print(f"wrote {len(rows)} curve points to {out / 'disclosure_curve.csv'}")
     return 0
+
+
+def _run_doc(doc) -> dict:
+    """Parse a scenario document, run it, and return its report as JSON data."""
+    return run_pipeline(climetrics.pipeline_config_from_doc(doc)).to_doc()
 
 
 def cmd_run_pipeline(args) -> int:
     doc = climetrics.read_json(args.config, "config")
-    report = run_pipeline(climetrics.pipeline_config_from_doc(doc))
-    out = _out_dir(args)
-    json_path = out / "pipeline_report.json"
-    json_path.write_text(
-        json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
-    )
-    _write_summary(out, "run-pipeline", doc,
-                   {"flows": len(report.flows)}, [json_path])
-    for fl in report.flows:
-        print(f"flow from node {fl.origin}: gateway recorded {fl.delivered_value} "
-              f"({fl.route_hops} hops, {fl.transmissions} transmissions)")
+    report = _run_doc(doc)
+    _finish(args, {"flows": len(report["flows"])},
+            {"pipeline_report.json": _json(report)}, config=doc)
+    for fl in report["flows"]:
+        print(f"flow from node {fl['origin']}: gateway recorded {fl['delivered_value']} "
+              f"({fl['route_hops']} hops, {fl['transmissions']} transmissions)")
     return 0
 
 
-def cmd_run_scenarios(args) -> int:
-    return climetrics.run_scenarios(args.file, str(_out_dir(args)))
+def run_scenarios(path: str, out_dir: str | None) -> int:
+    """Run every scenario of a JSON batch file, each to <name>.json and
+    <name>.csv (no summary).  Returns 1 if any scenario failed (the rest
+    still run), else 0; an unreadable file or a missing list raises."""
+    out = _out_dir(out_dir)
+    doc = climetrics.read_json(path, "file")
+    scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
+    if not isinstance(scenarios, list):
+        raise ConfigError("scenarios: expected a list")
+    status = 0
+    for i, scen in enumerate(scenarios):
+        if not isinstance(scen, dict):
+            print(f"error: scenario-{i}: expected an object")
+            status = 1
+            continue
+        name = scen.get("name", f"scenario-{i}")
+        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+            print(f"error: name: {name!r} is not a plain file name")
+            status = 1
+            continue
+        try:
+            report = _run_doc(scen)
+            (out / f"{name}.json").write_text(_json(report))
+            rows = [{"scenario": name, "flow": j, **fl} for j, fl in enumerate(report["flows"])]
+            (out / f"{name}.csv").write_text(rows_to_csv(
+                rows, ["scenario", "flow", "origin", "delivered_value",
+                       "route_hops", "transmissions"],
+            ))
+        except (OSError, ValueError, RuntimeError) as exc:
+            print(f"error: {name}: {exc}")
+            status = 1
+            continue
+        print(f"ok: {name}: {len(rows)} flow(s)")
+    return status
 
 
 @functools.cache  # built on first use, not at import: most importers never parse
@@ -244,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-hunt", help="Monte-Carlo adversary campaign")
     p.add_argument("--grid", required=True, help="WxH")
-    p.add_argument("--strategy", action="append", required=True,
-                   help="flood | phantom:<h> | twoway:<L> (repeatable)")
+    p.add_argument("--strategy", action="append", dest="strategies", metavar="STRATEGY",
+                   required=True, help="flood | phantom:<h> | twoway:<L> (repeatable)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--budget", type=int, default=200)
     p.add_argument("--seed", type=int, default=1)
@@ -279,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run-scenarios", help="run a scenario batch (JSON file)")
     p.add_argument("file")
-    p.set_defaults(func=cmd_run_scenarios)
+    p.set_defaults(func=lambda args: run_scenarios(args.file, args.out))
     return parser
 
 

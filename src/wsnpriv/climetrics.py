@@ -1,9 +1,10 @@
-"""Experiment harness: disclosure curves, timing benchmarks, hunt campaigns.
+"""Experiment harness: disclosure curves, timing benchmarks, hunt campaigns,
+and the scenario-document parser.
 
-Everything here emits deterministic CSV (fixed row order under a fixed
-master seed) plus a JSON summary; plotting is downstream.  Benchmark rows
-report warm medians of repeated runs, rows timed in turn, because absolute
-wall-clock numbers are machine-bound — the contracts are growth ratios.
+Rows come in a fixed order under a fixed master seed, ready for the CLI's
+CSV files; plotting is downstream.  Benchmark rows report warm medians of
+repeated runs, rows timed in turn, because absolute wall-clock numbers are
+machine-bound — the contracts are growth ratios.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 from .netsim import NodeId, build_grid
 from .phantom import FloodOnly, Phantom, TwoWay, WalkConfig, WalkMode, hunt
-from .pipeline import PipelineConfig, PrivacyLevel, run_pipeline
+from .pipeline import ConfigError, PipelineConfig, PrivacyLevel
 from .ppda import PrimeField, SppdaCluster, run_cpda
 from .rng import SimRng
 
@@ -39,13 +40,7 @@ __all__ = [
     "HuntCampaign",
     "montecarlo_hunt",
     "hunt_rows_to_csv",
-    "run_scenarios",
-    "ScenarioError",
 ]
-
-
-class ScenarioError(ValueError):
-    """Bad input in a scenario document or a CLI value; names the field."""
 
 
 @contextlib.contextmanager
@@ -54,7 +49,7 @@ def expecting(field: str, form: str, spec: str):
     try:
         yield
     except ValueError:
-        raise ScenarioError(f"{field}: expected {form}, got {spec!r}") from None
+        raise ConfigError(f"{field}: expected {form}, got {spec!r}") from None
 
 
 class DisclosureModel(enum.Enum):
@@ -240,7 +235,7 @@ def parse_strategy(spec: str):
         if kind == "phantom":
             return Phantom(WalkConfig(mode=WalkMode.PURE, hops=n))
         return TwoWay(receptor_length=n)
-    raise ScenarioError(f"strategy: unrecognized spec {spec!r}")
+    raise ConfigError(f"strategy: unrecognized spec {spec!r}")
 
 
 def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
@@ -250,7 +245,7 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
     transmissions, mean latency) for the CSV log.
     """
     if campaign.trials < 1:
-        raise ScenarioError("trials: must be >= 1")
+        raise ConfigError("trials: must be >= 1")
     summary = []
     for (w, h) in campaign.grids:
         topology = build_grid(w, h)
@@ -314,7 +309,7 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 def _expect(key: str, value, kinds: tuple[type, ...], name: str):
     if type(value) not in kinds:  # exact types: a bool is not an int
-        raise ScenarioError(f"{key}: expected {name}")
+        raise ConfigError(f"{key}: expected {name}")
     return value
 
 
@@ -322,7 +317,7 @@ def _readings(key: str, value) -> dict[NodeId, int]:
     readings = {}
     for node, v in _expect(key, value, (dict,), "object").items():
         if not (isinstance(node, str) and node.isdecimal()):
-            raise ScenarioError(f"{key}: key {node!r} is not a decimal node id")
+            raise ConfigError(f"{key}: key {node!r} is not a decimal node id")
         readings[int(node)] = _expect(f"{key}.{node}", v, (int,), "int")
     return readings
 
@@ -333,7 +328,7 @@ def _enum(cls: type[enum.Enum]):
     def parse(key: str, value):
         if isinstance(value, str) and value in members:
             return members[value]
-        raise ScenarioError(f"{key}: unknown value {value!r}")
+        raise ConfigError(f"{key}: unknown value {value!r}")
     return parse
 
 
@@ -352,11 +347,11 @@ def _fields_parser(cls, defaults=None):
                   for name, parse_field, _ in spec if name in doc}
         missing = [prefix + name for name, _, required in spec if required and name not in doc]
         if missing:
-            raise ScenarioError(f"{', '.join(missing)}: missing required field")
+            raise ConfigError(f"{', '.join(missing)}: missing required field")
         try:
             return cls(**kwargs) if defaults is None else replace(defaults, **kwargs)
         except ValueError as exc:  # the dataclass's own check, e.g. walk.hops
-            raise ScenarioError(f"{prefix}{exc}") from None
+            raise ConfigError(f"{prefix}{exc}") from None
     return parse
 
 
@@ -387,43 +382,4 @@ def read_json(path: str, key: str):
     try:
         return json.loads(pathlib.Path(path).read_text())
     except (OSError, ValueError) as exc:
-        raise ScenarioError(f"{key}: {exc}") from None
-
-
-def run_scenarios(path: str, out_dir: str) -> int:
-    """Execute every scenario in a JSON file; returns 1 if any scenario
-    failed (the rest still run), else 0.  An unreadable file raises."""
-    out = pathlib.Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = read_json(path, "file")
-    scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
-    if not isinstance(scenarios, list):
-        raise ScenarioError("scenarios: expected a list")
-    status = 0
-    for i, scen in enumerate(scenarios):
-        if not isinstance(scen, dict):
-            print(f"error: scenario-{i}: expected an object")
-            status = 1
-            continue
-        name = scen.get("name", f"scenario-{i}")
-        if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-            print(f"error: name: {name!r} is not a plain file name")
-            status = 1
-            continue
-        try:
-            report_doc = run_pipeline(pipeline_config_from_doc(scen)).to_doc()
-            (out / f"{name}.json").write_text(
-                json.dumps(report_doc, indent=2, sort_keys=True) + "\n"
-            )
-            rows = [{"scenario": name, "flow": j, **fl}
-                    for j, fl in enumerate(report_doc["flows"])]
-            (out / f"{name}.csv").write_text(rows_to_csv(
-                rows, ["scenario", "flow", "origin", "delivered_value",
-                       "route_hops", "transmissions"],
-            ))
-        except (OSError, ValueError, RuntimeError) as exc:
-            print(f"error: {name}: {exc}")
-            status = 1
-            continue
-        print(f"ok: {name}: {len(rows)} flow(s)")
-    return status
+        raise ConfigError(f"{key}: {exc}") from None

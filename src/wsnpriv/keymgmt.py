@@ -84,10 +84,6 @@ class KeyPool:
     bank_af: tuple[bytes, ...]
     bank_ss: tuple[bytes, ...]
 
-    @property
-    def total(self) -> int:
-        return len(self.bank_af) + len(self.bank_ss)
-
 
 @dataclass(frozen=True)
 class SealedFrame:

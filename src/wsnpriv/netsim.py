@@ -37,6 +37,7 @@ __all__ = [
 
 NodeId = int
 GRID_MAX_NODES = 10**6  # a larger lattice fails as bad input, not as a MemoryError
+PAIR_TESTS_MAX = 10**8  # distance tests the spatial hash may make; 1000x1000 at range 1 makes 4e6
 
 
 class DisconnectedGraphError(ValueError):
@@ -161,10 +162,17 @@ def _build_adjacency(
         buckets.setdefault((int(x // cell), int(y // cell)), []).append((i, x, y))
     r2 = radio_range * radio_range
     adjacency: list[list[int]] = [[] for _ in positions]
+    tests = 0
     for (cx, cy), members in buckets.items():
         pool = members.copy()
         for later in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
             pool += buckets.get(later, ())
+        m = len(members)
+        tests += m * len(pool) - m * (m + 1) // 2
+        if tests > PAIR_TESTS_MAX:  # a range this wide builds a near-complete graph
+            raise ValueError(
+                f"radio_range: {radio_range} needs over {PAIR_TESTS_MAX} node-pair tests"
+            )
         for k, (i, xi, yi) in enumerate(members, 1):
             for j, xj, yj in pool[k:]:
                 if (xi - xj) ** 2 + (yi - yj) ** 2 <= r2:
@@ -218,6 +226,8 @@ def _finish(
     sink: NodeId | None,
     sources: tuple[NodeId, ...] | None,
 ) -> Topology:
+    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
+        raise ValueError("radio_range: must be >= 1e-9")
     n = len(positions)
     topology = Topology(
         positions=tuple(positions),
@@ -254,8 +264,6 @@ def build_grid(
         raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
     if width * height > GRID_MAX_NODES:
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
-    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
-        raise ValueError("radio_range: must be >= 1e-9")
     positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
     return _finish(positions, radio_range, sink, sources)
 
@@ -272,8 +280,6 @@ def build_random_geometric(
     """Uniform placement in a square; retries until connected."""
     if node_count < 1:
         raise ValueError("node_count: must be >= 1")
-    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
-        raise ValueError("radio_range: must be >= 1e-9")
     for _ in range(max_attempts):
         positions = [
             (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))

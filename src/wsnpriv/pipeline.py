@@ -34,7 +34,8 @@ __all__ = [
 
 
 class ConfigError(ValueError):
-    """Pipeline configuration violates its invariants."""
+    """Bad input: a pipeline config, a scenario document or a CLI value
+    that breaks its rules.  The message starts with the field's name."""
 
 
 class PrivacyLevel(enum.Enum):
@@ -105,7 +106,6 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class FlowRecord:
-    level: PrivacyLevel
     origin: NodeId                 # node the outbound value left from
     delivered_value: int           # what the home gateway recorded
     route_hops: int
@@ -237,7 +237,7 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
             )
             hops, tx = sched.latency_hops, sched.transmissions
         report.flows.append(FlowRecord(
-            level=config.level, origin=origin, delivered_value=value,
-            route_hops=hops, transmissions=tx, cluster=cluster,
+            origin=origin, delivered_value=value, route_hops=hops, transmissions=tx,
+            cluster=cluster,
         ))
     return report

@@ -262,10 +262,7 @@ class RoundTranscript:
                     "kind": rec.kind,
                     "sender": rec.sender,
                     "receiver": rec.receiver,
-                    "plaintext_fields": {
-                        k: (v.hex() if isinstance(v, bytes) else v)
-                        for k, v in rec.plaintext_fields.items()
-                    },
+                    "plaintext_fields": dict(rec.plaintext_fields),
                     "nonce": rec.frame.nonce.hex() if rec.frame else None,
                     "body": rec.frame.body.hex() if rec.frame else None,
                 }

@@ -137,6 +137,40 @@ def test_run_scenarios_cli(tmp_path):
     assert (tmp_path / "reference-sppda.json").exists()
 
 
+CONFIG_ECHOES = [
+    (["plan-zone", "--pr", "0.01", "--hops", "3"], {"pr": 0.01, "hops": 3}),
+    (["simulate-hunt", "--grid", "4x4", "--strategy", "flood", "--strategy", "phantom:2",
+      "--trials", "2", "--budget", "10"],
+     {"grid": "4x4", "strategies": ["flood", "phantom:2"], "trials": 2, "budget": 10,
+      "seed": 1}),
+    (["aggregate", "--x", "5", "--y", "7", "--seed", "3"],
+     {"x": 5, "y": 7, "z": 0, "modulus": 2**31 - 1, "seed": 3}),
+    (["bench", "--sizes", "3", "--reps", "30", "--seed", "4"],
+     {"sizes": "3", "reps": 30, "seed": 4}),
+    (["disclosure-curve", "--b-grid", "0:1:0.5"],
+     {"b_grid": "0:1:0.5", "dist": "uniform:3..5", "model": "all-links"}),
+]
+
+
+@pytest.mark.parametrize("argv,config", CONFIG_ECHOES, ids=[a[0] for a, _ in CONFIG_ECHOES])
+def test_summary_echoes_config(tmp_path, argv, config):
+    assert run(tmp_path, *argv) == 0
+    summary = json.loads((tmp_path / f"{argv[0]}.summary.json").read_text())
+    assert summary["command"] == argv[0]
+    assert summary["config"] == config
+
+
+def test_run_pipeline_echoes_its_document(tmp_path):
+    # The document itself, keys the parser ignores included, not parsed options.
+    doc = {"name": "echo", "level": "none", "width": 4, "height": 4, "sources": [15],
+           "readings": {"15": 9}, "master_seed": 2, "walk": {"hops": 2}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert run(tmp_path, "run-pipeline", str(cfg)) == 0
+    summary = json.loads((tmp_path / "run-pipeline.summary.json").read_text())
+    assert summary["config"] == doc
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["no-such-command"])

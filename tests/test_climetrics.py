@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnpriv.cli import main
+from wsnpriv.cli import main, run_scenarios
 from wsnpriv.climetrics import (
     SPPDA_DIST,
     ClusterSizeDist,
     DisclosureModel,
     HuntCampaign,
-    ScenarioError,
     bench_aggregation,
     bench_pipeline_pairs,
     disclosure_curve,
@@ -19,11 +18,10 @@ from wsnpriv.climetrics import (
     montecarlo_hunt,
     parse_strategy,
     pipeline_config_from_doc,
-    run_scenarios,
 )
 from wsnpriv.netsim import build_grid
 from wsnpriv.phantom import FloodOnly, Phantom, TwoWay, WalkConfig, WalkMode, hunt
-from wsnpriv.pipeline import PipelineConfig
+from wsnpriv.pipeline import ConfigError, PipelineConfig
 from wsnpriv.rng import SimRng
 
 
@@ -145,7 +143,7 @@ def test_parse_strategy():
     tw = parse_strategy("twoway:4")
     assert isinstance(tw, TwoWay) and tw.receptor_length == 4
     for bad in ("phantom", "walk:3", "phantom:", ""):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ConfigError):
             parse_strategy(bad)
 
 
@@ -203,11 +201,11 @@ def test_scenario_doc_validation_names_field():
     ]:
         bad = dict(base)
         bad[key] = value
-        with pytest.raises(ScenarioError, match=needle):
+        with pytest.raises(ConfigError, match=needle):
             pipeline_config_from_doc(bad)
     missing = dict(base)
     del missing["readings"]
-    with pytest.raises(ScenarioError, match="readings"):
+    with pytest.raises(ConfigError, match="readings"):
         pipeline_config_from_doc(missing)
 
 
@@ -235,7 +233,7 @@ def test_run_scenarios_empty_list(tmp_path):
 def test_run_scenarios_bad_file(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text("{not json")
-    with pytest.raises(ScenarioError, match="^file: "):
+    with pytest.raises(ConfigError, match="^file: "):
         run_scenarios(str(f), str(tmp_path / "out"))
     assert main(["--out", str(tmp_path / "out"), "run-scenarios", str(f)]) == 2
     assert capsys.readouterr().out.startswith("error: file: ")

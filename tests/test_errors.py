@@ -4,14 +4,12 @@ import json
 
 import pytest
 
-from wsnpriv.cli import _parse_b_grid, main as cli_main
+from wsnpriv.cli import _parse_b_grid, main as cli_main, run_scenarios
 from wsnpriv.climetrics import (
     HuntCampaign,
-    ScenarioError,
     montecarlo_hunt,
     parse_strategy,
     pipeline_config_from_doc,
-    run_scenarios,
 )
 from wsnpriv.pipeline import ConfigError, PipelineConfig, PrivacyLevel
 from wsnpriv.ppda import SppdaCluster
@@ -31,12 +29,12 @@ def duplicate_sources(tmp_path, capsys):
 
 
 def walk_not_object(tmp_path, capsys):
-    with pytest.raises(ScenarioError, match="^walk: expected object$"):
+    with pytest.raises(ConfigError, match="^walk: expected object$"):
         pipeline_config_from_doc({**SCENARIO, "walk": 5})
     for walk, field in (({"mode": 3}, "walk.mode"), ({"mode": ["pure"]}, "walk.mode"),
                         ({"mode": "sideways"}, "walk.mode"), ({"hops": "5"}, "walk.hops"),
                         ({"hops": True}, "walk.hops"), ({"hops": -1}, "walk.hops")):
-        with pytest.raises(ScenarioError, match=f"^{field}: "):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
             pipeline_config_from_doc({**SCENARIO, "walk": walk})
 
 
@@ -50,7 +48,7 @@ def scenario_not_object(tmp_path, capsys):
 
 
 def zero_trials(tmp_path, capsys):
-    with pytest.raises(ScenarioError, match="^trials: must be >= 1$"):
+    with pytest.raises(ConfigError, match="^trials: must be >= 1$"):
         montecarlo_hunt(HuntCampaign(grids=((4, 4),), strategies=("flood",),
                                      trials=0, message_budget=5, master_seed=1))
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
@@ -127,7 +125,7 @@ def modulus_not_prime(tmp_path, capsys):
 
 
 def strategy_not_integer(tmp_path, capsys):
-    with pytest.raises(ScenarioError, match="^strategy: expected an integer"):
+    with pytest.raises(ConfigError, match="^strategy: expected an integer"):
         parse_strategy("twoway:x")
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
             "--strategy", "twoway:x", "--trials", "1"]
@@ -162,7 +160,7 @@ def run_pipeline_doc(tmp_path, doc):
 def pool_size_not_int(tmp_path, capsys):
     for field in ("modulus", "pool_size", "af_bank"):
         for value in ("x", 1.5, True):
-            with pytest.raises(ScenarioError, match=f"^{field}: expected int$"):
+            with pytest.raises(ConfigError, match=f"^{field}: expected int$"):
                 pipeline_config_from_doc({**SCENARIO, field: value})
     assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": "x"}) == 2
     assert capsys.readouterr().out == "error: pool_size: expected int\n"
@@ -218,6 +216,9 @@ PIPELINE_ERRORS = [
      "receptor_length: must be >= 0"),
     ("radio_range_list", {"radio_range": [1]}, "radio_range: expected number"),
     ("radio_range_string", {"radio_range": "1.5"}, "radio_range: expected number"),
+    # Once one hash cell of 40,000 nodes: 8e8 pair tests toward a complete graph.
+    ("radio_range_too_large", {"width": 200, "height": 200, "radio_range": 1e300},
+     "radio_range: 1e+300 needs over 100000000 node-pair tests"),
     ("sink_string", {"sink": "3"}, "sink: expected int"),
     ("source_string", {"sources": ["22", 24]}, "sources: expected int"),
     ("source_float", {"sources": [22.7, 24]}, "sources: expected int"),

@@ -102,9 +102,7 @@ def digest_flood(tmp: pathlib.Path) -> dict:
     out = {}
     for origin, dest in ((0, 41), (41, 0), (17, 17), (3, 38), (20, 6)):
         res = flood(topo, origin, dest)
-        # The per-broadcast log is an attribute on older flood() results and
-        # log(topology, payload_id) on Schedule; both must give these bytes.
-        log = res.log(topo, "msg") if callable(res.log) else res.log
+        log = res.log(topo, "msg")
         out[f"{origin}->{dest}"] = _sha({
             "delivered": res.delivered,
             "transmissions": res.transmissions,

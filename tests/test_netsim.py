@@ -1,9 +1,11 @@
+import json
 import math
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from wsnpriv import netsim
 from wsnpriv.netsim import (
     DisconnectedGraphError,
     PlacementError,
@@ -162,6 +164,39 @@ def test_shortest_path_endpoints_and_length():
 def test_export_import_round_trip():
     topo = build_grid(4, 3, 1.0, sink=2, sources=(11, 7))
     assert import_topology(export_topology(topo)) == topo
+
+
+def imported_grid(radio_range):
+    doc = json.loads(export_topology(build_grid(3, 3)))
+    return import_topology(json.dumps({**doc, "radio_range": radio_range}))
+
+
+@pytest.mark.parametrize("radio_range", [0.0, -1.0, float("nan"), 1e-10])
+@pytest.mark.parametrize("build", [
+    lambda r: build_grid(3, 3, r),
+    lambda r: build_random_geometric(5, 2.0, r, SimRng(1)),
+    imported_grid,
+], ids=["grid", "random_geometric", "import"])
+def test_every_builder_rejects_a_bad_radio_range(build, radio_range):
+    # Import once accepted -1 (its square is 1), raised ZeroDivisionError at 0
+    # and a ValueError without the field's name at NaN.
+    with pytest.raises(ValueError, match=r"^radio_range: must be >= 1e-9$"):
+        build(radio_range)
+
+
+def test_pair_test_cap_counts_every_tested_pair(monkeypatch):
+    # The spatial hash tests each pair of nodes whose cells differ by at most
+    # one in both axes, once.
+    positions = [(x * 0.7, y * 0.4) for y in range(9) for x in range(6)]
+    cell = 1.5 * (1 + 1e-9)
+    cells = [(int(x // cell), int(y // cell)) for x, y in positions]
+    tested = sum(abs(ax - bx) <= 1 and abs(ay - by) <= 1
+                 for i, (ax, ay) in enumerate(cells) for bx, by in cells[i + 1:])
+    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested)
+    _build_adjacency(positions, 1.5)
+    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested - 1)
+    with pytest.raises(ValueError, match=f"^radio_range: 1.5 needs over {tested - 1} "):
+        _build_adjacency(positions, 1.5)
 
 
 def test_simrng_determinism_and_stream_independence():
