@@ -100,6 +100,7 @@ def _xor(data: bytes, stream: bytes) -> bytes:
     )
 
 
+_BLOCK_0 = bytes(8)  # u64be(0), the first keystream block's counter
 _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
@@ -118,8 +119,11 @@ class StreamMacCipher:
     """SHA-256 counter keystream + truncated HMAC-SHA-256 tag."""
 
     def _keystream(self, key: bytes, nonce: bytes, length: int) -> bytes:
-        # Block i is sha256(key || nonce || u64be(i)); the shared prefix is
-        # hashed once and each block resumes from a copy of that state.
+        # Block i is sha256(key || nonce || u64be(i)).  A one-block stream
+        # (every payload of up to 32 bytes) is one hash; a longer one hashes
+        # the shared prefix once and resumes each block from a copy of it.
+        if length <= 32:
+            return hashlib.sha256(key + nonce + _BLOCK_0).digest()[:length]
         prefix = hashlib.sha256(key + nonce)
         blocks = []
         for counter in range(-(-length // 32)):
@@ -172,11 +176,16 @@ def permute_bank_for_pair(bank_size: int, rng: SimRng) -> tuple[int, ...]:
     if bank_size < 1:
         raise ValueError("bank must be non-empty")
     # Fisher-Yates making Random.shuffle's exact draws: _randbelow(i + 1)
-    # takes (i + 1).bit_length() bits and redraws values past the end.
+    # takes k = (i + 1).bit_length() bits and redraws values past the end.
+    # k is tracked as i falls: it drops by one once i + 1 < 2**(k-1).
     order = list(range(bank_size))
     getrandbits = rng.getrandbits
+    k = bank_size.bit_length()
+    low = (1 << (k - 1)) - 1  # smallest i with (i + 1).bit_length() == k
     for i in range(bank_size - 1, 0, -1):
-        k = (i + 1).bit_length()
+        if i < low:
+            k -= 1
+            low >>= 1
         j = getrandbits(k)
         while j > i:
             j = getrandbits(k)

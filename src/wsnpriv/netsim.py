@@ -305,12 +305,41 @@ def export_topology(topology: Topology) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_number(value) -> float | None:
+    """`value` as a float if it is a JSON number (not a bool) that fits one, else None."""
+    if type(value) in (int, float):
+        try:
+            return float(value)
+        except OverflowError:
+            return None
+    return None
+
+
 def import_topology(text: str) -> Topology:
-    doc = json.loads(text)
-    positions = [(float(x), float(y)) for x, y in doc["positions"]]
-    return _finish(
-        positions,
-        float(doc["radio_range"]),
-        int(doc["sink"]),
-        tuple(int(s) for s in doc["sources"]),
-    )
+    """Rebuild an exported topology.  Bad input raises a ValueError whose
+    message starts with the field: topology, positions, radio_range, sink or
+    sources."""
+    try:
+        doc = json.loads(text)
+    except ValueError:  # not JSON, or an int past the interpreter's digit limit
+        doc = None
+    if not isinstance(doc, dict):
+        raise ValueError("topology: expected a JSON object")
+    # A missing field reads as None, which every check below rejects.
+    if type(doc.get("positions")) is not list:
+        raise ValueError("positions: expected a list of [x, y] pairs")
+    positions = []
+    for i, point in enumerate(doc["positions"]):
+        xy = tuple(map(_json_number, point)) if type(point) is list else ()
+        if len(xy) != 2 or None in xy or not all(map(math.isfinite, xy)):
+            raise ValueError(f"positions: entry {i} is not a pair of finite numbers")
+        positions.append(xy)
+    radio_range = _json_number(doc.get("radio_range"))
+    if radio_range is None:
+        raise ValueError("radio_range: expected a number")
+    if type(doc.get("sink")) is not int:
+        raise ValueError("sink: expected a node id (int)")
+    sources = doc.get("sources")
+    if type(sources) is not list or any(type(s) is not int for s in sources):
+        raise ValueError("sources: expected a list of node ids (ints)")
+    return _finish(positions, radio_range, doc["sink"], tuple(sources))

@@ -129,7 +129,7 @@ class SeedAssignment:
                 f"modulus: GF({field.p}) has fewer than {len(participants)} nonzero seeds")
         seeds: list[int] = []
         while len(seeds) < len(participants):
-            s = rng.randrange(1, field.p)
+            s = 1 + rng.below(field.p - 1)
             if s not in seeds:
                 seeds.append(s)
         return cls(participants=participants, seeds=tuple(seeds), field=field)
@@ -142,7 +142,7 @@ class RandomCoeffs:
 
     @classmethod
     def draw(cls, field: PrimeField, rng: SimRng) -> "RandomCoeffs":
-        return cls(r1=rng.randrange(field.p), r2=rng.randrange(field.p))
+        return cls(r1=rng.below(field.p), r2=rng.below(field.p))
 
 
 @dataclass(frozen=True)
@@ -214,14 +214,16 @@ def solve_aggregate(
     ys = [by_participant[q] for q in seeds.participants]
     # Lagrange basis at x = 0:  l_i(0) = prod_{j != i} x_j / (x_j - x_i).
     # The terms y_i * l_i(0) are summed as one fraction, a/b + c/d =
-    # (a*d + c*b) / (b*d), so n denominators cost one inversion.
+    # (a*d + c*b) / (b*d), so n denominators cost one inversion.  Each
+    # product is reduced once, when complete.
     acc_num, acc_den = 0, 1
     for i, xi in enumerate(xs):
         num, den = 1, 1
         for j, xj in enumerate(xs):
             if j != i:
-                num = num * xj % p
-                den = den * (xj - xi) % p
+                num *= xj
+                den *= xj - xi
+        den %= p
         if den == 0:
             raise ZeroDivisionError("duplicate seeds make the system singular")
         acc_num = (acc_num * den + ys[i] * num % p * acc_den) % p
@@ -428,7 +430,7 @@ def run_cpda(
     # evaluations): that share traffic is the cost this baseline models.
     # Each evaluation is reduced mod p once, when it is summed.
     for i in range(n):
-        poly = [values[i] % p] + [coeff_rng.randrange(p) for _ in range(n - 1)]
+        poly = [values[i] % p] + [coeff_rng.below(p) for _ in range(n - 1)]
         poly.reverse()
         for j, s in enumerate(seeds.seeds):
             acc = 0

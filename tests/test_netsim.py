@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from hypothesis import example, given
@@ -182,6 +183,42 @@ def test_every_builder_rejects_a_bad_radio_range(build, radio_range):
     # and a ValueError without the field's name at NaN.
     with pytest.raises(ValueError, match=r"^radio_range: must be >= 1e-9$"):
         build(radio_range)
+
+
+def _set_position(x):
+    return lambda doc: doc["positions"].__setitem__(0, x)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_position([float("nan"), 0.0]), "positions: entry 0 is not a pair of finite numbers"),
+    (_set_position([1e309, 0.0]), "positions: entry 0 is not a pair of finite numbers"),
+    (_set_position([10**400, 0]), "positions: entry 0 is not a pair of finite numbers"),
+    (_set_position([0.0]), "positions: entry 0 is not a pair of finite numbers"),
+    (_set_position(["0", 0]), "positions: entry 0 is not a pair of finite numbers"),
+    (lambda doc: doc.pop("positions"), "positions: expected a list of [x, y] pairs"),
+    (lambda doc: doc.pop("radio_range"), "radio_range: expected a number"),
+    (lambda doc: doc.update(radio_range="1"), "radio_range: expected a number"),
+    (lambda doc: doc.pop("sink"), "sink: expected a node id (int)"),
+    (lambda doc: doc.update(sink=True), "sink: expected a node id (int)"),
+    (lambda doc: doc.update(sink=9), "sink: node 9 outside [0, 9)"),
+    (lambda doc: doc.pop("sources"), "sources: expected a list of node ids (ints)"),
+    (lambda doc: doc.update(sources=["x"]), "sources: expected a list of node ids (ints)"),
+], ids=["nan", "inf", "huge-int", "short-pair", "string-coordinate", "no-positions",
+        "no-radio-range", "string-radio-range", "no-sink", "bool-sink", "sink-outside",
+        "no-sources", "string-source"])
+def test_import_names_the_bad_field(edit, message):
+    # These once failed as an unnamed ValueError (NaN, inf), KeyError (a
+    # missing field) or OverflowError, or were accepted (a bool sink).
+    doc = json.loads(export_topology(build_grid(3, 3)))
+    edit(doc)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        import_topology(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", "not json", "{"])
+def test_import_rejects_a_document_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match=r"^topology: expected a JSON object$"):
+        import_topology(text)
 
 
 def test_pair_test_cap_counts_every_tested_pair(monkeypatch):

@@ -1,0 +1,63 @@
+"""SimRng's draws against the standard library's: same state, same values,
+same stream position.  Each oracle is a plain random.Random seeded with the
+int that SimRng derives, so these hold on every supported CPython."""
+
+import random
+
+import pytest
+
+from wsnpriv.keymgmt import permute_bank_for_pair
+from wsnpriv.rng import SimRng, _derive_seed
+
+
+def twins(seed, label):
+    return SimRng(seed, label), random.Random(_derive_seed(seed, label))
+
+
+@pytest.mark.parametrize("seed, label", [(0, "root"), (7, "bench/sppda:3"), (2**70, "a/b/c")])
+def test_state_equals_random_seeded_with_the_derived_int(seed, label):
+    rng, oracle = twins(seed, label)
+    assert rng.getstate() == oracle.getstate()
+    assert rng.gauss_next is None
+    assert rng.stream("x").getstate() == random.Random(_derive_seed(seed, f"{label}/x")).getstate()
+
+
+@pytest.mark.parametrize("sizes", [range(1, 301), [2**31 - 1] * 50, [(1 << 99) + 12345] * 50],
+                         ids=["1..300", "2^31-1", "100-bit"])
+def test_below_draws_exactly_as_randrange(sizes):
+    rng, oracle = twins(13, "below")
+    for n in sizes:
+        for _ in range(3):
+            assert rng.below(n) == oracle.randrange(n)
+            assert rng.getstate() == oracle.getstate()
+
+
+class CountingRng(SimRng):
+    """Counts draws, and stops the endless loop below(0) would run unguarded:
+    getrandbits(0) is always 0, which is never < 0."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        if self.draws > 100:
+            raise RuntimeError("runaway draw loop")
+        return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_rejects_an_empty_range_without_drawing(n):
+    rng, oracle = CountingRng(5, "empty"), random.Random(_derive_seed(5, "empty"))
+    with pytest.raises(ValueError, match=r"^below: n must be >= 1"):
+        rng.below(n)
+    assert rng.draws == 0
+    assert rng.getstate() == oracle.getstate()
+
+
+def test_permute_bank_matches_random_shuffle_every_size():
+    rng, oracle = twins(34, "perm")
+    for n in range(1, 301):
+        order = list(range(n))
+        oracle.shuffle(order)
+        assert permute_bank_for_pair(n, rng) == tuple(order)
+        assert rng.getstate() == oracle.getstate()
