@@ -118,10 +118,7 @@ def _parse_dist(spec: str) -> ClusterSizeDist:
             pairs = {int(m): float(p) for m, _, p in parts}
     if spec.startswith("uniform:"):
         return ClusterSizeDist.uniform(lo, hi)
-    lo, hi = min(pairs), max(pairs)
-    return ClusterSizeDist(
-        lo, hi, tuple(pairs.get(m, 0.0) for m in range(lo, hi + 1))
-    )
+    return ClusterSizeDist.over(min(pairs), max(pairs), lambda m: pairs.get(m, 0.0))
 
 
 def cmd_plan_zone(args) -> int:

@@ -58,19 +58,23 @@ class DisclosureModel(enum.Enum):
     ANY_LINK = "any-link"
 
 
+CLUSTER_SIZES = range(3, 65)  # the cluster sizes m that curves and benchmarks take
+
+
 @dataclass(frozen=True)
 class ClusterSizeDist:
-    """Probability distribution over cluster sizes m in [min_size, max_size]."""
+    """Probability distribution over cluster sizes m in [min_size, max_size],
+    a span inside CLUSTER_SIZES."""
 
     min_size: int
     max_size: int
     probs: tuple[float, ...]  # P(k = m) for m = min_size .. max_size
 
     def __post_init__(self):
-        if self.min_size < 3:
-            raise ValueError("min_size: must be >= 3")
-        if self.min_size > self.max_size:
-            raise ValueError("max_size: must be >= min_size")
+        if self.min_size < CLUSTER_SIZES[0]:
+            raise ValueError(f"min_size: must be >= {CLUSTER_SIZES[0]}")
+        if not self.min_size <= self.max_size <= CLUSTER_SIZES[-1]:
+            raise ValueError(f"max_size: must lie in [min_size, {CLUSTER_SIZES[-1]}]")
         if len(self.probs) != self.max_size - self.min_size + 1:
             raise ValueError("probs: need one probability per cluster size")
         if not all(p >= 0 for p in self.probs):  # also NaN
@@ -82,9 +86,16 @@ class ClusterSizeDist:
         return zip(range(self.min_size, self.max_size + 1), self.probs)
 
     @classmethod
+    def over(cls, min_size: int, max_size: int, prob) -> "ClusterSizeDist":
+        """P(k = m) = prob(m) for each m in the span.  Only sizes in CLUSTER_SIZES
+        are visited, so a span past them fails its check without a pass over it."""
+        probs = tuple(prob(m) for m in CLUSTER_SIZES if min_size <= m <= max_size)
+        return cls(min_size, max_size, probs)
+
+    @classmethod
     def uniform(cls, min_size: int, max_size: int) -> "ClusterSizeDist":
         n = max_size - min_size + 1
-        return cls(min_size, max_size, tuple(1.0 / n for _ in range(n)))
+        return cls.over(min_size, max_size, lambda m: 1.0 / n)
 
 
 # Fixed three-party scheme: two sources plus one aggregator, always.
@@ -198,8 +209,9 @@ def bench_aggregation(
     if repetitions < 30:
         raise ValueError("repetitions: must be >= 30 for stable medians")
     for n in sizes:
-        if not 3 <= n <= 64:
-            raise ValueError("sizes: cluster sizes must lie in [3, 64]")
+        if n not in CLUSTER_SIZES:
+            raise ValueError(
+                f"sizes: cluster sizes must lie in [{CLUSTER_SIZES[0]}, {CLUSTER_SIZES[-1]}]")
     field_ = PrimeField()
     rows = [("sppda", 3, _pairs_round(1, master_seed, field_))]
     rows += [("cpda", n, _cpda_round(n, master_seed, field_)) for n in sizes]

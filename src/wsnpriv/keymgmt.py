@@ -10,12 +10,12 @@ secret permutation of the bank, and the session key for a message is
 announced as a plaintext index R_c into that permuted ordering: useless to
 anyone who does not know the permutation.  Each node answers "which bank,
 in whose ordering, keys a frame with this peer" in one place, its
-link(peer, receiver); every sealed frame is built by seal_frame and opened
-by open_frame under the (bank, ordering) a link returns.  A source pair's
-SS orderings are bootstrapped by establish_ss_channel, which ships each
-permutation through the AF inside an inner frame sealed under the raw
-SS-bank order; a pair's SS schedule is then the plain mapping {owner:
-permutation}.
+link(peer, receiver).  Every link frame crosses through hop: sealed by
+seal_frame under the sender's link, opened by open_frame under the
+receiver's copy of it.  A source pair's SS orderings are bootstrapped by
+establish_ss_channel, which ships each permutation through the AF inside an
+inner frame sealed under the raw SS-bank order; a pair's SS schedule is then
+the plain mapping {owner: permutation}.
 
 Wire formats (simulated, documented for log parsing):
 
@@ -54,6 +54,7 @@ __all__ = [
     "permute_bank_for_pair",
     "seal_frame",
     "open_frame",
+    "hop",
     "establish_ss_channel",
 ]
 
@@ -273,6 +274,21 @@ def open_frame(bank: tuple[bytes, ...], ordering: Sequence[int], slot: int,
     return cipher.open(_slot_key(bank, ordering, slot), frame.nonce, frame.body, aad)
 
 
+def hop(src: SourceNode | AggregatorNode, dst: SourceNode | AggregatorNode,
+        ids: tuple[NodeId, NodeId], payload: bytes, aad: bytes, rng: SimRng,
+        cipher: StreamMacCipher, tamper=None) -> tuple[int, SealedFrame, bytes]:
+    """Carry one frame across the link src -> dst: seal `payload` under
+    src's link to dst, in a frame naming `ids` (the end-to-end sender and
+    receiver), apply `tamper` in flight if given, and open the frame under
+    dst's copy of the link.  Returns (slot, frame, opened)."""
+    bank, ordering = src.link(dst.node_id, dst.node_id)  # unstarred: the round's hot path
+    slot, frame = seal_frame(bank, ordering, ids[0], ids[1], payload, aad, rng, cipher)
+    if tamper is not None:
+        frame = tamper(frame)
+    bank, ordering = dst.link(src.node_id, dst.node_id)
+    return slot, frame, open_frame(bank, ordering, slot, frame, aad, cipher)
+
+
 def _encode_perm(perm: tuple[int, ...]) -> bytes:
     # u16 big-endian per entry; check_bank_split caps the SS bank at SS_BANK_MAX.
     return struct.pack(f">{len(perm)}H", *perm)
@@ -297,11 +313,11 @@ def establish_ss_channel(
     Each source draws its own permutation of the SS bank and ships it to
     the peer double-wrapped.  Inner layer: sealed under an SS-bank key (raw
     bank order, slot announced in plaintext), so the relaying AF cannot read
-    it.  Outer layer: keyed by the sender's link to the AF; the AF opens it
-    under its link to the sender and re-seals the still-sealed inner frame
-    under its link to the receiver.  `tamper`, if given, is applied to each
-    relayed frame (test hook for fault injection).  Both ends install the
-    same {owner: permutation} mapping, which is returned.
+    it.  Outer layer: two hops, sender -> AF and AF -> receiver, so the AF
+    opens it under its link to the sender and re-seals the still-sealed
+    inner frame under its link to the receiver.  `tamper`, if given, is
+    applied to each AF -> receiver frame (test hook for fault injection).
+    Both ends install the same {owner: permutation} mapping, returned.
     """
     perms: dict[NodeId, tuple[int, ...]] = {}
     for sender, receiver in ((s1, s2), (s2, s1)):
@@ -313,17 +329,8 @@ def establish_ss_channel(
                                      _encode_perm(perm), inner_aad, rng, cipher)
         # Binary relay payload: ss slot (u32) || inner nonce || inner sealed body.
         payload = struct.pack(">I", ss_index) + inner.nonce + inner.body
-        r_c, frame = seal_frame(*sender.link(af.node_id, af.node_id), a, b, payload,
-                                relay_aad, rng, cipher)
-
-        # AF relay: open the sender-side outer layer, re-seal it toward the
-        # receiver under the receiver's AF pairing.
-        payload = open_frame(*af.link(a, af.node_id), r_c, frame, relay_aad, cipher)
-        r_c, frame = seal_frame(*af.link(b, b), a, b, payload, relay_aad, rng, cipher)
-        if tamper is not None:
-            frame = tamper(frame)
-
-        payload = open_frame(*receiver.link(af.node_id, b), r_c, frame, relay_aad, cipher)
+        _, _, payload = hop(sender, af, (a, b), payload, relay_aad, rng, cipher)
+        _, _, payload = hop(af, receiver, (a, b), payload, relay_aad, rng, cipher, tamper)
         if len(payload) < 4 + NONCE_LEN + TAG_LEN:
             raise ProtocolError("malformed relay payload: too short")
         (ss_index,) = struct.unpack(">I", payload[:4])

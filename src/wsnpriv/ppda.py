@@ -13,7 +13,7 @@ All arithmetic is exact; there are no tolerances anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .keymgmt import (
@@ -24,9 +24,8 @@ from .keymgmt import (
     StreamMacCipher,
     establish_ss_channel,
     generate_pool,
-    open_frame,
+    hop,
     register_pair,
-    seal_frame,
     DEFAULT_CIPHER,
 )
 from .rng import SimRng
@@ -250,15 +249,15 @@ class FrameRecord:
 
 @dataclass
 class RoundTranscript:
-    seeds: SeedAssignment | None = None
-    frames: list[FrameRecord] = field(default_factory=list)
-    aggregates: list[NodeAggregate] = field(default_factory=list)
-    result: AggregationResult | None = None
+    seeds: SeedAssignment
+    frames: list[FrameRecord]
+    aggregates: list[NodeAggregate]
+    result: AggregationResult
 
     def to_doc(self) -> dict:
         return {
-            "seeds": list(self.seeds.seeds) if self.seeds else None,
-            "participants": list(self.seeds.participants) if self.seeds else None,
+            "seeds": list(self.seeds.seeds),
+            "participants": list(self.seeds.participants),
             "frames": [
                 {
                     "kind": rec.kind,
@@ -274,22 +273,11 @@ class RoundTranscript:
                 {"participant": a.participant, "value": a.value}
                 for a in self.aggregates
             ],
-            "result": (
-                {"total": self.result.total, "pair_sum": self.result.pair_sum}
-                if self.result
-                else None
-            ),
+            "result": {"total": self.result.total, "pair_sum": self.result.pair_sum},
         }
 
 
 _PARTICIPANTS = ("A", "S1", "S2")
-
-
-def _field_element(payload: bytes, field: PrimeField) -> int:
-    """Decode a decrypted share or sum: a decimal in [0, p), else ProtocolError."""
-    if not payload.isdigit() or int(payload) >= field.p:
-        raise ProtocolError(f"payload {payload[:32]!r} is not an element of GF({field.p})")
-    return int(payload)
 
 
 class SppdaCluster:
@@ -325,11 +313,11 @@ class SppdaCluster:
         self._nodes = {"A": self.af, "S1": self.s1, "S2": self.s2}
         self._round = 0
 
-    def _send(self, kind: str, sender: str, receiver: str, payload: bytes, rng: SimRng,
-              transcript: RoundTranscript, fields: dict) -> bytes:
-        """Seal one message between participants under both ends' link to
-        each other and log it; returns what the receiver decrypts.  S1<->S2
-        frames are keyed in the SS bank, which the relaying AF cannot open."""
+    def _send(self, kind: str, sender: str, receiver: str, value: int, rng: SimRng,
+              frames: list[FrameRecord], fields: dict) -> int:
+        """Carry a field element over the sender's link to the receiver and log
+        its frame; returns what the receiver decrypts if a decimal in [0, p).
+        S1<->S2 frames are keyed in the SS bank, which the relaying AF cannot open."""
         src, dst = self._nodes[sender], self._nodes[receiver]
         a, b = src.node_id, dst.node_id
         if "A" in (sender, receiver):
@@ -338,27 +326,21 @@ class SppdaCluster:
         else:  # logged as relayed by the AF, with the slot only
             aad = f"ss:{a}->{b}".encode()
             slot_field, fields = "ss_index", {"relayed_by": "A"}
-        bank, ordering = src.link(b, b)  # not a starred call: this is the round's hot path
-        slot, frame = seal_frame(bank, ordering, a, b, payload, aad, rng, self.cipher)
-        bank, ordering = dst.link(a, b)
-        opened = open_frame(bank, ordering, slot, frame, aad, self.cipher)
-        transcript.frames.append(
-            FrameRecord(kind, sender, receiver, {slot_field: slot, **fields}, frame))
-        return opened
+        slot, frame, opened = hop(src, dst, (a, b), str(value).encode(), aad, rng, self.cipher)
+        frames.append(FrameRecord(kind, sender, receiver, {slot_field: slot, **fields}, frame))
+        if not opened.isdigit() or (got := int(opened)) >= self.field.p:
+            raise ProtocolError(f"payload {opened[:32]!r} is not an element of GF({self.field.p})")
+        return got
 
     def run_round(self, x: int, y: int, z: int) -> tuple[AggregationResult, RoundTranscript]:
         self._round += 1
         rng = self.rng.stream(f"round:{self._round}")
         f = self.field
-        transcript = RoundTranscript()
 
         # Aggregator broadcasts distinct nonzero seeds (plaintext).
         seeds = SeedAssignment.draw(_PARTICIPANTS, f, rng.stream("seeds"))
-        transcript.seeds = seeds
-        transcript.frames.append(FrameRecord(
-            kind="seed-broadcast", sender="A", receiver="*",
-            plaintext_fields={"seeds": list(seeds.seeds)},
-        ))
+        frames = [FrameRecord(kind="seed-broadcast", sender="A", receiver="*",
+                              plaintext_fields={"seeds": list(seeds.seeds)})]
 
         values = {"A": z % f.p, "S1": x % f.p, "S2": y % f.p}
         coeffs = {
@@ -377,27 +359,23 @@ class SppdaCluster:
             for share in shares[producer]:
                 target = share.evaluated_at
                 if target != producer:
-                    got = self._send("share", producer, target, str(share.value).encode(),
-                                     chan, transcript, {"for_seed_of": target})
-                    share = Share(producer, target, _field_element(got, f))
+                    share = Share(producer, target, self._send(
+                        "share", producer, target, share.value, chan, frames,
+                        {"for_seed_of": target}))
                 held[target].append(share)
 
         aggregates = [node_aggregate(who, held[who], f) for who in _PARTICIPANTS]
-        transcript.aggregates = aggregates
         # S1 and S2 return their sums sealed; the aggregator solves from the
         # sums it decrypted plus its own.
-        received = [aggregates[0]]
-        for agg in aggregates[1:]:
-            got = self._send("node-sum", agg.participant, "A", str(agg.value).encode(),
-                             chan, transcript, {"participant": agg.participant})
-            received.append(NodeAggregate(agg.participant, _field_element(got, f)))
+        received = [aggregates[0]] + [NodeAggregate(agg.participant, self._send(
+            "node-sum", agg.participant, "A", agg.value, chan, frames,
+            {"participant": agg.participant})) for agg in aggregates[1:]]
 
         total = solve_aggregate(seeds, received)
         result = AggregationResult(
             total=total, pair_sum=recover_pair_sum(total, values["A"], f)
         )
-        transcript.result = result
-        return result, transcript
+        return result, RoundTranscript(seeds, frames, aggregates, result)
 
 
 def run_sppda(

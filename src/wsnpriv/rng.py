@@ -30,8 +30,9 @@ class SimRng(random.Random):
     """A random.Random whose state is a pure function of (master_seed, label)."""
 
     def __new__(cls, master_seed: int = 0, stream_label: str = "root"):
-        # random.Random.__new__ rejects extra positional args; bypass it.
-        return super().__new__(cls)
+        # random.Random.__new__ rejects extra positional args; bypass it.  Given
+        # no seed, 3.10's seeds from OS entropy, which __init__ then replaces.
+        return super().__new__(cls, 0)
 
     def __init__(self, master_seed: int, stream_label: str = "root"):
         self.master_seed = int(master_seed)
@@ -56,6 +57,10 @@ class SimRng(random.Random):
     def stream(self, label: str | int) -> "SimRng":
         """Derive an independent child stream; does not advance this one."""
         return SimRng(self.master_seed, f"{self.stream_label}/{label}")
+
+    def __reduce__(self):
+        # Random.__reduce__ rebuilds by calling the class with no arguments.
+        return type(self), (self.master_seed, self.stream_label), self.getstate()
 
     def __repr__(self) -> str:
         return f"SimRng(master_seed={self.master_seed}, stream_label={self.stream_label!r})"

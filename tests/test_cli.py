@@ -32,6 +32,8 @@ def test_parse_dist():
     custom = _parse_dist("3=0.5,5=0.5")
     assert custom.min_size == 3 and custom.max_size == 5
     assert custom.probs == (0.5, 0.0, 0.5)
+    assert _parse_dist("uniform:3..64").probs == (1 / 62,) * 62  # the largest span
+    assert _parse_dist("64=1").probs == (1.0,)
 
 
 # --- subcommands ---

@@ -103,6 +103,18 @@ def sizes_range_huge(tmp_path, capsys):
     assert capsys.readouterr().out == "error: sizes: cluster sizes must lie in [3, 64]\n"
 
 
+def dist_span_huge(tmp_path, capsys):
+    # The span is checked before any per-size pass: uniform:3..1000000 took 8.7 s,
+    # uniform:3..1000000000 died with a MemoryError, 3=0.5,1000000000=0.5 never ended.
+    for spec, message in (("uniform:3..1000000000", "max_size: must lie in [min_size, 64]"),
+                          ("3=0.5,1000000000=0.5", "max_size: must lie in [min_size, 64]"),
+                          ("uniform:2..1000000000", "min_size: must be >= 3")):
+        argv = ["--out", str(tmp_path), "disclosure-curve", f"--dist={spec}"]
+        assert cli_main(argv) == 2
+        assert capsys.readouterr().out == f"error: {message}\n"
+    assert not (tmp_path / "disclosure_curve.csv").exists()
+
+
 def scenario_name_not_plain(tmp_path, capsys):
     names = ["../escaped", "/tmp/abs", "a/b", "a\\b", ".", "..", "", 7, None]
     path = tmp_path / "batch.json"
@@ -239,7 +251,7 @@ PIPELINE_ERRORS = [
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
              b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
-             scenario_name_not_plain,
+             dist_span_huge, scenario_name_not_plain,
              modulus_not_prime, strategy_not_integer, grid_zero_width, grid_too_large,
              pool_size_not_int, bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct,
              modulus_too_small,

@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wsnpriv.keymgmt import AuthenticationError, ProtocolError, StreamMacCipher, open_frame
+from wsnpriv.keymgmt import (
+    AuthenticationError,
+    ProtocolError,
+    StreamMacCipher,
+    establish_ss_channel,
+    open_frame,
+)
 from wsnpriv.ppda import (
     DEFAULT_MODULUS,
     AggregationResult,
@@ -367,6 +373,50 @@ class ReplaceRoundPayload(StreamMacCipher):
     def open(self, key, nonce, body, aad=b""):
         plain = super().open(key, nonce, body, aad)
         return plain if aad.startswith(SETUP_AADS) else self.payload
+
+
+class RecordingCipher(StreamMacCipher):
+    """Logs every seal and open as (op, aad), in call order."""
+
+    def __init__(self):
+        self.log = []
+
+    def seal(self, key, nonce, plaintext, aad=b""):
+        self.log.append(("seal", aad))
+        return super().seal(key, nonce, plaintext, aad)
+
+    def open(self, key, nonce, body, aad=b""):
+        self.log.append(("open", aad))
+        return super().open(key, nonce, body, aad)
+
+
+def relay_ops(a, b):
+    """One SS relay leg a -> b: inner seal, sender -> AF, AF -> receiver with
+    `tamper` in flight, inner open."""
+    inner, relay = f"ss-perm:{a}->{b}".encode(), f"relay:{a}->{b}".encode()
+    return [("seal", inner), ("seal", relay), ("open", relay), ("seal", relay),
+            ("tamper", (a, b)), ("open", relay), ("open", inner)]
+
+
+def test_seal_open_order_is_pinned():
+    cipher = RecordingCipher()
+    cluster = SppdaCluster(SimRng(25), node_ids=(7, 3, 5), cipher=cipher)
+    setup = [op for op in relay_ops(3, 5) + relay_ops(5, 3) if op[0] != "tamper"]
+    assert cipher.log == setup  # 6 seals, 6 opens
+
+    cipher.log.clear()
+    cluster.run_round(5, 7, 3)
+    hops = [b"share:af->3", b"share:af->5", b"share:3->af", b"ss:3->5",
+            b"share:5->af", b"ss:5->3", b"node-sum:3->af", b"node-sum:5->af"]
+    assert cipher.log == [(op, aad) for aad in hops for op in ("seal", "open")]
+
+    def tamper(frame):
+        cipher.log.append(("tamper", (frame.sender, frame.receiver)))
+        return frame
+
+    cipher.log.clear()
+    establish_ss_channel(cluster.s1, cluster.s2, cluster.af, SimRng(26), cipher, tamper)
+    assert cipher.log == relay_ops(3, 5) + relay_ops(5, 3)
 
 
 def test_round_frame_bit_flip_is_authentication_error():

@@ -2,6 +2,8 @@
 same stream position.  Each oracle is a plain random.Random seeded with the
 int that SimRng derives, so these hold on every supported CPython."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -30,6 +32,21 @@ def test_below_draws_exactly_as_randrange(sizes):
         for _ in range(3):
             assert rng.below(n) == oracle.randrange(n)
             assert rng.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
+                                       lambda rng: pickle.loads(pickle.dumps(rng))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copies_resume_the_stream_and_leave_the_original(duplicate):
+    rng = SimRng(11, "a/b")
+    for _ in range(5):
+        rng.random()
+    position = rng.getstate()
+    twin = duplicate(rng)
+    assert rng.getstate() == position  # copying does not advance the original
+    assert repr(twin) == repr(rng) and twin.getstate() == position
+    assert [twin.getrandbits(31) for _ in range(4)] == [rng.getrandbits(31) for _ in range(4)]
+    assert twin.stream("c").getstate() == rng.stream("c").getstate()
 
 
 class CountingRng(SimRng):
