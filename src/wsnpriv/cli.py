@@ -7,14 +7,15 @@ subcommand but run-scenarios writes its files, then <command>.summary.json:
 the config echo (the parsed options; run-pipeline's config document), the
 results and a digest of every file written.  run-scenarios writes
 <name>.json and <name>.csv per scenario and no summary.  All output is
-byte-deterministic under a fixed seed.
-Exit status: 0 on success, 2 on bad input, 1 when a run on valid input
-fails (for run-scenarios, when any scenario in the batch failed).
+UTF-8, written over in place and byte-deterministic under a fixed seed.
+Exit status: 0 on success, 2 on bad input (an unusable --out too), 1 when
+a run on valid input fails (for run-scenarios, when any scenario failed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -47,10 +48,32 @@ __all__ = ["main", "run_scenarios"]
 B_GRID_MAX = 100_001  # points in a start:stop:step range; 0:1:0.00001 fits
 
 
+@contextlib.contextmanager
+def _out_errors():
+    """An output path the OS refuses is bad input: ConfigError("out: ...")."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"out: {exc}") from exc
+
+
 def _out_dir(out: str | None) -> pathlib.Path:
     path = pathlib.Path(out or os.environ.get("WSNPRIV_OUT_DIR") or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    with _out_errors():
+        path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _write(path: pathlib.Path, text: str) -> bytes:
+    """Write `text` as UTF-8 over `path` in place, cut the file there and
+    return the bytes.  Without O_TRUNC, ext4 flushes no replaced data."""
+    data = text.encode()
+    with _out_errors():
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as f:
+            f.write(data)
+            f.truncate()
+    return data
 
 
 def _json(doc) -> str:
@@ -65,14 +88,12 @@ def _finish(args, results: dict, files: dict[str, str],
     out = _out_dir(args.out)
     digests = {}
     for name, text in files.items():
-        data = text.encode()
-        (out / name).write_bytes(data)
-        digests[name] = hashlib.sha256(data).hexdigest()
+        digests[name] = hashlib.sha256(_write(out / name, text)).hexdigest()
     if config is None:
         config = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
     summary = {"command": args.command, "config": config, "results": results,
                "file_digests": digests}
-    (out / f"{args.command}.summary.json").write_text(_json(summary))
+    _write(out / f"{args.command}.summary.json", _json(summary))
     return out
 
 
@@ -225,9 +246,9 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
             continue
         try:
             report = _run_doc(scen)
-            (out / f"{name}.json").write_text(_json(report))
+            _write(out / f"{name}.json", _json(report))
             rows = [{"scenario": name, "flow": j, **fl} for j, fl in enumerate(report["flows"])]
-            (out / f"{name}.csv").write_text(rows_to_csv(
+            _write(out / f"{name}.csv", rows_to_csv(
                 rows, ["scenario", "flow", "origin", "delivered_value",
                        "route_hops", "transmissions"],
             ))

@@ -19,8 +19,9 @@ succeeds with probability below a target) is exact combinatorics.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .netsim import NodeId, Topology, Transmission, draw
 from .rng import SimRng
@@ -152,16 +153,19 @@ class Schedule:
     """One routed message: who forwards it when, what it cost, when it lands.
 
     Node walk[i] forwards at tick i (its first place on the walk wins).  A
-    flood then starts from the walk's end at tick len(walk): every node of
-    the (connected) field forwards at len(walk) + its hop distance in
-    flood_dist, destination excepted, unless the walk already had it
-    forward.  Two-way routes have no flood (flood_dist is None).
-    `transmissions` counts every broadcast (walk revisits included) and
-    `latency_hops` is the tick the destination first hears the message.
+    flood then starts from flood_origin (the walk's end) at tick len(walk):
+    every node of the (connected) field forwards at len(walk) + its hop
+    distance from flood_origin, destination excepted, unless the walk
+    already had it forward.  Two-way routes have no flood (flood_origin is
+    None).  The flood's BFS is read from the topology's memo the first time
+    tick(), ticks or log() needs it, and never otherwise.  `transmissions`
+    counts every broadcast (walk revisits included) and `latency_hops` is
+    the tick the destination first hears the message.
     """
 
+    topology: Topology = field(repr=False, compare=False)
     walk: list[NodeId]
-    flood_dist: list[int] | None
+    flood_origin: NodeId | None
     destination: NodeId
     transmissions: int
     latency_hops: int
@@ -170,20 +174,24 @@ class Schedule:
     def delivered(self) -> bool:
         return self.latency_hops >= 0
 
+    @functools.cached_property
+    def flood_dist(self) -> list[int]:
+        """Hop distance of every node from flood_origin (a flood only)."""
+        return self.topology.distances_from(self.flood_origin)
+
     def tick(self, node: NodeId) -> int | None:
         """Earliest tick at which `node` forwards, or None if it never does."""
         walk = self.walk
         if node in walk:
             return walk.index(node)
-        dist = self.flood_dist
-        if dist is None or node == self.destination:
+        if self.flood_origin is None or node == self.destination:
             return None
-        return len(walk) + dist[node]
+        return len(walk) + self.flood_dist[node]
 
     @property
     def ticks(self) -> dict[NodeId, int]:
         """tick() of every forwarding node, as one mapping (built per call)."""
-        nodes = self.walk if self.flood_dist is None else range(len(self.flood_dist))
+        nodes = self.walk if self.flood_origin is None else range(self.topology.node_count)
         return {u: t for u in nodes if (t := self.tick(u)) is not None}
 
     def log(self, topology: Topology, payload_id: str) -> list[Transmission]:
@@ -280,23 +288,24 @@ def route_message(
     """Route one message from source to destination under `strategy`.
 
     Phantom walks h hops, then floods from the walk's end (flood is the
-    h = 0 case), with BFS distances from the topology's memo.  A receptor
+    h = 0 case); its latency is h plus the walk end's entry in the
+    destination's memoized BFS, as hop distance is symmetric.  A receptor
     is two-way routing: the message walks until it meets the receptor and
     follows it home, or raises NoRendezvousError.
     """
     if isinstance(strategy, ReceptorPath):
         route = deliver_two_way(topology, source, strategy, rng)
         hops = len(route) - 1
-        return Schedule(route[:-1], None, destination, hops, hops)
+        return Schedule(topology, route[:-1], None, destination, hops, hops)
 
     path = [source]
     if isinstance(strategy, Phantom):
         path = random_walk(topology, source, strategy.walk, rng)
     h = len(path) - 1
-    dist = topology.distances_from(path[-1])
+    latency = h + topology.distances_from(destination)[path[-1]]
     # The field is connected: every node but the destination floods once.
     flooded = topology.node_count - 1
-    return Schedule(path[:h], dist, destination, flooded + h, h + dist[destination])
+    return Schedule(topology, path[:h], path[-1], destination, flooded + h, latency)
 
 
 def hunt(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -203,6 +204,54 @@ def test_parser_reused_across_calls(tmp_path, monkeypatch):
     summary = json.loads((tmp_path / "aggregate.summary.json").read_text())
     assert summary["config"] == {"x": 5, "y": 7, "z": 0, "modulus": 2**31 - 1, "seed": 1}
     assert build_parser() is build_parser()
+
+
+# --- output files: written over in place, as UTF-8 ---
+
+JUNK = "\u00ff junk\n".encode() * 10_000  # longer than any output below
+PIPELINE_DOC = {"level": "full", "width": 5, "height": 5, "sources": [22, 24],
+                "readings": {"22": 5, "24": 7}, "master_seed": 42}
+
+
+def test_longer_old_outputs_are_cut_to_the_new_bytes(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PIPELINE_DOC))
+    names = ["pipeline_report.json", "run-pipeline.summary.json",
+             "reference-sppda.json", "reference-sppda.csv"]
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    for name in names:
+        (reused / name).write_bytes(JUNK)
+    for out in (fresh, reused):
+        assert run(out, "run-pipeline", str(cfg)) == 0
+        assert run(out, "run-scenarios", "scenarios/reference_sppda.json") == 0
+    for name in names:
+        data = (reused / name).read_bytes()
+        assert len(data) < len(JUNK)
+        assert data == (fresh / name).read_bytes()
+    summary = json.loads((reused / "run-pipeline.summary.json").read_text())
+    report = (reused / "pipeline_report.json").read_bytes()
+    assert summary["file_digests"] == {
+        "pipeline_report.json": hashlib.sha256(report).hexdigest()}
+
+
+def test_output_symlink_writes_through_to_its_target(tmp_path):
+    out, target = tmp_path / "out", tmp_path / "target.csv"
+    out.mkdir()
+    target.write_bytes(JUNK)
+    (out / "plan_zone.csv").symlink_to(target)
+    assert run(out, "plan-zone", "--pr", "0.01", "--hops", "3") == 0
+    assert (out / "plan_zone.csv").is_symlink()
+    assert target.read_text().splitlines() == ["p_r,hops,n_min,k", "0.01,3,10,120"]
+
+
+def test_scenario_files_are_utf8(tmp_path):
+    name = "zon\u00e9-\u00df-\u5317"
+    batch = tmp_path / "batch.json"
+    batch.write_text(json.dumps({"scenarios": [{**PIPELINE_DOC, "name": name}]}))
+    assert run(tmp_path, "run-scenarios", str(batch)) == 0
+    rows = (tmp_path / f"{name}.csv").read_bytes().decode("utf-8").splitlines()
+    assert rows[1].startswith(f"{name},0,")
 
 
 # --- determinism across runs ---

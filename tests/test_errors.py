@@ -129,6 +129,37 @@ def scenario_name_not_plain(tmp_path, capsys):
     assert written == {path, out_dir / "ok-scenario.json", out_dir / "ok-scenario.csv"}
 
 
+def out_is_a_file(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    argv = ["--out", str(afile), "plan-zone", "--pr", "0.1", "--hops", "2"]
+    assert cli_main(argv) == 2  # was a FileExistsError traceback
+    assert capsys.readouterr().out.startswith("error: out: ")
+    # run-scenarios checks its output directory before it runs any scenario.
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"scenarios": [SCENARIO]}))
+    assert cli_main(["--out", str(afile), "run-scenarios", str(path)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out: ")
+    assert afile.read_text() == "kept"
+
+
+def output_name_is_a_directory(tmp_path, capsys):
+    (tmp_path / "plan_zone.csv").mkdir()
+    argv = ["--out", str(tmp_path), "plan-zone", "--pr", "0.1", "--hops", "2"]
+    assert cli_main(argv) == 2  # was an IsADirectoryError traceback
+    assert capsys.readouterr().out.startswith("error: out: ")
+    assert not (tmp_path / "plan-zone.summary.json").exists()
+    # In a batch, the scenario whose file name is taken fails alone, with status 1.
+    (tmp_path / "taken.json").mkdir()
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"scenarios": [{**SCENARIO, "name": "taken"}, SCENARIO]}))
+    assert run_scenarios(str(path), str(tmp_path)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: taken: out: ")
+    assert lines[1] == "ok: ok-scenario: 1 flow(s)"
+
+
 def modulus_not_prime(tmp_path, capsys):
     argv = ["--out", str(tmp_path), "aggregate", "--x", "1", "--y", "2", "--z", "3",
             "--modulus", "10"]
@@ -251,7 +282,7 @@ PIPELINE_ERRORS = [
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
              b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
-             dist_span_huge, scenario_name_not_plain,
+             dist_span_huge, scenario_name_not_plain, out_is_a_file, output_name_is_a_directory,
              modulus_not_prime, strategy_not_integer, grid_zero_width, grid_too_large,
              pool_size_not_int, bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct,
              modulus_too_small,

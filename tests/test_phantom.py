@@ -260,6 +260,34 @@ def test_destination_ticks_only_when_the_walk_passes_it():
     assert flood(topo, 1, 0).tick(0) is None
 
 
+def test_flood_bfs_waits_for_the_first_tick():
+    # run_pipeline reads only latency and cost: no BFS from the walk's end.
+    for topo in (build_grid(7, 7, sink=24), build_random_geometric(40, 8.0, 2.5, SimRng(6))):
+        g = to_networkx(topo)
+        lazy = 0
+        for strategy in (FloodOnly(), Phantom(WalkConfig(hops=5)),
+                         Phantom(WalkConfig(WalkMode.DIRECTED, 3))):
+            for seed in range(8):
+                source = (7 * seed + 3) % topo.node_count
+                sched = route_message(topo, source, topo.sink, strategy, SimRng(seed, "walk"))
+                end = sched.flood_origin
+                walk = [source]
+                if isinstance(strategy, Phantom):
+                    walk = random_walk(topo, source, strategy.walk, SimRng(seed, "walk"))
+                assert end == walk[-1] and sched.walk == walk[:-1]
+                hops = nx.shortest_path_length(g, end, topo.sink)
+                assert sched.latency_hops == len(walk) - 1 + hops
+                if ("bfs", end) not in topo._memo:
+                    lazy += 1
+                    sched.tick(topo.sink)  # the destination needs no flood distance
+                    assert ("bfs", end) not in topo._memo
+                    off_walk = next(u for u in range(topo.node_count)
+                                    if u not in sched.walk and u != topo.sink)
+                    sched.tick(off_walk)
+                    assert ("bfs", end) in topo._memo
+        assert lazy  # some walk ends had no BFS before their first tick
+
+
 # --- hunt ---
 
 def test_hunt_adjacent_adversary_captured_immediately():
