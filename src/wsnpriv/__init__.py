@@ -11,9 +11,6 @@ from .netsim import (
     Topology,
     build_grid,
     build_random_geometric,
-    neighbors,
-    export_topology,
-    import_topology,
 )
 from .phantom import (
     WalkConfig,
@@ -28,7 +25,6 @@ from .phantom import (
     hunt,
     binom,
     min_zone_nodes,
-    traceback_probability,
 )
 from .ppda import (
     PrimeField,

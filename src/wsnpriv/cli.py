@@ -233,15 +233,20 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
     scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
     if not isinstance(scenarios, list):
         raise ConfigError("scenarios: expected a list")
+    encoding = sys.stdout.encoding or "utf-8"
+
+    def say(line: str) -> None:  # a name stdout cannot encode prints escaped, as zon\xe9
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
+
     status = 0
     for i, scen in enumerate(scenarios):
         if not isinstance(scen, dict):
-            print(f"error: scenario-{i}: expected an object")
+            say(f"error: scenario-{i}: expected an object")
             status = 1
             continue
         name = scen.get("name", f"scenario-{i}")
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-            print(f"error: name: {name!r} is not a plain file name")
+            say(f"error: name: {name!r} is not a plain file name")
             status = 1
             continue
         try:
@@ -253,10 +258,10 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
                        "route_hops", "transmissions"],
             ))
         except (OSError, ValueError, RuntimeError) as exc:
-            print(f"error: {name}: {exc}")
+            say(f"error: {name}: {exc}")
             status = 1
             continue
-        print(f"ok: {name}: {len(rows)} flow(s)")
+        say(f"ok: {name}: {len(rows)} flow(s)")
     return status
 
 

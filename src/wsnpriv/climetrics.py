@@ -392,6 +392,6 @@ def pipeline_config_from_doc(doc: dict) -> PipelineConfig:
 def read_json(path: str, key: str):
     """The JSON document at `path`; an unreadable file is bad input in `key`."""
     try:
-        return json.loads(pathlib.Path(path).read_text())
+        return json.loads(pathlib.Path(path).read_bytes())  # JSON is UTF-8, whatever the locale
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{key}: {exc}") from None

@@ -11,7 +11,6 @@ broadcast: everyone within radio range of the sender hears it.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -26,13 +25,10 @@ __all__ = [
     "PlacementError",
     "build_grid",
     "build_random_geometric",
-    "neighbors",
     "bfs_distances",
     "shortest_path",
     "step_draw",
     "draw",
-    "export_topology",
-    "import_topology",
 ]
 
 NodeId = int
@@ -140,13 +136,6 @@ def draw(getrandbits, step: StepDraw) -> NodeId:
     while pick is None:
         pick = slots[getrandbits(k)]
     return pick
-
-
-def neighbors(topology: Topology, node: NodeId) -> set[NodeId]:
-    """Adjacency set of `node`; never contains `node` itself."""
-    if not 0 <= node < topology.node_count:
-        raise ValueError(f"invalid node id {node}")
-    return set(topology.adjacency[node])
 
 
 def _build_adjacency(
@@ -292,54 +281,3 @@ def build_random_geometric(
     raise PlacementError(
         f"no connected placement of {node_count} nodes in {max_attempts} attempts"
     )
-
-
-def export_topology(topology: Topology) -> str:
-    """Serialize to a replayable JSON document."""
-    doc = {
-        "radio_range": topology.radio_range,
-        "positions": [list(p) for p in topology.positions],
-        "sink": topology.sink,
-        "sources": list(topology.sources),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def _json_number(value) -> float | None:
-    """`value` as a float if it is a JSON number (not a bool) that fits one, else None."""
-    if type(value) in (int, float):
-        try:
-            return float(value)
-        except OverflowError:
-            return None
-    return None
-
-
-def import_topology(text: str) -> Topology:
-    """Rebuild an exported topology.  Bad input raises a ValueError whose
-    message starts with the field: topology, positions, radio_range, sink or
-    sources."""
-    try:
-        doc = json.loads(text)
-    except ValueError:  # not JSON, or an int past the interpreter's digit limit
-        doc = None
-    if not isinstance(doc, dict):
-        raise ValueError("topology: expected a JSON object")
-    # A missing field reads as None, which every check below rejects.
-    if type(doc.get("positions")) is not list:
-        raise ValueError("positions: expected a list of [x, y] pairs")
-    positions = []
-    for i, point in enumerate(doc["positions"]):
-        xy = tuple(map(_json_number, point)) if type(point) is list else ()
-        if len(xy) != 2 or None in xy or not all(map(math.isfinite, xy)):
-            raise ValueError(f"positions: entry {i} is not a pair of finite numbers")
-        positions.append(xy)
-    radio_range = _json_number(doc.get("radio_range"))
-    if radio_range is None:
-        raise ValueError("radio_range: expected a number")
-    if type(doc.get("sink")) is not int:
-        raise ValueError("sink: expected a node id (int)")
-    sources = doc.get("sources")
-    if type(sources) is not list or any(type(s) is not int for s in sources):
-        raise ValueError("sources: expected a list of node ids (ints)")
-    return _finish(positions, radio_range, doc["sink"], tuple(sources))

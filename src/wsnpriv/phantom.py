@@ -45,7 +45,6 @@ __all__ = [
     "hunt",
     "binom",
     "min_zone_nodes",
-    "traceback_probability",
 ]
 
 
@@ -194,14 +193,14 @@ class Schedule:
         nodes = self.walk if self.flood_origin is None else range(self.topology.node_count)
         return {u: t for u in nodes if (t := self.tick(u)) is not None}
 
-    def log(self, topology: Topology, payload_id: str) -> list[Transmission]:
+    def log(self, payload_id: str) -> list[Transmission]:
         """One Transmission per forwarding node, ordered by (tick, sender)."""
         return [
             Transmission(
                 tick=t,
                 sender=node,
                 payload_id=payload_id,
-                hearers=frozenset(topology.adjacency[node]),
+                hearers=frozenset(self.topology.adjacency[node]),
             )
             for node, t in sorted(self.ticks.items(), key=lambda kv: (kv[1], kv[0]))
         ]
@@ -355,7 +354,7 @@ def hunt(
         transmissions_total += sched.transmissions
         latencies.append(sched.latency_hops)
         if record_log:
-            log.extend(sched.log(topology, f"msg:{msg}"))
+            log.extend(sched.log(f"msg:{msg}"))
 
         # Source transmits at tick 0 of every message, so an adversary
         # camped on it (only when the sink is the source) stays and catches it.
@@ -418,8 +417,3 @@ def min_zone_nodes(p_r: float, hops: int) -> ZonePlan:
         else:
             lo = mid
     return ZonePlan(p_r=p_r, hops=hops, n_min=hi, k=binom(hi, hops))
-
-
-def traceback_probability(n: int, h: int) -> float:
-    """Probability 1/C(n, h) of guessing the source among the zone subsets."""
-    return 1.0 / binom(n, h)  # binom rejects h > n, so C(n, h) >= 1

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import wsnpriv
 from wsnpriv.cli import _parse_b_grid, _parse_dist, _parse_sizes, build_parser, main
 
 
@@ -252,6 +257,32 @@ def test_scenario_files_are_utf8(tmp_path):
     assert run(tmp_path, "run-scenarios", str(batch)) == 0
     rows = (tmp_path / f"{name}.csv").read_bytes().decode("utf-8").splitlines()
     assert rows[1].startswith(f"{name},0,")
+
+
+def run_ascii_process(out, *argv):
+    """The CLI in a real process whose locale is ASCII: stdout and file names
+    are ASCII, and open() decodes as ASCII."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+               PYTHONPATH=str(pathlib.Path(wsnpriv.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "wsnpriv.cli", "--out", str(out), *argv],
+                          env=env, capture_output=True, timeout=60)
+
+
+def test_ascii_locale_reads_utf8_json_and_keeps_a_batch_going(tmp_path):
+    # JSON is UTF-8 whatever the locale, and a scenario whose name neither
+    # stdout nor the file system can encode fails alone: the batch goes on.
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps({**PIPELINE_DOC, "note": "caf\u00e9"}, ensure_ascii=False).encode())
+    assert run_ascii_process(tmp_path / "p", "run-pipeline", str(config)).returncode == 0
+    batch = tmp_path / "batch.json"
+    scenarios = [{**PIPELINE_DOC, "name": "zon\u00e9"}, {**PIPELINE_DOC, "name": "second"}]
+    batch.write_bytes(json.dumps({"scenarios": scenarios}, ensure_ascii=False).encode())
+    proc = run_ascii_process(tmp_path / "b", "run-scenarios", str(batch))
+    out = proc.stdout.decode("ascii")
+    assert proc.returncode == 1, out
+    assert "error: zon\\xe9: " in out and "ok: second: " in out
+    assert (tmp_path / "b" / "second.json").exists()
 
 
 # --- determinism across runs ---

@@ -11,8 +11,10 @@ To re-record after an intended output change (say so in CHANGES.md):
 """
 
 import hashlib
+import importlib
 import json
 import pathlib
+import runpy
 import sys
 
 import pytest
@@ -35,6 +37,7 @@ from wsnpriv.rng import SimRng
 HERE = pathlib.Path(__file__).resolve().parent
 DIGESTS = HERE / "golden" / "digests.json"
 REFERENCE_SCENARIO = HERE.parent / "scenarios" / "reference_sppda.json"
+TRACER = HERE.parent / "benchmarks" / "tracer.py"
 
 CRITERION_10_ARGV = (
     ["plan-zone", "--pr", "0.01", "--hops", "3"],
@@ -102,7 +105,7 @@ def digest_flood(tmp: pathlib.Path) -> dict:
     out = {}
     for origin, dest in ((0, 41), (41, 0), (17, 17), (3, 38), (20, 6)):
         res = flood(topo, origin, dest)
-        log = res.log(topo, "msg")
+        log = res.log("msg")
         out[f"{origin}->{dest}"] = _sha({
             "delivered": res.delivered,
             "transmissions": res.transmissions,
@@ -148,6 +151,18 @@ GROUPS = {
 def test_golden_digests(group, tmp_path):
     pinned = json.loads(DIGESTS.read_text())[group]
     assert GROUPS[group](tmp_path) == pinned
+
+
+def test_every_traced_name_resolves():
+    # The benchmark tracer rebinds each TRACED function or method to a timing
+    # wrapper, so a name deleted from src/ fails every traced benchmark run.
+    traced = runpy.run_path(str(TRACER), run_name="tracer")["TRACED"]
+    for module_name, attr, _ in traced:
+        owner = importlib.import_module(f"wsnpriv.{module_name}")
+        *classes, name = attr.split(".")
+        for cls in classes:
+            owner = vars(owner).get(cls)
+        assert owner is not None and name in vars(owner), f"{module_name}.{attr}"
 
 
 if __name__ == "__main__":

@@ -1,6 +1,4 @@
-import json
 import math
-import re
 
 import pytest
 from hypothesis import example, given
@@ -14,9 +12,6 @@ from wsnpriv.netsim import (
     build_grid,
     build_random_geometric,
     draw,
-    export_topology,
-    import_topology,
-    neighbors,
     shortest_path,
     step_draw,
     _build_adjacency,
@@ -39,19 +34,19 @@ def lattice_neighbors(width, height, x, y, radio_range):
 def test_singleton_grid():
     topo = build_grid(1, 1, 1.0, sink=0, sources=(0,))
     assert topo.node_count == 1
-    assert neighbors(topo, 0) == set()
+    assert set(topo.adjacency[0]) == set()
 
 
 def test_grid_center_neighbors_match_lattice_oracle():
     topo = build_grid(3, 3, 1.0)
-    assert neighbors(topo, 4) == lattice_neighbors(3, 3, 1, 1, 1.0)
-    assert len(neighbors(topo, 4)) == 4
+    assert set(topo.adjacency[4]) == lattice_neighbors(3, 3, 1, 1, 1.0)
+    assert len(topo.adjacency[4]) == 4
 
 
 def test_grid_corner_neighbors():
     topo = build_grid(3, 3, 1.0)
-    assert neighbors(topo, 0) == lattice_neighbors(3, 3, 0, 0, 1.0)
-    assert len(neighbors(topo, 0)) == 2
+    assert set(topo.adjacency[0]) == lattice_neighbors(3, 3, 0, 0, 1.0)
+    assert len(topo.adjacency[0]) == 2
 
 
 def test_large_grid_degrees():
@@ -121,12 +116,6 @@ def test_disconnected_grid_rejected():
         build_grid(3, 3, 0.5)
 
 
-def test_neighbors_invalid_node():
-    topo = build_grid(2, 2)
-    with pytest.raises(ValueError):
-        neighbors(topo, 99)
-
-
 def test_random_geometric_singleton():
     topo = build_random_geometric(1, 10.0, 1.0, SimRng(1), sink=0, sources=(0,))
     assert topo.node_count == 1
@@ -162,63 +151,16 @@ def test_shortest_path_endpoints_and_length():
         assert b in topo.adjacency[a]
 
 
-def test_export_import_round_trip():
-    topo = build_grid(4, 3, 1.0, sink=2, sources=(11, 7))
-    assert import_topology(export_topology(topo)) == topo
-
-
-def imported_grid(radio_range):
-    doc = json.loads(export_topology(build_grid(3, 3)))
-    return import_topology(json.dumps({**doc, "radio_range": radio_range}))
-
-
 @pytest.mark.parametrize("radio_range", [0.0, -1.0, float("nan"), 1e-10])
 @pytest.mark.parametrize("build", [
     lambda r: build_grid(3, 3, r),
     lambda r: build_random_geometric(5, 2.0, r, SimRng(1)),
-    imported_grid,
-], ids=["grid", "random_geometric", "import"])
+], ids=["grid", "random_geometric"])
 def test_every_builder_rejects_a_bad_radio_range(build, radio_range):
-    # Import once accepted -1 (its square is 1), raised ZeroDivisionError at 0
-    # and a ValueError without the field's name at NaN.
+    # One check in _finish covers both builders: a range whose square is
+    # positive (-1), zero and NaN all fail with the field's name.
     with pytest.raises(ValueError, match=r"^radio_range: must be >= 1e-9$"):
         build(radio_range)
-
-
-def _set_position(x):
-    return lambda doc: doc["positions"].__setitem__(0, x)
-
-
-@pytest.mark.parametrize("edit, message", [
-    (_set_position([float("nan"), 0.0]), "positions: entry 0 is not a pair of finite numbers"),
-    (_set_position([1e309, 0.0]), "positions: entry 0 is not a pair of finite numbers"),
-    (_set_position([10**400, 0]), "positions: entry 0 is not a pair of finite numbers"),
-    (_set_position([0.0]), "positions: entry 0 is not a pair of finite numbers"),
-    (_set_position(["0", 0]), "positions: entry 0 is not a pair of finite numbers"),
-    (lambda doc: doc.pop("positions"), "positions: expected a list of [x, y] pairs"),
-    (lambda doc: doc.pop("radio_range"), "radio_range: expected a number"),
-    (lambda doc: doc.update(radio_range="1"), "radio_range: expected a number"),
-    (lambda doc: doc.pop("sink"), "sink: expected a node id (int)"),
-    (lambda doc: doc.update(sink=True), "sink: expected a node id (int)"),
-    (lambda doc: doc.update(sink=9), "sink: node 9 outside [0, 9)"),
-    (lambda doc: doc.pop("sources"), "sources: expected a list of node ids (ints)"),
-    (lambda doc: doc.update(sources=["x"]), "sources: expected a list of node ids (ints)"),
-], ids=["nan", "inf", "huge-int", "short-pair", "string-coordinate", "no-positions",
-        "no-radio-range", "string-radio-range", "no-sink", "bool-sink", "sink-outside",
-        "no-sources", "string-source"])
-def test_import_names_the_bad_field(edit, message):
-    # These once failed as an unnamed ValueError (NaN, inf), KeyError (a
-    # missing field) or OverflowError, or were accepted (a bool sink).
-    doc = json.loads(export_topology(build_grid(3, 3)))
-    edit(doc)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        import_topology(json.dumps(doc))
-
-
-@pytest.mark.parametrize("text", ["[1, 2]", "3", "null", "not json", "{"])
-def test_import_rejects_a_document_that_is_not_an_object(text):
-    with pytest.raises(ValueError, match=r"^topology: expected a JSON object$"):
-        import_topology(text)
 
 
 def test_pair_test_cap_counts_every_tested_pair(monkeypatch):

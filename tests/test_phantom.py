@@ -21,7 +21,6 @@ from wsnpriv.phantom import (
     min_zone_nodes,
     random_walk,
     route_message,
-    traceback_probability,
 )
 from wsnpriv.rng import SimRng
 
@@ -131,12 +130,12 @@ def test_flood_matches_bfs_oracle():
         res = flood(topo, origin, dest)
         assert res.latency_hops == nx.shortest_path_length(g, origin, dest)
         # Whole-component flood: everyone except the destination forwards once.
-        senders = [t.sender for t in res.log(topo, "msg")]
+        senders = [t.sender for t in res.log("msg")]
         assert len(senders) == len(set(senders)) == res.transmissions
         assert res.transmissions == topo.node_count - 1
         assert dest not in senders
         # Each node's transmission tick equals its hop distance from origin.
-        for t in res.log(topo, "msg"):
+        for t in res.log("msg"):
             assert t.tick == nx.shortest_path_length(g, origin, t.sender)
 
 
@@ -409,10 +408,3 @@ def test_min_zone_nodes_tiny_p_r():
 def test_min_zone_trivial_boundary():
     for hops in range(1, 6):
         assert min_zone_nodes(1.0, hops).n_min == hops + 1
-
-
-def test_traceback_probability():
-    assert traceback_probability(10, 3) == pytest.approx(1 / 120)
-    assert traceback_probability(5, 5) == 1.0
-    probs = [traceback_probability(n, 3) for n in range(3, 30)]
-    assert all(a >= b for a, b in zip(probs, probs[1:]))
