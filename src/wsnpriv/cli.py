@@ -224,6 +224,12 @@ def cmd_run_pipeline(args) -> int:
     return 0
 
 
+def _say(line: str) -> None:
+    """Print a line; what stdout cannot encode prints escaped, as zon\\xe9."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def run_scenarios(path: str, out_dir: str | None) -> int:
     """Run every scenario of a JSON batch file, each to <name>.json and
     <name>.csv (no summary).  Returns 1 if any scenario failed (the rest
@@ -233,20 +239,15 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
     scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
     if not isinstance(scenarios, list):
         raise ConfigError("scenarios: expected a list")
-    encoding = sys.stdout.encoding or "utf-8"
-
-    def say(line: str) -> None:  # a name stdout cannot encode prints escaped, as zon\xe9
-        print(line.encode(encoding, "backslashreplace").decode(encoding))
-
     status = 0
     for i, scen in enumerate(scenarios):
         if not isinstance(scen, dict):
-            say(f"error: scenario-{i}: expected an object")
+            _say(f"error: scenario-{i}: expected an object")
             status = 1
             continue
         name = scen.get("name", f"scenario-{i}")
         if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-            say(f"error: name: {name!r} is not a plain file name")
+            _say(f"error: name: {name!r} is not a plain file name")
             status = 1
             continue
         try:
@@ -258,10 +259,10 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
                        "route_hops", "transmissions"],
             ))
         except (OSError, ValueError, RuntimeError) as exc:
-            say(f"error: {name}: {exc}")
+            _say(f"error: {name}: {exc}")
             status = 1
             continue
-        say(f"ok: {name}: {len(rows)} flow(s)")
+        _say(f"ok: {name}: {len(rows)} flow(s)")
     return status
 
 
@@ -329,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}")
+        _say(f"error: {exc}")
         return 2 if isinstance(exc, ValueError) else 1
 
 

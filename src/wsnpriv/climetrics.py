@@ -112,7 +112,9 @@ def disclosure_probability(
     ALL_LINKS: a size-m cluster leaks when all m-1 peer exchanges of a
     member are read, contributing b^(m-1).  ANY_LINK: one broken link
     suffices, contributing 1 - (1-b)^(m-1).  The fixed three-party scheme
-    under ALL_LINKS reduces to b^2.
+    under ALL_LINKS reduces to b^2.  b models an outside eavesdropper, and
+    the probability is a member's, not the aggregator's (whose own share is
+    never sent); a co-source holding the banks reads a member at any b.
     """
     if not 0.0 <= b <= 1.0:
         raise ValueError("b: must be in [0, 1]")

@@ -7,15 +7,16 @@ source traffic relayed through the AF, and the AF never holds those keys.
 Because every source holds the same banks, a raw index would let any
 source decrypt any other's traffic.  Each pair therefore fixes its own
 secret permutation of the bank, and the session key for a message is
-announced as a plaintext index R_c into that permuted ordering: useless to
-anyone who does not know the permutation.  Each node answers "which bank,
-in whose ordering, keys a frame with this peer" in one place, its
-link(peer, receiver).  Every link frame crosses through hop: sealed by
-seal_frame under the sender's link, opened by open_frame under the
-receiver's copy of it.  A source pair's SS orderings are bootstrapped by
-establish_ss_channel, which ships each permutation through the AF inside an
-inner frame sealed under the raw SS-bank order; a pair's SS schedule is then
-the plain mapping {owner: permutation}.
+announced as a plaintext index R_c into that permuted ordering.  The
+ordering hides the key from outsiders, not from bank holders: a node that
+holds the bank finds the key by trying each one against the frame's tag.
+Each node answers "which bank, in whose ordering, keys a frame with this
+peer" in one place, its link(peer, receiver).  Every link frame crosses
+through hop: sealed by seal_frame under the sender's link, opened by
+open_frame under the receiver's copy of it.  A source pair's SS orderings
+are bootstrapped by establish_ss_channel, which ships each permutation
+through the AF inside an inner frame sealed under the raw SS-bank order; a
+pair's SS schedule is then the plain mapping {owner: permutation}.
 
 Wire formats (simulated, documented for log parsing):
 

@@ -13,6 +13,7 @@ All arithmetic is exact; there are no tolerances anywhere in this module.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,11 +35,7 @@ __all__ = [
     "DEFAULT_MODULUS",
     "PrimeField",
     "SeedAssignment",
-    "RandomCoeffs",
-    "Share",
-    "NodeAggregate",
     "AggregationResult",
-    "MixedSeedError",
     "gen_shares",
     "node_aggregate",
     "solve_aggregate",
@@ -50,10 +47,6 @@ __all__ = [
 ]
 
 DEFAULT_MODULUS = 2**31 - 1
-
-
-class MixedSeedError(ValueError):
-    """Shares evaluated at different seeds were summed together."""
 
 
 @lru_cache(maxsize=None)  # one entry per distinct modulus a process uses
@@ -135,84 +128,42 @@ class SeedAssignment:
 
 
 @dataclass(frozen=True)
-class RandomCoeffs:
-    r1: int
-    r2: int
-
-    @classmethod
-    def draw(cls, field: PrimeField, rng: SimRng) -> "RandomCoeffs":
-        return cls(r1=rng.below(field.p), r2=rng.below(field.p))
-
-
-@dataclass(frozen=True)
-class Share:
-    producer: str
-    evaluated_at: str  # participant whose seed this share was evaluated at
-    value: int
-
-
-@dataclass(frozen=True)
-class NodeAggregate:
-    participant: str
-    value: int
-
-
-@dataclass(frozen=True)
 class AggregationResult:
     total: int      # D = x + y + z
     pair_sum: int   # x + y = D - z
 
 
-def gen_shares(
-    private_value: int,
-    producer: str,
-    seeds: SeedAssignment,
-    coeffs: RandomCoeffs,
-) -> list[Share]:
-    """One share per participant: v + R1*s_i + R2*s_i^2 at that
-    participant's seed."""
+def gen_shares(value: int, coeffs: Sequence[int], seeds: SeedAssignment) -> list[int]:
+    """One participant's shares: value + c1*s + c2*s^2 + ... mod p at each
+    seed s, in seed order.  The one Horner evaluation of a masked polynomial."""
     p = seeds.field.p
-    v = private_value % p
-    r1, r2 = coeffs.r1, coeffs.r2
-    return [
-        Share(producer=producer, evaluated_at=who, value=(v + s * (r1 + s * r2)) % p)
-        for who, s in zip(seeds.participants, seeds.seeds)
-    ]
+    poly = [*coeffs[::-1], value]
+    shares = []
+    for s in seeds.seeds:
+        acc = 0
+        for c in poly:
+            acc = acc * s + c
+        shares.append(acc % p)  # reduced once, when complete
+    return shares
 
 
-def node_aggregate(
-    participant: str, shares: list[Share], field: PrimeField
-) -> NodeAggregate:
-    """Sum the shares a node holds; all must target this node's seed."""
-    total = 0
-    for share in shares:
-        if share.evaluated_at != participant:
-            raise MixedSeedError(
-                f"share for {share.evaluated_at!r} mixed into {participant!r}'s sum"
-            )
-        total = (total + share.value) % field.p
-    return NodeAggregate(participant=participant, value=total)
+def node_aggregate(shares: Iterable[int], field: PrimeField) -> int:
+    """The sum mod p of the shares a node holds, all evaluated at its seed."""
+    return sum(shares) % field.p
 
 
-def solve_aggregate(
-    seeds: SeedAssignment, aggregates: list[NodeAggregate]
-) -> int:
-    """Recover D from the per-node sums.
+def solve_aggregate(seeds: SeedAssignment, sums: Sequence[int]) -> int:
+    """Recover D from the per-node sums, given in seed order.
 
     The sums are evaluations of one polynomial F with F(0) = D, so D falls
     out of Lagrange interpolation at 0 over the n distinct seeds.
     """
-    if len(aggregates) != len(seeds.participants):
-        raise ValueError("need one aggregate per participant")
-    f = seeds.field
-    by_participant = {agg.participant: agg.value for agg in aggregates}
-    if set(by_participant) != set(seeds.participants):
-        raise ValueError("aggregates do not match the seed assignment")
-    p = f.p
+    if len(sums) != len(seeds.seeds):
+        raise ValueError("need one node sum per seed")
+    p = seeds.field.p
     xs = [s % p for s in seeds.seeds]
-    ys = [by_participant[q] for q in seeds.participants]
     # Lagrange basis at x = 0:  l_i(0) = prod_{j != i} x_j / (x_j - x_i).
-    # The terms y_i * l_i(0) are summed as one fraction, a/b + c/d =
+    # The terms sums[i] * l_i(0) are summed as one fraction, a/b + c/d =
     # (a*d + c*b) / (b*d), so n denominators cost one inversion.  Each
     # product is reduced once, when complete.
     acc_num, acc_den = 0, 1
@@ -225,9 +176,9 @@ def solve_aggregate(
         den %= p
         if den == 0:
             raise ZeroDivisionError("duplicate seeds make the system singular")
-        acc_num = (acc_num * den + ys[i] * num % p * acc_den) % p
+        acc_num = (acc_num * den + sums[i] * num % p * acc_den) % p
         acc_den = acc_den * den % p
-    return acc_num * f.inv(acc_den) % p
+    return acc_num * seeds.field.inv(acc_den) % p
 
 
 def recover_pair_sum(total: int, z: int, field: PrimeField) -> int:
@@ -251,7 +202,7 @@ class FrameRecord:
 class RoundTranscript:
     seeds: SeedAssignment
     frames: list[FrameRecord]
-    aggregates: list[NodeAggregate]
+    sums: list[int]  # per-node sums, in seed order
     result: AggregationResult
 
     def to_doc(self) -> dict:
@@ -270,8 +221,8 @@ class RoundTranscript:
                 for rec in self.frames
             ],
             "aggregates": [
-                {"participant": a.participant, "value": a.value}
-                for a in self.aggregates
+                {"participant": who, "value": v}
+                for who, v in zip(self.seeds.participants, self.sums)
             ],
             "result": {"total": self.result.total, "pair_sum": self.result.pair_sum},
         }
@@ -342,40 +293,34 @@ class SppdaCluster:
         frames = [FrameRecord(kind="seed-broadcast", sender="A", receiver="*",
                               plaintext_fields={"seeds": list(seeds.seeds)})]
 
-        values = {"A": z % f.p, "S1": x % f.p, "S2": y % f.p}
-        coeffs = {
-            who: RandomCoeffs.draw(f, rng.stream(f"coeffs:{who}"))
-            for who in _PARTICIPANTS
-        }
-        shares = {
-            who: gen_shares(values[who], who, seeds, coeffs[who])
-            for who in _PARTICIPANTS
-        }
+        # Each participant masks its value (A: z, S1: x, S2: y) with r1, r2.
+        p = f.p
+        shares = []
+        for who, v in zip(_PARTICIPANTS, (z, x, y)):
+            draw = rng.stream(f"coeffs:{who}").below
+            shares.append(gen_shares(v, [draw(p), draw(p)], seeds))
         # Each node keeps the share at its own seed and sums it with the
         # shares it decrypts off the managed channels.
         chan = rng.stream("channels")
-        held: dict[str, list[Share]] = {who: [] for who in _PARTICIPANTS}
-        for producer in _PARTICIPANTS:
-            for share in shares[producer]:
-                target = share.evaluated_at
-                if target != producer:
-                    share = Share(producer, target, self._send(
-                        "share", producer, target, share.value, chan, frames,
-                        {"for_seed_of": target}))
-                held[target].append(share)
+        held: list[list[int]] = [[] for _ in _PARTICIPANTS]
+        for i, producer in enumerate(_PARTICIPANTS):
+            for j, target in enumerate(_PARTICIPANTS):
+                share = shares[i][j]
+                if j != i:
+                    share = self._send("share", producer, target, share, chan, frames,
+                                       {"for_seed_of": target})
+                held[j].append(share)
 
-        aggregates = [node_aggregate(who, held[who], f) for who in _PARTICIPANTS]
+        sums = [node_aggregate(h, f) for h in held]
         # S1 and S2 return their sums sealed; the aggregator solves from the
         # sums it decrypted plus its own.
-        received = [aggregates[0]] + [NodeAggregate(agg.participant, self._send(
-            "node-sum", agg.participant, "A", agg.value, chan, frames,
-            {"participant": agg.participant})) for agg in aggregates[1:]]
+        received = [sums[0]] + [
+            self._send("node-sum", who, "A", v, chan, frames, {"participant": who})
+            for who, v in zip(_PARTICIPANTS[1:], sums[1:])]
 
         total = solve_aggregate(seeds, received)
-        result = AggregationResult(
-            total=total, pair_sum=recover_pair_sum(total, values["A"], f)
-        )
-        return result, RoundTranscript(seeds, frames, aggregates, result)
+        result = AggregationResult(total=total, pair_sum=recover_pair_sum(total, z, f))
+        return result, RoundTranscript(seeds, frames, sums, result)
 
 
 def run_sppda(
@@ -399,24 +344,9 @@ def run_cpda(
     if n < 3:
         raise ValueError("cluster baseline needs at least 3 participants")
     f = field_ or PrimeField()
-    p = f.p
-    participants = tuple(f"P{i}" for i in range(n))
-    seeds = SeedAssignment.draw(participants, f, rng.stream("seeds"))
-    coeff_rng = rng.stream("coeffs")
-    sums = [0] * n
-    # Every participant evaluates its own mask at every seed (n^2 Horner
-    # evaluations): that share traffic is the cost this baseline models.
-    # Each evaluation is reduced mod p once, when it is summed.
-    for i in range(n):
-        poly = [values[i] % p] + [coeff_rng.below(p) for _ in range(n - 1)]
-        poly.reverse()
-        for j, s in enumerate(seeds.seeds):
-            acc = 0
-            for c in poly:
-                acc = acc * s + c
-            sums[j] = (sums[j] + acc) % p
-    aggregates = [
-        NodeAggregate(participant=who, value=v)
-        for who, v in zip(participants, sums)
-    ]
-    return solve_aggregate(seeds, aggregates)
+    seeds = SeedAssignment.draw(tuple(f"P{i}" for i in range(n)), f, rng.stream("seeds"))
+    coeffs = rng.stream("coeffs")
+    # Every participant evaluates its own degree-(n-1) mask at every seed
+    # (n^2 evaluations): that share traffic is the cost this baseline models.
+    shares = [gen_shares(v, [coeffs.below(f.p) for _ in range(n - 1)], seeds) for v in values]
+    return solve_aggregate(seeds, [node_aggregate(col, f) for col in zip(*shares)])

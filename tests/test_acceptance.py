@@ -36,9 +36,7 @@ from wsnpriv.phantom import FloodOnly, Phantom, WalkConfig, binom, hunt, min_zon
 from wsnpriv.pipeline import PipelineConfig, PrivacyLevel, run_pipeline
 from wsnpriv.ppda import (
     DEFAULT_MODULUS,
-    NodeAggregate,
     PrimeField,
-    RandomCoeffs,
     SeedAssignment,
     SppdaCluster,
     gen_shares,
@@ -83,17 +81,12 @@ def test_criterion_2_worked_example_against_oracle():
         "A": (33, 103, 213), "S1": (75, 225, 455), "S2": (117, 347, 697)
     }
     produced = {
-        who: tuple(
-            sh.value
-            for sh in gen_shares(values[who], who, seeds, RandomCoeffs(*coeffs[who]))
-        )
-        for who in values
+        who: tuple(gen_shares(values[who], coeffs[who], seeds)) for who in values
     }
     assert produced == expected_shares
     sums = [sum(expected_shares[w][i] for w in values) for i in range(3)]
     assert sums == [225, 675, 1365]
-    aggregates = [NodeAggregate(w, s) for w, s in zip(seeds.participants, sums)]
-    d = solve_aggregate(seeds, aggregates)
+    d = solve_aggregate(seeds, sums)
     assert d == 15
     assert (d - values["A"]) % P == 12
     assert run_sppda(5, 7, 3, SimRng(1, "acc2")).pair_sum == 12

@@ -285,6 +285,18 @@ def test_ascii_locale_reads_utf8_json_and_keeps_a_batch_going(tmp_path):
     assert (tmp_path / "b" / "second.json").exists()
 
 
+def test_ascii_locale_prints_a_bad_input_error_escaped(tmp_path):
+    # The error line names a value stdout cannot encode: it prints escaped,
+    # with the bad-input status, not as a UnicodeEncodeError traceback.
+    config = tmp_path / "config.json"
+    config.write_bytes(json.dumps({**PIPELINE_DOC, "level": "ful\u00e9"}, ensure_ascii=False).encode())
+    proc = run_ascii_process(tmp_path / "p", "run-pipeline", str(config))
+    out = proc.stdout.decode("ascii")
+    assert proc.returncode == 2, (out, proc.stderr)
+    assert out.startswith("error: level: ") and "ful\\xe9" in out
+    assert proc.stderr == b""
+
+
 # --- determinism across runs ---
 
 def test_outputs_byte_identical_across_runs(tmp_path):

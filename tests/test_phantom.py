@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -310,6 +311,22 @@ def test_hunt_flood_capture_takes_distance_messages():
     report = hunt(topo, FloodOnly(), 50, SimRng(1))
     assert report.captured
     assert report.safety_period == 10  # corner-to-corner hop distance
+
+
+def test_hunt_flood_safety_period_is_the_hop_distance_on_every_pair():
+    # Each flooded message draws the hunter one hop nearer the source, so
+    # capture comes at exactly the sink-source hop distance.
+    fields = (build_grid(6, 6), build_grid(7, 4),
+              build_random_geometric(40, 5.0, 1.6, SimRng(17, "flood-identity")))
+    for topo in fields:
+        for sink in range(topo.node_count):
+            dist = topo.distances_from(sink)
+            for source in range(topo.node_count):
+                if source == sink:
+                    continue
+                roles = dataclasses.replace(topo, sink=sink, sources=(source,))
+                report = hunt(roles, FloodOnly(), dist[source], SimRng(1))
+                assert report.captured and report.safety_period == dist[source], (sink, source)
 
 
 def test_hunt_adversary_soundness_against_log():
