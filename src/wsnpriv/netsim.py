@@ -12,8 +12,10 @@ broadcast: everyone within radio range of the sender hears it.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from functools import partial
 
 from .rng import SimRng
 
@@ -159,15 +161,96 @@ def _build_adjacency(
         m = len(members)
         tests += m * len(pool) - m * (m + 1) // 2
         if tests > PAIR_TESTS_MAX:  # a range this wide builds a near-complete graph
-            raise ValueError(
-                f"radio_range: {radio_range} needs over {PAIR_TESTS_MAX} node-pair tests"
-            )
+            raise _too_many_tests(radio_range)
         for k, (i, xi, yi) in enumerate(members, 1):
             for j, xj, yj in pool[k:]:
                 if (xi - xj) ** 2 + (yi - yj) ** 2 <= r2:
                     adjacency[i].append(j)
                     adjacency[j].append(i)
     return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
+
+
+def _too_many_tests(radio_range: float) -> ValueError:
+    return ValueError(f"radio_range: {radio_range} needs over {PAIR_TESTS_MAX} node-pair tests")
+
+
+def _grid_adjacency(
+    width: int, height: int, radio_range: float
+) -> tuple[tuple[NodeId, ...], ...]:
+    """_build_adjacency of the width x height lattice, linked by offset.
+
+    A node links to the offsets (dx, dy) that pass the spatial hash's float
+    test, added to its id where they stay on the lattice.  A range the hash
+    would refuse is refused before any row is built, by the hash's own
+    count: a hash cell holds (lattice columns in its x span) x (lattice
+    rows in its y span) nodes, so the count comes from per-axis sums.
+    """
+    cell = radio_range * (1 + 1e-9)
+    axes = []
+    for side in (width, height):
+        cells = Counter(int(v // cell) for v in map(float, range(side)))
+        axes.append((sum(m * m for m in cells.values()),  # one cell's span with itself
+                     sum(m * cells[c + 1] for c, m in cells.items())))  # with the next one's
+    (xx, xn), (yy, yn) = axes
+    # Pairs within a cell, then a cell with its later x, y and two diagonal cells.
+    if (xx * yy - width * height) // 2 + xn * yy + xx * yn + 2 * xn * yn > PAIR_TESTS_MAX:
+        raise _too_many_tests(radio_range)
+    # reach[dy]: the widest dx in range at that dy.  The float test fails
+    # for every wider offset once it fails, so reach only shrinks.
+    r2 = radio_range * radio_range
+    reach: list[int] = []
+    dx = width - 1
+    for dy in range(height):
+        while dx >= 0 and float(dx) ** 2 + float(dy) ** 2 > r2:
+            dx -= 1
+        if dx < 0:
+            break
+        reach.append(dx)
+    tall, wide = len(reach) - 1, reach[0]
+    n = width * height
+    # The offsets in range, in id order: (id delta, dx, dy).
+    stencil = [
+        (dy * width + dx, dx, dy)
+        for dy in range(-tall, tall + 1)
+        for dx in range(-reach[abs(dy)], reach[abs(dy)] + 1)
+        if dx or dy
+    ]
+    if not stencil:  # a range under 1, or a lone node, links nothing
+        return ((),) * n
+    ids = list(range(n))  # one int object per node id in every row
+    adjacency: list[tuple[NodeId, ...]] = [()] * n
+
+    def clipped(i: NodeId, x: int, y: int) -> tuple[NodeId, ...]:
+        # One slice of ids per lattice row in range, cut to the lattice.
+        row: list[NodeId] = []
+        for dy in range(max(-tall, -y), min(tall, height - 1 - y) + 1):
+            c, k = i + dy * width, reach[abs(dy)]
+            lo, hi = c - min(k, x), c + min(k, width - 1 - x) + 1
+            row += ids[lo:hi] if dy else ids[lo:i] + ids[i + 1:hi]
+        return tuple(row)
+
+    # Rows tall .. height - tall - 1 keep every dy on the lattice and form
+    # one block; each other row is a block of its own.
+    blocks = [(y, y + 1) for y in range(height) if not tall <= y < height - tall]
+    if tall < height - tall:
+        blocks.append((tall, height - tall))
+    edges = [x for x in range(width) if not wide <= x < width - wide]
+    for y0, y1 in blocks:
+        first, last = y0 * width, (y1 - 1) * width  # column 0 of its first and last row
+        kept = [(d, dx) for d, dx, dy in stencil if 0 <= y0 + dy and y1 + dy <= height]
+        # Nodes no dx takes off the lattice add the same deltas to their id.
+        # The band also spans the edge columns between its rows, set below.
+        lo, hi = first + wide, last + width - wide
+        adjacency[lo:hi] = zip(*[ids[lo + d:hi + d] for d, _ in kept])
+        for x in edges:
+            if y0 + 1 == y1:
+                adjacency[first + x] = clipped(first + x, x, y0)
+            else:
+                column = slice(first + x, last + x + 1, width)
+                adjacency[column] = list(zip(*[
+                    ids[first + x + d:last + x + d + 1:width] for d, dx in kept if 0 <= x + dx < width
+                ]))
+    return tuple(adjacency)
 
 
 def bfs_distances(topology: Topology, origin: NodeId) -> list[int]:
@@ -210,18 +293,23 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
 
 
 def _finish(
-    positions: list[tuple[float, float]],
+    positions: Iterable[tuple[float, float]],
     radio_range: float,
+    link: Callable[[float], tuple[tuple[NodeId, ...], ...]],
     sink: NodeId | None,
     sources: tuple[NodeId, ...] | None,
 ) -> Topology:
+    # link(radio_range) gives the adjacency; positions are read after it,
+    # so a range it refuses costs no placement.
     if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
         raise ValueError("radio_range: must be >= 1e-9")
+    adjacency = link(radio_range)
+    positions = tuple(positions)
     n = len(positions)
     topology = Topology(
-        positions=tuple(positions),
+        positions=positions,
         radio_range=radio_range,
-        adjacency=_build_adjacency(positions, radio_range),
+        adjacency=adjacency,
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),
     )
@@ -246,6 +334,9 @@ def build_grid(
 ) -> Topology:
     """width x height unit lattice.  Node id = y * width + x.
 
+    Nodes are linked from the lattice's offset stencil, which gives the
+    spatial hash's adjacency and refuses the ranges the hash would.
+
     Default roles: sink at node 0 (one corner), single source at the
     opposite corner.
     """
@@ -253,8 +344,9 @@ def build_grid(
         raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
     if width * height > GRID_MAX_NODES:
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
-    positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
-    return _finish(positions, radio_range, sink, sources)
+    xs = [float(x) for x in range(width)]
+    positions = ((x, y) for y in map(float, range(height)) for x in xs)
+    return _finish(positions, radio_range, partial(_grid_adjacency, width, height), sink, sources)
 
 
 def build_random_geometric(
@@ -275,7 +367,9 @@ def build_random_geometric(
             for _ in range(node_count)
         ]
         try:
-            return _finish(positions, radio_range, sink, sources)
+            return _finish(
+                positions, radio_range, partial(_build_adjacency, positions), sink, sources
+            )
         except DisconnectedGraphError:
             continue
     raise PlacementError(

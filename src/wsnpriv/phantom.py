@@ -181,8 +181,10 @@ class Schedule:
     def tick(self, node: NodeId) -> int | None:
         """Earliest tick at which `node` forwards, or None if it never does."""
         walk = self.walk
-        if node in walk:
+        try:
             return walk.index(node)
+        except ValueError:
+            pass
         if self.flood_origin is None or node == self.destination:
             return None
         return len(walk) + self.flood_dist[node]

@@ -12,6 +12,7 @@ plain shortest path.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from .keymgmt import check_bank_split
@@ -155,6 +156,7 @@ def pair_sources(
         raise ConfigError("need at least two sources to pair")
     remaining = sorted(sources)
     forbidden = set(sources) | {topology.sink}
+    allowed = [n for n in range(topology.node_count) if n not in forbidden]
     dist_from = {s: topology.distances_from(s) for s in remaining}
     clusters: list[Cluster] = []
     while len(remaining) >= 2:
@@ -169,17 +171,14 @@ def pair_sources(
         )
         if common:
             af = common[0]
+        elif allowed:
+            # min keeps the first of equal sums, so ties go to the lowest id.
+            summed = list(map(operator.add, dist_from[s1], dist_from[s2]))
+            af = min(allowed, key=summed.__getitem__)
         else:
-            candidates = [
-                (dist_from[s1][n] + dist_from[s2][n], n)
-                for n in range(topology.node_count)
-                if n not in forbidden
-            ]
-            if not candidates:
-                raise ConfigError(
-                    f"sources: no aggregator-forwarder candidate can reach both {s1} and {s2}"
-                )
-            af = min(candidates)[1]
+            raise ConfigError(
+                f"sources: no aggregator-forwarder candidate can reach both {s1} and {s2}"
+            )
         clusters.append(Cluster(s1=s1, s2=s2, af=af))
     return clusters, remaining
 

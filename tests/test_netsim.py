@@ -1,4 +1,6 @@
 import math
+import re
+import time
 
 import pytest
 from hypothesis import example, given
@@ -15,6 +17,7 @@ from wsnpriv.netsim import (
     shortest_path,
     step_draw,
     _build_adjacency,
+    _grid_adjacency,
 )
 from wsnpriv.rng import SimRng
 
@@ -111,6 +114,37 @@ def test_adjacency_matches_all_pairs_oracle_on_random_fields(field):
     assert _build_adjacency(positions, radio_range) == all_pairs_adjacency(positions, radio_range)
 
 
+STENCIL_RANGES = [0.3, 0.5, 1.0, 1 + 1e-9, math.sqrt(2), 1.5, 2.5, 7.3, 1e18, 1e300, math.inf]
+
+
+def test_grid_stencil_matches_the_spatial_hash():
+    for width in range(1, 13):
+        for height in range(1, 13):
+            positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
+            for radio_range in STENCIL_RANGES:
+                expected = _build_adjacency(positions, radio_range)
+                assert _grid_adjacency(width, height, radio_range) == expected
+                if radio_range >= 1:  # the builder refuses a disconnected field
+                    assert build_grid(width, height, radio_range).adjacency == expected
+
+
+def test_infinite_range_grid_is_complete():
+    topo = build_grid(5, 5, radio_range=math.inf)
+    assert topo.adjacency == tuple(
+        tuple(j for j in range(25) if j != i) for i in range(25)
+    )
+
+
+@pytest.mark.parametrize("radio_range", [1.0, 2.5])
+def test_grid_rows_share_one_int_per_node(radio_range):
+    # Identity lets list.index, `in` and dict lookups on walks skip __eq__.
+    topo = build_grid(30, 30, radio_range)
+    first = {}
+    for row in topo.adjacency:
+        for j in row:
+            assert first.setdefault(j, j) is j
+
+
 def test_disconnected_grid_rejected():
     with pytest.raises(DisconnectedGraphError):
         build_grid(3, 3, 0.5)
@@ -163,19 +197,47 @@ def test_every_builder_rejects_a_bad_radio_range(build, radio_range):
         build(radio_range)
 
 
-def test_pair_test_cap_counts_every_tested_pair(monkeypatch):
-    # The spatial hash tests each pair of nodes whose cells differ by at most
-    # one in both axes, once.
-    positions = [(x * 0.7, y * 0.4) for y in range(9) for x in range(6)]
-    cell = 1.5 * (1 + 1e-9)
+def hash_pair_tests(positions, radio_range):
+    """The spatial hash tests each pair of nodes whose cells differ by at
+    most one in both axes, once."""
+    cell = radio_range * (1 + 1e-9)
     cells = [(int(x // cell), int(y // cell)) for x, y in positions]
-    tested = sum(abs(ax - bx) <= 1 and abs(ay - by) <= 1
-                 for i, (ax, ay) in enumerate(cells) for bx, by in cells[i + 1:])
+    return sum(abs(ax - bx) <= 1 and abs(ay - by) <= 1
+               for i, (ax, ay) in enumerate(cells) for bx, by in cells[i + 1:])
+
+
+def test_pair_test_cap_counts_every_tested_pair(monkeypatch):
+    positions = [(x * 0.7, y * 0.4) for y in range(9) for x in range(6)]
+    tested = hash_pair_tests(positions, 1.5)
     monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested)
     _build_adjacency(positions, 1.5)
     monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested - 1)
     with pytest.raises(ValueError, match=f"^radio_range: 1.5 needs over {tested - 1} "):
         _build_adjacency(positions, 1.5)
+
+
+@pytest.mark.parametrize("width,height,radio_range", [
+    (9, 6, 1.5), (13, 4, 0.7), (1, 17, 2.5), (8, 8, 3.9), (7, 5, 1e300), (6, 6, math.inf),
+])
+def test_grid_cap_counts_the_spatial_hash_tests(monkeypatch, width, height, radio_range):
+    # The grid links by stencil but refuses at exactly the hash's count.
+    positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
+    tested = hash_pair_tests(positions, radio_range)
+    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested)
+    assert _grid_adjacency(width, height, radio_range) == _build_adjacency(positions, radio_range)
+    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested - 1)
+    message = re.escape(f"radio_range: {radio_range} needs over {tested - 1} node-pair tests")
+    for build in (_grid_adjacency, lambda w, h, r: build_grid(w, h, r)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(width, height, radio_range)
+
+
+def test_grid_refuses_a_complete_graph_before_placing_nodes():
+    # The hash would first place and bucket all 10^6 nodes.
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs over 100000000 node-pair"):
+        build_grid(1, 10**6, radio_range=1e300)
+    assert time.process_time() - start < 1.0
 
 
 def test_simrng_determinism_and_stream_independence():

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -54,6 +55,51 @@ def test_pair_needs_two_sources():
     topo = build_grid(3, 3)
     with pytest.raises(ConfigError):
         pair_sources((4,), topo)
+
+
+def test_pair_without_af_candidate_rejected():
+    # Every node of a 3x1 grid is the sink or a source.
+    topo = build_grid(3, 1, sources=(1, 2))
+    with pytest.raises(
+        ConfigError, match="^sources: no aggregator-forwarder candidate can reach both 1 and 2$"
+    ):
+        pair_sources((1, 2), topo)
+
+
+def pair_sources_oracle(sources, topo):
+    """Greedy pairing with a brute-force AF: a common neighbor, else min((d1 + d2, id))."""
+    remaining = sorted(sources)
+    forbidden = set(sources) | {topo.sink}
+    clusters, fallbacks = [], 0
+    while len(remaining) >= 2:
+        _, s1, s2 = min((bfs_distances(topo, a)[b], a, b)
+                        for i, a in enumerate(remaining) for b in remaining[i + 1:])
+        remaining.remove(s1)
+        remaining.remove(s2)
+        d1, d2 = bfs_distances(topo, s1), bfs_distances(topo, s2)
+        common = [n for n in range(topo.node_count)
+                  if n not in forbidden and d1[n] == d2[n] == 1]
+        if not common:
+            fallbacks += 1
+        _, af = (0, common[0]) if common else min(
+            (d1[n] + d2[n], n) for n in range(topo.node_count) if n not in forbidden
+        )
+        clusters.append(Cluster(s1=s1, s2=s2, af=af))
+    return clusters, remaining, fallbacks
+
+
+def test_pair_fallback_af_matches_brute_force_oracle():
+    fallbacks = pairs = 0
+    for seed in range(12):
+        rnd = random.Random(seed)
+        width, height = rnd.randint(18, 22), rnd.randint(18, 22)
+        sources = tuple(rnd.sample(range(1, width * height), rnd.randint(9, 11)))
+        topo = build_grid(width, height, sources=sources)
+        clusters, unpaired, used = pair_sources_oracle(sources, topo)
+        assert pair_sources(sources, topo) == (clusters, unpaired)
+        fallbacks += used
+        pairs += len(clusters)
+    assert 2 * fallbacks > pairs  # the fallback, not a common neighbor, picked most AFs
 
 
 # --- pipeline flows ---
