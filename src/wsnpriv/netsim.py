@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from functools import partial
 
 from .rng import SimRng
 
@@ -206,8 +204,7 @@ def _grid_adjacency(
         if dx < 0:
             break
         reach.append(dx)
-    tall, wide = len(reach) - 1, reach[0]
-    n = width * height
+    tall = len(reach) - 1
     # The offsets in range, in id order: (id delta, dx, dy).
     stencil = [
         (dy * width + dx, dx, dy)
@@ -215,42 +212,12 @@ def _grid_adjacency(
         for dx in range(-reach[abs(dy)], reach[abs(dy)] + 1)
         if dx or dy
     ]
-    if not stencil:  # a range under 1, or a lone node, links nothing
-        return ((),) * n
-    ids = list(range(n))  # one int object per node id in every row
-    adjacency: list[tuple[NodeId, ...]] = [()] * n
-
-    def clipped(i: NodeId, x: int, y: int) -> tuple[NodeId, ...]:
-        # One slice of ids per lattice row in range, cut to the lattice.
-        row: list[NodeId] = []
-        for dy in range(max(-tall, -y), min(tall, height - 1 - y) + 1):
-            c, k = i + dy * width, reach[abs(dy)]
-            lo, hi = c - min(k, x), c + min(k, width - 1 - x) + 1
-            row += ids[lo:hi] if dy else ids[lo:i] + ids[i + 1:hi]
-        return tuple(row)
-
-    # Rows tall .. height - tall - 1 keep every dy on the lattice and form
-    # one block; each other row is a block of its own.
-    blocks = [(y, y + 1) for y in range(height) if not tall <= y < height - tall]
-    if tall < height - tall:
-        blocks.append((tall, height - tall))
-    edges = [x for x in range(width) if not wide <= x < width - wide]
-    for y0, y1 in blocks:
-        first, last = y0 * width, (y1 - 1) * width  # column 0 of its first and last row
-        kept = [(d, dx) for d, dx, dy in stencil if 0 <= y0 + dy and y1 + dy <= height]
-        # Nodes no dx takes off the lattice add the same deltas to their id.
-        # The band also spans the edge columns between its rows, set below.
-        lo, hi = first + wide, last + width - wide
-        adjacency[lo:hi] = zip(*[ids[lo + d:hi + d] for d, _ in kept])
-        for x in edges:
-            if y0 + 1 == y1:
-                adjacency[first + x] = clipped(first + x, x, y0)
-            else:
-                column = slice(first + x, last + x + 1, width)
-                adjacency[column] = list(zip(*[
-                    ids[first + x + d:last + x + d + 1:width] for d, dx in kept if 0 <= x + dx < width
-                ]))
-    return tuple(adjacency)
+    ids = list(range(width * height))  # one int object per node id in every row
+    return tuple(
+        tuple([ids[y * width + x + d] for d, dx, dy in stencil
+               if 0 <= x + dx < width and 0 <= y + dy < height])
+        for y in range(height) for x in range(width)
+    )
 
 
 def bfs_distances(topology: Topology, origin: NodeId) -> list[int]:
@@ -292,22 +259,21 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
     return path
 
 
+def _check_range(radio_range: float) -> None:
+    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
+        raise ValueError("radio_range: must be >= 1e-9")
+
+
 def _finish(
-    positions: Iterable[tuple[float, float]],
+    positions: list[tuple[float, float]],
     radio_range: float,
-    link: Callable[[float], tuple[tuple[NodeId, ...], ...]],
+    adjacency: tuple[tuple[NodeId, ...], ...],
     sink: NodeId | None,
     sources: tuple[NodeId, ...] | None,
 ) -> Topology:
-    # link(radio_range) gives the adjacency; positions are read after it,
-    # so a range it refuses costs no placement.
-    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
-        raise ValueError("radio_range: must be >= 1e-9")
-    adjacency = link(radio_range)
-    positions = tuple(positions)
     n = len(positions)
     topology = Topology(
-        positions=positions,
+        positions=tuple(positions),
         radio_range=radio_range,
         adjacency=adjacency,
         sink=0 if sink is None else sink,
@@ -344,9 +310,10 @@ def build_grid(
         raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
     if width * height > GRID_MAX_NODES:
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
-    xs = [float(x) for x in range(width)]
-    positions = ((x, y) for y in map(float, range(height)) for x in xs)
-    return _finish(positions, radio_range, partial(_grid_adjacency, width, height), sink, sources)
+    _check_range(radio_range)
+    adjacency = _grid_adjacency(width, height, radio_range)
+    positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
+    return _finish(positions, radio_range, adjacency, sink, sources)
 
 
 def build_random_geometric(
@@ -361,15 +328,15 @@ def build_random_geometric(
     """Uniform placement in a square; retries until connected."""
     if node_count < 1:
         raise ValueError("node_count: must be >= 1")
+    _check_range(radio_range)
     for _ in range(max_attempts):
         positions = [
             (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))
             for _ in range(node_count)
         ]
         try:
-            return _finish(
-                positions, radio_range, partial(_build_adjacency, positions), sink, sources
-            )
+            adjacency = _build_adjacency(positions, radio_range)
+            return _finish(positions, radio_range, adjacency, sink, sources)
         except DisconnectedGraphError:
             continue
     raise PlacementError(

@@ -1,6 +1,5 @@
 import math
 import re
-import time
 
 import pytest
 from hypothesis import example, given
@@ -191,7 +190,7 @@ def test_shortest_path_endpoints_and_length():
     lambda r: build_random_geometric(5, 2.0, r, SimRng(1)),
 ], ids=["grid", "random_geometric"])
 def test_every_builder_rejects_a_bad_radio_range(build, radio_range):
-    # One check in _finish covers both builders: a range whose square is
+    # One check covers both builders: a range whose square is
     # positive (-1), zero and NaN all fail with the field's name.
     with pytest.raises(ValueError, match=r"^radio_range: must be >= 1e-9$"):
         build(radio_range)
@@ -232,12 +231,14 @@ def test_grid_cap_counts_the_spatial_hash_tests(monkeypatch, width, height, radi
             build(width, height, radio_range)
 
 
-def test_grid_refuses_a_complete_graph_before_placing_nodes():
-    # The hash would first place and bucket all 10^6 nodes.
-    start = time.process_time()
+def test_grid_refuses_a_complete_graph_without_the_hash(monkeypatch):
+    # The hash would first place and bucket all 10^6 nodes; the grid counts
+    # its tests per axis and never calls it.
+    def unreachable(*args):
+        raise AssertionError("the grid called the spatial hash")
+    monkeypatch.setattr(netsim, "_build_adjacency", unreachable)
     with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs over 100000000 node-pair"):
         build_grid(1, 10**6, radio_range=1e300)
-    assert time.process_time() - start < 1.0
 
 
 def test_simrng_determinism_and_stream_independence():
