@@ -15,8 +15,6 @@ from .netsim import (
 from .phantom import (
     WalkConfig,
     WalkMode,
-    FloodOnly,
-    Phantom,
     TwoWay,
     random_walk,
     flood,
@@ -36,7 +34,7 @@ from .ppda import (
     solve_aggregate,
     recover_pair_sum,
 )
-from .pipeline import PrivacyLevel, PipelineConfig, select_layers, pair_sources, run_pipeline
+from .pipeline import PrivacyLevel, PipelineConfig, pair_sources, run_pipeline
 from .climetrics import (
     ClusterSizeDist,
     DisclosureModel,

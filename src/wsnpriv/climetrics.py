@@ -23,7 +23,7 @@ from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, fields, replace
 
 from .netsim import NodeId, build_grid
-from .phantom import FloodOnly, Phantom, TwoWay, WalkConfig, WalkMode, hunt
+from .phantom import TwoWay, WalkConfig, WalkMode, hunt
 from .pipeline import ConfigError, PipelineConfig, PrivacyLevel
 from .ppda import PrimeField, SppdaCluster, run_cpda
 from .rng import SimRng
@@ -239,15 +239,15 @@ class HuntCampaign:
     master_seed: int
 
 
-def parse_strategy(spec: str):
+def parse_strategy(spec: str) -> WalkConfig | TwoWay:
     if spec == "flood":
-        return FloodOnly()
+        return WalkConfig()
     kind, _, arg = spec.partition(":")
     if kind in ("phantom", "twoway") and arg:
         with expecting("strategy", f"an integer after {kind}:", spec):
             n = int(arg)
         if kind == "phantom":
-            return Phantom(WalkConfig(mode=WalkMode.PURE, hops=n))
+            return WalkConfig(mode=WalkMode.PURE, hops=n)
         return TwoWay(receptor_length=n)
     raise ConfigError(f"strategy: unrecognized spec {spec!r}")
 
@@ -277,7 +277,7 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
                 trial_rows.append({
                     "trial": t,
                     "strategy": spec,
-                    "walk_hops": strategy.walk.hops if isinstance(strategy, Phantom) else 0,
+                    "walk_hops": strategy.hops if isinstance(strategy, WalkConfig) else 0,
                     "grid_w": w,
                     "grid_h": h,
                     "safety_period": report.safety_period,

@@ -10,13 +10,13 @@ secret permutation of the bank, and the session key for a message is
 announced as a plaintext index R_c into that permuted ordering.  The
 ordering hides the key from outsiders, not from bank holders: a node that
 holds the bank finds the key by trying each one against the frame's tag.
-Each node answers "which bank, in whose ordering, keys a frame with this
-peer" in one place, its link(peer, receiver).  Every link frame crosses
-through hop: sealed by seal_frame under the sender's link, opened by
-open_frame under the receiver's copy of it.  A source pair's SS orderings
-are bootstrapped by establish_ss_channel, which ships each permutation
-through the AF inside an inner frame sealed under the raw SS-bank order; a
-pair's SS schedule is then the plain mapping {owner: permutation}.
+Each node keeps its key links in one table, {(peer, receiver): (bank,
+ordering)}, and a frame is keyed by its receiver's ordering: a source and
+its AF share one ordering of the AF bank (register_pair), two sources each
+fix their own of the SS bank (establish_ss_channel, which ships each
+through the AF inside an inner frame sealed under the raw SS-bank order).
+Every link frame crosses through hop: sealed by seal_frame under the
+sender's link, opened by open_frame under the receiver's copy of it.
 
 Wire formats (simulated, documented for log parsing):
 
@@ -42,12 +42,12 @@ from .rng import SimRng
 
 __all__ = [
     "AuthenticationError",
-    "UnknownSourceError",
     "KeyIndexRangeError",
     "ProtocolError",
     "KeyPool",
     "SealedFrame",
     "StreamMacCipher",
+    "KeyNode",
     "SourceNode",
     "AggregatorNode",
     "check_bank_split",
@@ -63,14 +63,11 @@ KEY_LEN = 16  # 128-bit keys
 NONCE_LEN = 16
 TAG_LEN = 16
 SS_BANK_MAX = 1 << 16  # the SS-bank ordering travels as u16 indices
+Link = tuple[tuple[bytes, ...], tuple[int, ...]]  # (bank, ordering) keying one link's frames
 
 
 class AuthenticationError(Exception):
     """Ciphertext failed authentication (wrong key or tampered)."""
-
-
-class UnknownSourceError(KeyError):
-    """AF has no registered permutation for this source."""
 
 
 class KeyIndexRangeError(IndexError):
@@ -196,54 +193,51 @@ def permute_bank_for_pair(bank_size: int, rng: SimRng) -> tuple[int, ...]:
 
 
 @dataclass
-class SourceNode:
-    """Per-source key state: both banks, the AF it is registered with and
-    their ordering of the AF bank, and, per peer with an established SS
-    channel, each end's {owner: permutation} of the SS bank."""
+class KeyNode:
+    """A node's AF bank and its key links, {(peer, receiver): (bank, ordering)}."""
 
     node_id: NodeId
     bank_af: tuple[bytes, ...]
-    bank_ss: tuple[bytes, ...]
-    af_pair: tuple[NodeId, tuple[int, ...]] | None = None  # (AF id, ordering)
-    ss_schedules: dict[NodeId, dict[NodeId, tuple[int, ...]]] = field(default_factory=dict)
+    links: dict[tuple[NodeId, NodeId], Link] = field(default_factory=dict, kw_only=True)
 
-    def link(self, peer: NodeId, receiver: NodeId) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
-        """(bank, ordering) keying a frame between this source and `peer`
-        that `receiver` opens: the AF pairing with its AF, else `receiver`'s
-        ordering of the SS bank in the schedule with SS peer `peer`."""
-        if self.af_pair is not None and peer == self.af_pair[0]:
-            return self.bank_af, self.af_pair[1]
-        if peer in self.ss_schedules:
-            return self.bank_ss, self.ss_schedules[peer][receiver]
-        raise ProtocolError(f"source {self.node_id} has no key link to node {peer}")
+    def link(self, peer: NodeId, receiver: NodeId) -> Link:
+        """(bank, ordering) keying a frame with `peer` that `receiver` opens."""
+        try:
+            return self.links[peer, receiver]
+        except KeyError:
+            raise ProtocolError(f"node {self.node_id} has no key link to node {peer}") from None
 
 
 @dataclass
-class AggregatorNode:
-    """AF key state: the AF bank plus each source pair's permutation.
-    Holds no SS-bank key by construction."""
+class SourceNode(KeyNode):
+    """Source key state: both banks, and links to its AF (the pair's one
+    ordering of the AF bank) and to each SS peer (each end's own ordering)."""
 
-    node_id: NodeId
-    bank_af: tuple[bytes, ...]
-    pair_perms: dict[NodeId, tuple[int, ...]] = field(default_factory=dict)
+    bank_ss: tuple[bytes, ...]
+
+
+@dataclass
+class AggregatorNode(KeyNode):
+    """AF key state: the AF bank and a link to each registered source.
+    Holds no SS-bank key by construction."""
 
     def held_keys(self) -> set[bytes]:
         return set(self.bank_af)
 
-    def link(self, peer: NodeId, receiver: NodeId) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
-        """(bank, ordering) keying a frame with source `peer`: the AF bank in
-        the one ordering the pair shares, whichever end is `receiver`."""
-        perm = self.pair_perms.get(peer)
-        if perm is None:
-            raise UnknownSourceError(f"no pair registered for source {peer}")
-        return self.bank_af, perm
+
+def _install_link(a: KeyNode, b: KeyNode, bank: str, orderings: dict[NodeId, tuple[int, ...]]):
+    """Link a and b at both ends: a frame to receiver r is keyed by each end's
+    own copy of `bank` in orderings[r]."""
+    for node, peer in ((a, b), (b, a)):
+        keys = getattr(node, bank)
+        for receiver, ordering in orderings.items():
+            node.links[peer.node_id, receiver] = (keys, ordering)
 
 
 def register_pair(source: SourceNode, af: AggregatorNode, rng: SimRng) -> tuple[int, ...]:
     """Fix the pair's secret ordering of the AF bank, stored at both ends."""
     perm = permute_bank_for_pair(len(af.bank_af), rng)
-    source.af_pair = (af.node_id, perm)
-    af.pair_perms[source.node_id] = perm
+    _install_link(source, af, "bank_af", dict.fromkeys((source.node_id, af.node_id), perm))
     return perm
 
 
@@ -275,9 +269,8 @@ def open_frame(bank: tuple[bytes, ...], ordering: Sequence[int], slot: int,
     return cipher.open(_slot_key(bank, ordering, slot), frame.nonce, frame.body, aad)
 
 
-def hop(src: SourceNode | AggregatorNode, dst: SourceNode | AggregatorNode,
-        ids: tuple[NodeId, NodeId], payload: bytes, aad: bytes, rng: SimRng,
-        cipher: StreamMacCipher, tamper=None) -> tuple[int, SealedFrame, bytes]:
+def hop(src: KeyNode, dst: KeyNode, ids: tuple[NodeId, NodeId], payload: bytes, aad: bytes,
+        rng: SimRng, cipher: StreamMacCipher, tamper=None) -> tuple[int, SealedFrame, bytes]:
     """Carry one frame across the link src -> dst: seal `payload` under
     src's link to dst, in a frame naming `ids` (the end-to-end sender and
     receiver), apply `tamper` in flight if given, and open the frame under
@@ -318,7 +311,8 @@ def establish_ss_channel(
     opens it under its link to the sender and re-seals the still-sealed
     inner frame under its link to the receiver.  `tamper`, if given, is
     applied to each AF -> receiver frame (test hook for fault injection).
-    Both ends install the same {owner: permutation} mapping, returned.
+    Both ends install the link, each frame keyed by its receiver's
+    permutation; the {owner: permutation} mapping is returned.
     """
     perms: dict[NodeId, tuple[int, ...]] = {}
     for sender, receiver in ((s1, s2), (s2, s1)):
@@ -341,6 +335,5 @@ def establish_ss_channel(
         if perms[a] != perm:
             raise ProtocolError("relayed permutation does not match the original")
 
-    s1.ss_schedules[s2.node_id] = perms
-    s2.ss_schedules[s1.node_id] = dict(perms)
+    _install_link(s1, s2, "bank_ss", perms)
     return perms

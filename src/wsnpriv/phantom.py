@@ -33,10 +33,9 @@ __all__ = [
     "Schedule",
     "HuntReport",
     "ZonePlan",
-    "FloodOnly",
-    "Phantom",
     "TwoWay",
     "NoRendezvousError",
+    "WALK_MAX_STEPS",
     "random_walk",
     "flood",
     "build_receptor",
@@ -46,6 +45,8 @@ __all__ = [
     "binom",
     "min_zone_nodes",
 ]
+
+WALK_MAX_STEPS = 10_000  # longest walk either Layer-1 route takes for one message
 
 
 class NoRendezvousError(RuntimeError):
@@ -59,12 +60,16 @@ class WalkMode(enum.Enum):
 
 @dataclass(frozen=True)
 class WalkConfig:
+    """Phantom routing: walk `hops` hops, then flood.  0 hops is plain flooding."""
+
     mode: WalkMode = WalkMode.PURE
     hops: int = 0
 
     def __post_init__(self):
         if self.hops < 0:
             raise ValueError("hops: must be >= 0")
+        if self.hops > WALK_MAX_STEPS:
+            raise ValueError(f"hops: must be <= {WALK_MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -76,17 +81,6 @@ class ReceptorPath:
     @property
     def destination(self) -> NodeId:
         return self.nodes[-1]
-
-
-# Routing strategies for hunt().
-@dataclass(frozen=True)
-class FloodOnly:
-    pass
-
-
-@dataclass(frozen=True)
-class Phantom:
-    walk: WalkConfig
 
 
 @dataclass(frozen=True)
@@ -215,7 +209,7 @@ def flood(topology: Topology, origin: NodeId, destination: NodeId) -> Schedule:
     origin transmits at tick 0.  Latency is the hop distance from origin to
     destination.
     """
-    return route_message(topology, origin, destination, FloodOnly(), None)
+    return route_message(topology, origin, destination, WalkConfig(), None)
 
 
 def build_receptor(
@@ -246,7 +240,7 @@ def deliver_two_way(
     source: NodeId,
     receptor: ReceptorPath,
     rng: SimRng,
-    max_steps: int = 10_000,
+    max_steps: int = WALK_MAX_STEPS,
 ) -> list[NodeId]:
     """Random-walk from source until the receptor is hit, then follow it home.
 
@@ -283,25 +277,24 @@ def route_message(
     topology: Topology,
     source: NodeId,
     destination: NodeId,
-    strategy: FloodOnly | Phantom | ReceptorPath,
+    strategy: WalkConfig | ReceptorPath,
     rng: SimRng | None,
 ) -> Schedule:
     """Route one message from source to destination under `strategy`.
 
-    Phantom walks h hops, then floods from the walk's end (flood is the
-    h = 0 case); its latency is h plus the walk end's entry in the
-    destination's memoized BFS, as hop distance is symmetric.  A receptor
-    is two-way routing: the message walks until it meets the receptor and
-    follows it home, or raises NoRendezvousError.
+    A WalkConfig walks its h hops, then floods from the walk's end; h = 0
+    is plain flooding and draws nothing from `rng`, which may be None.
+    Latency is h plus the walk end's entry in the destination's memoized
+    BFS, as hop distance is symmetric.  A receptor is two-way routing: the
+    message walks until it meets the receptor and follows it home, or
+    raises NoRendezvousError.
     """
     if isinstance(strategy, ReceptorPath):
         route = deliver_two_way(topology, source, strategy, rng)
         hops = len(route) - 1
         return Schedule(topology, route[:-1], None, destination, hops, hops)
 
-    path = [source]
-    if isinstance(strategy, Phantom):
-        path = random_walk(topology, source, strategy.walk, rng)
+    path = random_walk(topology, source, strategy, rng) if strategy.hops else [source]
     h = len(path) - 1
     latency = h + topology.distances_from(destination)[path[-1]]
     # The field is connected: every node but the destination floods once.
@@ -311,12 +304,15 @@ def route_message(
 
 def hunt(
     topology: Topology,
-    strategy: FloodOnly | Phantom | TwoWay,
+    strategy: WalkConfig | TwoWay,
     message_budget: int,
     rng: SimRng,
     record_log: bool = False,
 ) -> HuntReport:
     """Run a back-tracing adversary against the chosen routing strategy.
+
+    Walks come from rng's "walk" stream (a 0-hop WalkConfig floods); TwoWay
+    first builds its one receptor from rng's "receptor" stream.
 
     The adversary relocates at most once per message, to the transmitter it
     heard earliest from its current position.  Capture: the adversary is at

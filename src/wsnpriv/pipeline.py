@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .keymgmt import check_bank_split
 from .netsim import NodeId, Topology, build_grid
-from .phantom import Phantom, WalkConfig, WalkMode, build_receptor, route_message
+from .phantom import WalkConfig, WalkMode, build_receptor, route_message
 from .ppda import DEFAULT_MODULUS, PrimeField, RoundTranscript, SppdaCluster
 from .rng import SimRng
 
@@ -28,7 +28,6 @@ __all__ = [
     "FlowRecord",
     "DeliveryReport",
     "ConfigError",
-    "select_layers",
     "pair_sources",
     "run_pipeline",
 ]
@@ -45,21 +44,13 @@ class PrivacyLevel(enum.Enum):
     PERTURBATION_ONLY = "perturbation-only"
     FULL = "full"
 
+    @property
+    def anonymity(self) -> bool:
+        return self in (PrivacyLevel.ANONYMITY_ONLY, PrivacyLevel.FULL)
 
-LAYER_ANONYMITY = "L1"
-LAYER_PERTURBATION = "L2"
-
-_LAYERS = {
-    PrivacyLevel.NONE: frozenset(),
-    PrivacyLevel.ANONYMITY_ONLY: frozenset({LAYER_ANONYMITY}),
-    PrivacyLevel.PERTURBATION_ONLY: frozenset({LAYER_PERTURBATION}),
-    PrivacyLevel.FULL: frozenset({LAYER_ANONYMITY, LAYER_PERTURBATION}),
-}
-
-
-def select_layers(level: PrivacyLevel) -> frozenset[str]:
-    """Which layers run for a given protection level."""
-    return _LAYERS[level]
+    @property
+    def perturbation(self) -> bool:
+        return self in (PrivacyLevel.PERTURBATION_ONLY, PrivacyLevel.FULL)
 
 
 @dataclass(frozen=True)
@@ -89,7 +80,7 @@ class PipelineConfig:
     def validate(self) -> None:
         if not self.sources:
             raise ConfigError("sources: at least one source required")
-        if LAYER_PERTURBATION in select_layers(self.level) and len(self.sources) < 2:
+        if self.level.perturbation and len(self.sources) < 2:
             raise ConfigError(
                 "sources: perturbation layer needs at least two sources to form a cluster"
             )
@@ -186,7 +177,6 @@ def pair_sources(
 def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     """Execute one scenario: layer selection, aggregation, delivery."""
     config.validate()
-    layers = select_layers(config.level)
     rng = SimRng(config.master_seed, "pipeline")
     topology = build_grid(
         config.width, config.height, config.radio_range,
@@ -195,7 +185,7 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     field_ = PrimeField(config.modulus)
     report = DeliveryReport(level=config.level)
 
-    if LAYER_PERTURBATION in layers:
+    if config.level.perturbation:
         clusters, unpaired = pair_sources(config.sources, topology)
         report.unpaired_sources = tuple(unpaired)
         outbound = []
@@ -221,8 +211,8 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     # Plain delivery takes a shortest path; the anonymity layer routes by
     # phantom flood, or two-way along one receptor shared by every flow.
     strategy = None
-    if LAYER_ANONYMITY in layers:
-        strategy = Phantom(config.walk)
+    if config.level.anonymity:
+        strategy = config.walk
         if config.receptor_length is not None:
             strategy = build_receptor(
                 topology, topology.sink, config.receptor_length, rng.stream("receptor")

@@ -32,7 +32,7 @@ from wsnpriv.keymgmt import (
 )
 from wsnpriv.keymgmt import AggregatorNode, SourceNode
 from wsnpriv.netsim import build_grid
-from wsnpriv.phantom import FloodOnly, Phantom, WalkConfig, binom, hunt, min_zone_nodes
+from wsnpriv.phantom import WalkConfig, binom, hunt, min_zone_nodes
 from wsnpriv.pipeline import PipelineConfig, PrivacyLevel, run_pipeline
 from wsnpriv.ppda import (
     DEFAULT_MODULUS,
@@ -137,8 +137,8 @@ def test_criterion_5_energy_and_latency_every_trial():
     topo = build_grid(12, 12)
     h = 6
     for seed in range(30):
-        base = hunt(topo, FloodOnly(), 1, SimRng(seed, "acc5"))
-        ph = hunt(topo, Phantom(WalkConfig(hops=h)), 1, SimRng(seed, "acc5"))
+        base = hunt(topo, WalkConfig(), 1, SimRng(seed, "acc5"))
+        ph = hunt(topo, WalkConfig(hops=h), 1, SimRng(seed, "acc5"))
         assert ph.transmissions_total <= base.transmissions_total + h
         assert ph.delivery_latency_hops[0] >= base.delivery_latency_hops[0]
     print("ACCEPTANCE 5 PASS: 30/30 trials within +h transmissions, latency >= flood")
@@ -205,13 +205,13 @@ def test_criterion_8_key_management():
             return bytes(n)
 
     for r_c in range(1, len(pool.bank_af) + 1):
-        slot, frame = seal_frame(s1.bank_af, s1.af_pair[1], 1, 0, b"up", b"acc8",
+        slot, frame = seal_frame(*s1.link(0, 0), 1, 0, b"up", b"acc8",
                                  AnnounceSlot(r_c), cipher)
         assert slot == r_c
-        assert open_frame(agg.bank_af, agg.pair_perms[1], r_c, frame, b"acc8", cipher) == b"up"
-        _, frame = seal_frame(agg.bank_af, agg.pair_perms[1], 0, 1, b"down", b"acc8",
+        assert open_frame(*agg.link(1, 0), r_c, frame, b"acc8", cipher) == b"up"
+        _, frame = seal_frame(*agg.link(1, 1), 0, 1, b"down", b"acc8",
                               AnnounceSlot(r_c), cipher)
-        assert open_frame(s1.bank_af, s1.af_pair[1], r_c, frame, b"acc8", cipher) == b"down"
+        assert open_frame(*s1.link(0, 1), r_c, frame, b"acc8", cipher) == b"down"
 
     # 10^3 relay fault injections: every one must surface as an auth failure.
     detected = 0

@@ -20,7 +20,7 @@ from wsnpriv.climetrics import (
     pipeline_config_from_doc,
 )
 from wsnpriv.netsim import build_grid
-from wsnpriv.phantom import FloodOnly, Phantom, TwoWay, WalkConfig, WalkMode, hunt
+from wsnpriv.phantom import TwoWay, WalkConfig, WalkMode, hunt
 from wsnpriv.pipeline import ConfigError, PipelineConfig
 from wsnpriv.rng import SimRng
 
@@ -137,9 +137,8 @@ def test_bench_pipeline_pairs_smoke():
 # --- hunt campaigns ---
 
 def test_parse_strategy():
-    assert isinstance(parse_strategy("flood"), FloodOnly)
-    ph = parse_strategy("phantom:7")
-    assert isinstance(ph, Phantom) and ph.walk.hops == 7
+    assert parse_strategy("flood") == WalkConfig()
+    assert parse_strategy("phantom:7") == WalkConfig(WalkMode.PURE, 7)
     tw = parse_strategy("twoway:4")
     assert isinstance(tw, TwoWay) and tw.receptor_length == 4
     for bad in ("phantom", "walk:3", "phantom:", ""):
@@ -154,7 +153,7 @@ def test_montecarlo_single_trial_equals_direct_hunt():
     )
     (cell,) = montecarlo_hunt(campaign)
     direct = hunt(
-        build_grid(6, 6), FloodOnly(), 50, SimRng(9, "hunt/6x6/flood/trial:0")
+        build_grid(6, 6), WalkConfig(), 50, SimRng(9, "hunt/6x6/flood/trial:0")
     )
     assert cell["median_safety"] == direct.safety_period
     assert cell["capture_rate"] == float(direct.captured)

@@ -11,6 +11,7 @@ from wsnpriv.climetrics import (
     parse_strategy,
     pipeline_config_from_doc,
 )
+from wsnpriv.phantom import WalkConfig
 from wsnpriv.pipeline import ConfigError, PipelineConfig, PrivacyLevel
 from wsnpriv.ppda import SppdaCluster
 from wsnpriv.rng import SimRng
@@ -176,6 +177,17 @@ def strategy_not_integer(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("error: strategy: ")
 
 
+def walk_hops_over_the_bound(tmp_path, capsys):
+    # A 10^9-hop phantom walk ran for minutes per message; 10,000 hops is the bound.
+    assert WalkConfig(hops=10_000).hops == 10_000
+    with pytest.raises(ValueError, match="^hops: must be <= 10000$"):
+        parse_strategy("phantom:1000000000")
+    argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "3x3",
+            "--strategy", "phantom:1000000000", "--trials", "1", "--budget", "1"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: hops: must be <= 10000\n"
+
+
 def grid_zero_width(tmp_path, capsys):
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "0x4",
             "--strategy", "flood", "--trials", "1"]
@@ -272,6 +284,7 @@ PIPELINE_ERRORS = [
     ("receptor_length_string", {"receptor_length": "x"},
      "receptor_length: expected int or null"),
     ("walk_hops_negative", {"walk": {"hops": -1}}, "walk.hops: must be >= 0"),
+    ("walk_hops_too_many", {"walk": {"hops": 1_000_000_000}}, "walk.hops: must be <= 10000"),
     ("no_af_candidate",  # every node of a 3x1 grid is the sink or a source
      {"width": 3, "height": 1, "sources": [1, 2], "readings": {"1": 5, "2": 7}},
      "sources: no aggregator-forwarder candidate can reach both 1 and 2"),
@@ -283,7 +296,8 @@ PIPELINE_ERRORS = [
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
              b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
              dist_span_huge, scenario_name_not_plain, out_is_a_file, output_name_is_a_directory,
-             modulus_not_prime, strategy_not_integer, grid_zero_width, grid_too_large,
+             modulus_not_prime, strategy_not_integer, walk_hops_over_the_bound,
+             grid_zero_width, grid_too_large,
              pool_size_not_int, bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct,
              modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],

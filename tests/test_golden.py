@@ -22,8 +22,6 @@ import pytest
 from wsnpriv.cli import main as cli_main
 from wsnpriv.netsim import build_grid
 from wsnpriv.phantom import (
-    FloodOnly,
-    Phantom,
     TwoWay,
     WalkConfig,
     WalkMode,
@@ -38,6 +36,7 @@ HERE = pathlib.Path(__file__).resolve().parent
 DIGESTS = HERE / "golden" / "digests.json"
 REFERENCE_SCENARIO = HERE.parent / "scenarios" / "reference_sppda.json"
 TRACER = HERE.parent / "benchmarks" / "tracer.py"
+README = HERE.parent / "README.md"
 
 CRITERION_10_ARGV = (
     ["plan-zone", "--pr", "0.01", "--hops", "3"],
@@ -52,9 +51,9 @@ TWOWAY_ARGV = ["simulate-hunt", "--grid", "8x8", "--strategy", "twoway:5",
                "--trials", "20", "--budget", "60", "--seed", "2"]
 
 HUNT_STRATEGIES = {
-    "flood": FloodOnly(),
-    "phantom-pure": Phantom(WalkConfig(WalkMode.PURE, 4)),
-    "phantom-directed": Phantom(WalkConfig(WalkMode.DIRECTED, 4)),
+    "flood": WalkConfig(),
+    "phantom-pure": WalkConfig(WalkMode.PURE, 4),
+    "phantom-directed": WalkConfig(WalkMode.DIRECTED, 4),
     "twoway": TwoWay(5),
 }
 
@@ -163,6 +162,14 @@ def test_every_traced_name_resolves():
         for cls in classes:
             owner = vars(owner).get(cls)
         assert owner is not None and name in vars(owner), f"{module_name}.{attr}"
+
+
+def test_readme_quick_start_runs(capsys):
+    # README's first python block, run as written: its asserts hold and no
+    # call in it has gone stale.
+    block = README.read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out == "10 True\n"
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from wsnpriv.keymgmt import (
     SealedFrame,
     SourceNode,
     StreamMacCipher,
-    UnknownSourceError,
     establish_ss_channel,
     KEY_LEN,
     generate_pool,
@@ -23,6 +22,7 @@ from wsnpriv.keymgmt import (
     register_pair,
     seal_frame,
 )
+from wsnpriv.ppda import SppdaCluster
 from wsnpriv.rng import SimRng
 
 CIPHER = StreamMacCipher()
@@ -152,7 +152,7 @@ def test_select_resolve_round_trip_exhaustive():
         payload = i.to_bytes(2, "big")
         slot, frame = seal_frame(*s1.link(0, 0), 1, 0, payload, b"up", rng, CIPHER)
         assert open_frame(*agg.link(1, 0), slot, frame, b"up", CIPHER) == payload
-        assert CIPHER.open(s1.bank_af[s1.af_pair[1][slot - 1]], frame.nonce, frame.body,
+        assert CIPHER.open(s1.bank_af[s1.link(0, 0)[1][slot - 1]], frame.nonce, frame.body,
                            b"up") == payload
         seen.add(slot)
         slot, frame = seal_frame(*agg.link(1, 1), 0, 1, payload, b"down", rng, CIPHER)
@@ -185,7 +185,7 @@ def test_af_resolve_errors():
         open_frame(*agg.link(1, 0), 0, frame, b"", CIPHER)
     with pytest.raises(KeyIndexRangeError):
         open_frame(*agg.link(1, 0), len(s1.bank_af) + 1, frame, b"", CIPHER)
-    with pytest.raises(UnknownSourceError):
+    with pytest.raises(ProtocolError, match="node 0 has no key link to node 42"):
         open_frame(*agg.link(42, 0), slot, frame, b"", CIPHER)
 
 
@@ -200,7 +200,7 @@ def test_eavesdropper_candidate_set_is_whole_bank():
         for perm_image in range(len(pool.bank_af))
     }
     assert len(candidates) == len(pool.bank_af)
-    assert s1.bank_af[s1.af_pair[1][r_c - 1]] in candidates
+    assert s1.bank_af[s1.link(0, 0)[1][r_c - 1]] in candidates
 
 
 # --- sealed-frame primitive ---
@@ -238,7 +238,8 @@ def test_seal_frame_draws_slot_then_nonce():
 def test_ss_channel_both_ends_identical():
     _, agg, s1, s2 = make_trio()
     schedule = establish_ss_channel(s1, s2, agg, SimRng(8), CIPHER)
-    assert s1.ss_schedules[2] == s2.ss_schedules[1]
+    for receiver in (1, 2):
+        assert s1.link(2, receiver) == s2.link(1, receiver) == (s1.bank_ss, schedule[receiver])
     assert schedule.keys() == {1, 2}
     for perm in schedule.values():
         assert sorted(perm) == list(range(len(s1.bank_ss)))
@@ -248,7 +249,7 @@ def test_ss_channel_deterministic():
     def run(seed):
         _, agg, s1, s2 = make_trio(seed=9)
         establish_ss_channel(s1, s2, agg, SimRng(seed, "ss"), CIPHER)
-        return s1.ss_schedules[2]
+        return s1.link(2, 1), s1.link(2, 2)
 
     assert run(10) == run(10)
     assert run(10) != run(11)
@@ -280,7 +281,7 @@ def test_relay_opacity_inner_frame_unreadable_by_af():
     assert len(relayed) == 2
     for frame, receiver in zip(relayed, (s2, s1)):
         outer_aad = f"relay:{frame.sender}->{frame.receiver}".encode()
-        _, af_ordering = receiver.af_pair
+        _, af_ordering = receiver.link(agg.node_id, receiver.node_id)
         payloads = []
         for slot in range(1, len(af_ordering) + 1):
             try:
@@ -312,8 +313,8 @@ def test_af_never_holds_ss_keys():
 def test_ss_send_receive_round_trip():
     # Both ends key an S1 -> S2 frame by S2's ordering of the SS bank.
     _, agg, s1, s2 = make_trio()
-    establish_ss_channel(s1, s2, agg, SimRng(17), CIPHER)
-    assert s1.link(2, 2) == s2.link(1, 2) == (s1.bank_ss, s1.ss_schedules[2][2])
+    schedule = establish_ss_channel(s1, s2, agg, SimRng(17), CIPHER)
+    assert s1.link(2, 2) == s2.link(1, 2) == (s1.bank_ss, schedule[2])
     rng = SimRng(18)
     for payload in (b"", b"hello", bytes(range(256))):
         index, frame = seal_frame(*s1.link(2, 2), 1, 2, payload, b"ss:1->2", rng, CIPHER)
@@ -331,7 +332,8 @@ def test_source_link_only_to_its_af_and_ss_peers():
     # SS peers; any other node, another AF included, has no link.
     _, agg, s1, s2 = make_trio()
     establish_ss_channel(s1, s2, agg, SimRng(35), CIPHER)
-    assert s1.link(0, 0) == s1.link(0, 1) == agg.link(1, 0) == (s1.bank_af, s1.af_pair[1])
+    perm = permute_bank_for_pair(len(s1.bank_af), SimRng(1, "p1"))  # as make_trio registers
+    assert s1.link(0, 0) == s1.link(0, 1) == agg.link(1, 0) == (s1.bank_af, perm)
     other_af = AggregatorNode(node_id=7, bank_af=s1.bank_af)
     for peer in (other_af.node_id, 3, 1):
         with pytest.raises(ProtocolError, match=f"no key link to node {peer}"):
@@ -339,12 +341,26 @@ def test_source_link_only_to_its_af_and_ss_peers():
     unregistered = SourceNode(node_id=4, bank_af=s1.bank_af, bank_ss=s1.bank_ss)
     with pytest.raises(ProtocolError):
         unregistered.link(0, 0)
+    # In a built cluster both ends of every link key a frame to its receiver
+    # alike, the AF links only to its two sources and only in the AF bank,
+    # and a node outside the cluster is no node's peer.
+    cluster = SppdaCluster(SimRng(36, "links"), node_ids=(5, 8, 9))
+    nodes = (cluster.af, cluster.s1, cluster.s2)
+    for src in nodes:
+        for dst in nodes:
+            if src is not dst:
+                assert src.link(dst.node_id, dst.node_id) == dst.link(src.node_id, dst.node_id)
+        with pytest.raises(ProtocolError, match=f"^node {src.node_id} has no key link to node 3$"):
+            src.link(3, 3)
+    assert set(cluster.af.links) == {(8, 5), (8, 8), (9, 5), (9, 9)}
+    assert all(bank is cluster.af.bank_af for bank, _ in cluster.af.links.values())
+    assert cluster.af.held_keys().isdisjoint(cluster.s1.bank_ss)
 
 
 def test_identity_schedule_is_identity_order():
     bank = tuple(bytes([i]) * 16 for i in range(4))
-    schedule = {1: (0, 1, 2, 3), 2: (0, 1, 2, 3)}
-    receiver = SourceNode(node_id=2, bank_af=bank, bank_ss=bank, ss_schedules={1: schedule})
+    receiver = SourceNode(node_id=2, bank_af=bank, bank_ss=bank,
+                          links={(1, 2): (bank, (0, 1, 2, 3))})
     nonce = b"n" * 16
     for i in range(1, 5):
         frame = SealedFrame(1, 2, nonce, CIPHER.seal(bank[i - 1], nonce, b"x", b"ss"))

@@ -7,9 +7,7 @@ import pytest
 
 from wsnpriv.netsim import build_grid, build_random_geometric
 from wsnpriv.phantom import (
-    FloodOnly,
     NoRendezvousError,
-    Phantom,
     ReceptorPath,
     TwoWay,
     WalkConfig,
@@ -223,8 +221,8 @@ def reference_ticks(g, strategy, walk, destination):
 
 def test_tick_matches_full_tick_map():
     field = build_random_geometric(40, 8.0, 2.5, SimRng(6))
-    strategies = (FloodOnly(), Phantom(WalkConfig(hops=5)),
-                  Phantom(WalkConfig(WalkMode.DIRECTED, 3)))
+    strategies = (WalkConfig(), WalkConfig(hops=5),
+                  WalkConfig(WalkMode.DIRECTED, 3))
     for topo in (build_grid(6, 5), build_grid(7, 7, sink=24), field):
         g = to_networkx(topo)
         rec = build_receptor(topo, topo.sink, 4, SimRng(2))
@@ -235,10 +233,8 @@ def test_tick_matches_full_tick_map():
                 sched = route_message(topo, source, topo.sink, strategy, a)
                 if isinstance(strategy, ReceptorPath):
                     walk = deliver_two_way(topo, source, rec, b)
-                elif isinstance(strategy, Phantom):
-                    walk = random_walk(topo, source, strategy.walk, b)
                 else:
-                    walk = [source]
+                    walk = random_walk(topo, source, strategy, b)
                 expected = reference_ticks(g, strategy, walk, topo.sink)
                 assert sched.ticks == expected
                 assert [sched.tick(u) for u in range(topo.node_count)] == [
@@ -248,11 +244,11 @@ def test_tick_matches_full_tick_map():
 
 def test_destination_ticks_only_when_the_walk_passes_it():
     topo = build_grid(4, 4)
-    strategy = Phantom(WalkConfig(hops=6))
+    strategy = WalkConfig(hops=6)
     passed = 0
     for seed in range(40):
         sched = route_message(topo, 1, 0, strategy, SimRng(seed))
-        walk = random_walk(topo, 1, strategy.walk, SimRng(seed))
+        walk = random_walk(topo, 1, strategy, SimRng(seed))
         expected = walk.index(0) if 0 in walk[:-1] else None
         assert sched.tick(0) == sched.ticks.get(0) == expected
         passed += expected is not None
@@ -265,15 +261,13 @@ def test_flood_bfs_waits_for_the_first_tick():
     for topo in (build_grid(7, 7, sink=24), build_random_geometric(40, 8.0, 2.5, SimRng(6))):
         g = to_networkx(topo)
         lazy = 0
-        for strategy in (FloodOnly(), Phantom(WalkConfig(hops=5)),
-                         Phantom(WalkConfig(WalkMode.DIRECTED, 3))):
+        for strategy in (WalkConfig(), WalkConfig(hops=5),
+                         WalkConfig(WalkMode.DIRECTED, 3)):
             for seed in range(8):
                 source = (7 * seed + 3) % topo.node_count
                 sched = route_message(topo, source, topo.sink, strategy, SimRng(seed, "walk"))
                 end = sched.flood_origin
-                walk = [source]
-                if isinstance(strategy, Phantom):
-                    walk = random_walk(topo, source, strategy.walk, SimRng(seed, "walk"))
+                walk = random_walk(topo, source, strategy, SimRng(seed, "walk"))
                 assert end == walk[-1] and sched.walk == walk[:-1]
                 hops = nx.shortest_path_length(g, end, topo.sink)
                 assert sched.latency_hops == len(walk) - 1 + hops
@@ -292,7 +286,7 @@ def test_flood_bfs_waits_for_the_first_tick():
 
 def test_hunt_adjacent_adversary_captured_immediately():
     topo = build_grid(1, 2, sink=1, sources=(0,))
-    report = hunt(topo, FloodOnly(), 5, SimRng(7))
+    report = hunt(topo, WalkConfig(), 5, SimRng(7))
     assert report.captured
     assert report.safety_period == 1
 
@@ -300,7 +294,7 @@ def test_hunt_adjacent_adversary_captured_immediately():
 def test_hunt_uncaptured_contract():
     # Budget far below the hop distance: the hunter cannot arrive in time.
     topo = build_grid(10, 10)
-    report = hunt(topo, FloodOnly(), 3, SimRng(1))
+    report = hunt(topo, WalkConfig(), 3, SimRng(1))
     assert not report.captured
     assert report.safety_period == 3
 
@@ -308,7 +302,7 @@ def test_hunt_uncaptured_contract():
 def test_hunt_flood_capture_takes_distance_messages():
     # Patient hunter moves one hop toward the source per flooded message.
     topo = build_grid(6, 6)
-    report = hunt(topo, FloodOnly(), 50, SimRng(1))
+    report = hunt(topo, WalkConfig(), 50, SimRng(1))
     assert report.captured
     assert report.safety_period == 10  # corner-to-corner hop distance
 
@@ -325,13 +319,13 @@ def test_hunt_flood_safety_period_is_the_hop_distance_on_every_pair():
                 if source == sink:
                     continue
                 roles = dataclasses.replace(topo, sink=sink, sources=(source,))
-                report = hunt(roles, FloodOnly(), dist[source], SimRng(1))
+                report = hunt(roles, WalkConfig(), dist[source], SimRng(1))
                 assert report.captured and report.safety_period == dist[source], (sink, source)
 
 
 def test_hunt_adversary_soundness_against_log():
     topo = build_grid(8, 8)
-    for strategy in (FloodOnly(), Phantom(WalkConfig(hops=4)), TwoWay(5)):
+    for strategy in (WalkConfig(), WalkConfig(hops=4), TwoWay(5)):
         report = hunt(topo, strategy, 30, SimRng(3), record_log=True)
         position = topo.sink
         by_msg = {}
@@ -355,8 +349,8 @@ def test_energy_and_latency_properties():
     topo = build_grid(12, 12)
     h = 6
     for seed in range(25):
-        base = hunt(topo, FloodOnly(), 1, SimRng(seed))
-        ph = hunt(topo, Phantom(WalkConfig(hops=h)), 1, SimRng(seed))
+        base = hunt(topo, WalkConfig(), 1, SimRng(seed))
+        ph = hunt(topo, WalkConfig(hops=h), 1, SimRng(seed))
         assert ph.transmissions_total <= base.transmissions_total + h
         assert ph.delivery_latency_hops[0] >= base.delivery_latency_hops[0]
 

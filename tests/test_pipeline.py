@@ -12,15 +12,12 @@ from wsnpriv.pipeline import (
     PrivacyLevel,
     pair_sources,
     run_pipeline,
-    select_layers,
 )
 
 
-def test_select_layers():
-    assert select_layers(PrivacyLevel.NONE) == frozenset()
-    assert select_layers(PrivacyLevel.ANONYMITY_ONLY) == {"L1"}
-    assert select_layers(PrivacyLevel.PERTURBATION_ONLY) == {"L2"}
-    assert select_layers(PrivacyLevel.FULL) == {"L1", "L2"}
+def test_privacy_level_layers():
+    assert [(lv.anonymity, lv.perturbation) for lv in PrivacyLevel] == [
+        (False, False), (True, False), (False, True), (True, True)]
 
 
 # --- clustering ---

@@ -464,7 +464,7 @@ def test_co_source_cannot_recover_x():
         a_at_s1 = trial_open(cluster, frames["share", "A", "S1"], f"share:af->{s1}".encode())
         sum_s1 = trial_open(cluster, frames["node-sum", "S1", "A"], f"node-sum:{s1}->af".encode())
         ss = frames["share", "S1", "S2"]
-        at_s2 = int(open_frame(cluster.s2.bank_ss, cluster.s2.ss_schedules[s1][s2],
+        at_s2 = int(open_frame(*cluster.s2.link(s1, s2),
                                ss.plaintext_fields["ss_index"], ss.frame,
                                f"ss:{s1}->{s2}".encode(), cluster.cipher))
         # S2's own mask, drawn as run_round draws it.
@@ -507,13 +507,14 @@ def test_round_frames_replay_under_receiver_keys():
         src, dst, fields = nodes[rec.sender], nodes[rec.receiver], rec.plaintext_fields
         if "ss_index" in fields:
             aad = f"ss:{src.node_id}->{dst.node_id}"
-            keys = dst.bank_ss, dst.ss_schedules[src.node_id][dst.node_id], fields["ss_index"]
+            bank, slot = dst.bank_ss, fields["ss_index"]
         else:
             aad = (f"{rec.kind}:af->{dst.node_id}" if rec.sender == "A"
                    else f"{rec.kind}:{src.node_id}->af")
-            ordering = dst.pair_perms[src.node_id] if rec.receiver == "A" else dst.af_pair[1]
-            keys = dst.bank_af, ordering, fields["r_c"]
-        value = int(open_frame(*keys, rec.frame, aad.encode(), StreamMacCipher()))
+            bank, slot = dst.bank_af, fields["r_c"]
+        link_bank, ordering = dst.link(src.node_id, dst.node_id)
+        assert link_bank is bank
+        value = int(open_frame(bank, ordering, slot, rec.frame, aad.encode(), StreamMacCipher()))
         if rec.kind == "share":
             assert value == shares[(rec.sender, rec.receiver)]
             held[rec.receiver] = (held[rec.receiver] + value) % P
