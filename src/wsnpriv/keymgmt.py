@@ -23,14 +23,22 @@ Wire formats (simulated, documented for log parsing):
   key-index announcement : {sender: u32, r_c: u32}  (plaintext, 1-based)
   sealed frame           : {sender: u32, receiver: u32, nonce: 16 bytes,
                             body: ciphertext || 16-byte tag}
+  ordering message       : one entry per SS-bank slot, u8 for a bank of up
+                            to 256 keys, else u16 big-endian (the inner
+                            frame's plaintext)
+  relay payload          : u32 slot || inner nonce || inner body  (the
+                            plaintext of each relay hop's frame)
 
 The default cipher is a keyed SHA-256 counter stream plus an HMAC tag —
-adequate for the simulation, deliberately not production cryptography.  Any
+adequate for the simulation, deliberately not production cryptography.  Its
+last few keystreams are kept, so a hop's open reuses the stream its seal
+derived; the tag is still recomputed and compared on every open.  Any
 object with the same seal/open methods can be passed as `cipher`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac
 import struct
@@ -62,7 +70,7 @@ __all__ = [
 KEY_LEN = 16  # 128-bit keys
 NONCE_LEN = 16
 TAG_LEN = 16
-SS_BANK_MAX = 1 << 16  # the SS-bank ordering travels as u16 indices
+SS_BANK_MAX = 1 << 16  # an SS-bank ordering travels as u8 or u16 indices
 Link = tuple[tuple[bytes, ...], tuple[int, ...]]  # (bank, ordering) keying one link's frames
 
 
@@ -117,10 +125,14 @@ def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
 class StreamMacCipher:
     """SHA-256 counter keystream + truncated HMAC-SHA-256 tag."""
 
-    def _keystream(self, key: bytes, nonce: bytes, length: int) -> bytes:
+    @staticmethod
+    @functools.lru_cache(maxsize=4)
+    def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
         # Block i is sha256(key || nonce || u64be(i)).  A one-block stream
         # (every payload of up to 32 bytes) is one hash; a longer one hashes
         # the shared prefix once and resumes each block from a copy of it.
+        # Cached, as streams depend on nothing else: a hop opens the frame it
+        # has just sealed, and the SS relay its inner frame three seals later.
         if length <= 32:
             return hashlib.sha256(key + nonce + _BLOCK_0).digest()[:length]
         prefix = hashlib.sha256(key + nonce)
@@ -150,7 +162,8 @@ DEFAULT_CIPHER = StreamMacCipher()
 
 
 def check_bank_split(pool_size: int, af_bank: int, error: type[ValueError] = ValueError) -> None:
-    """Both banks non-empty, and the SS bank small enough for u16 indices."""
+    """Both banks non-empty, and the SS bank at most SS_BANK_MAX keys, so
+    its ordering message fits u16 indices."""
     if not 1 <= af_bank < pool_size:
         raise error(f"af_bank: must be in [1, pool_size={pool_size})")
     if pool_size - af_bank > SS_BANK_MAX:
@@ -284,14 +297,18 @@ def hop(src: KeyNode, dst: KeyNode, ids: tuple[NodeId, NodeId], payload: bytes, 
 
 
 def _encode_perm(perm: tuple[int, ...]) -> bytes:
-    # u16 big-endian per entry; check_bank_split caps the SS bank at SS_BANK_MAX.
-    return struct.pack(f">{len(perm)}H", *perm)
+    # u8 per slot up to 256 keys, else u16 big-endian; check_bank_split caps
+    # the SS bank at SS_BANK_MAX.
+    return bytes(perm) if len(perm) <= 256 else struct.pack(f">{len(perm)}H", *perm)
 
 
-def _decode_perm(blob: bytes) -> tuple[int, ...]:
-    if len(blob) % 2 != 0:
-        raise ProtocolError("malformed permutation message: odd length")
-    return struct.unpack(f">{len(blob) // 2}H", blob)
+def _decode_perm(blob: bytes, bank_size: int) -> tuple[int, ...]:
+    """The ordering of the receiver's own `bank_size`-key SS bank."""
+    width = 1 if bank_size <= 256 else 2
+    if len(blob) != width * bank_size:
+        raise ProtocolError(f"malformed permutation message: {len(blob)} bytes for "
+                            f"{bank_size} slots")
+    return tuple(blob) if width == 1 else struct.unpack(f">{bank_size}H", blob)
 
 
 def establish_ss_channel(
@@ -330,8 +347,9 @@ def establish_ss_channel(
             raise ProtocolError("malformed relay payload: too short")
         (ss_index,) = struct.unpack(">I", payload[:4])
         inner = SealedFrame(a, b, payload[4:4 + NONCE_LEN], payload[4 + NONCE_LEN:])
-        perms[a] = _decode_perm(open_frame(receiver.bank_ss, range(len(receiver.bank_ss)),
-                                           ss_index, inner, inner_aad, cipher))
+        n_ss = len(receiver.bank_ss)
+        perms[a] = _decode_perm(open_frame(receiver.bank_ss, range(n_ss), ss_index, inner,
+                                           inner_aad, cipher), n_ss)
         if perms[a] != perm:
             raise ProtocolError("relayed permutation does not match the original")
 

@@ -1,6 +1,5 @@
 import hashlib
 import hmac
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +15,11 @@ from wsnpriv.keymgmt import (
     StreamMacCipher,
     establish_ss_channel,
     KEY_LEN,
+    SS_BANK_MAX,
+    _decode_perm,
+    _encode_perm,
     generate_pool,
+    hop,
     open_frame,
     permute_bank_for_pair,
     register_pair,
@@ -299,7 +302,53 @@ def test_relay_opacity_inner_frame_unreadable_by_af():
                 CIPHER.open(key, inner.nonce, inner.body, inner_aad)
         # The intended receiver opens it with its SS key and reads the sender's ordering.
         plain = CIPHER.open(receiver.bank_ss[ss_index - 1], inner.nonce, inner.body, inner_aad)
-        assert plain == struct.pack(f">{len(s1.bank_ss)}H", *schedule[frame.sender])
+        assert plain == bytes(schedule[frame.sender])
+
+
+@pytest.mark.parametrize("n", [1, 255, 256, 257, SS_BANK_MAX])
+def test_ordering_message_round_trip(n):
+    # One byte per slot up to 256 keys, else u16 big-endian, up to SS_BANK_MAX.
+    perm = permute_bank_for_pair(n, SimRng(n, "ordering-message"))
+    blob = _encode_perm(perm)
+    assert len(blob) == n * (1 if n <= 256 else 2)
+    assert _decode_perm(blob, n) == perm
+
+
+@pytest.mark.parametrize("n", [16, 256, 257, 300])
+def test_ordering_message_of_wrong_length_is_protocol_error(n):
+    # The receiver decodes by its own bank size: one byte short or long, or
+    # a message for a bank of another size, is refused at either width.
+    blob = _encode_perm(tuple(range(n)))
+    for bad, size in ((blob[:-1], n), (blob + b"\0", n), (blob, n - 1), (blob, n + 1)):
+        with pytest.raises(ProtocolError, match="malformed permutation message"):
+            _decode_perm(bad, size)
+
+
+@pytest.mark.parametrize("n_ss", [256, 257])
+def test_ss_channel_at_the_ordering_width_boundary(n_ss):
+    _, agg, s1, s2 = make_trio(total=16 + n_ss, af=16)
+    schedule = establish_ss_channel(s1, s2, agg, SimRng(40), CIPHER)
+    for receiver in (1, 2):
+        assert s1.link(2, receiver) == s2.link(1, receiver) == (s1.bank_ss, schedule[receiver])
+        assert sorted(schedule[receiver]) == list(range(n_ss))
+
+
+def test_ss_setup_wire_sizes():
+    # With the default 128-key SS bank, each direction seals a 128-byte
+    # ordering message, then relays u32 slot || nonce || 128 + 16-byte body
+    # (164 bytes) over two hops.
+    class RecordingCipher(StreamMacCipher):
+        def __init__(self):
+            self.sealed = []
+
+        def seal(self, key, nonce, plaintext, aad=b""):
+            self.sealed.append(len(plaintext))
+            return super().seal(key, nonce, plaintext, aad)
+
+    _, agg, s1, s2 = make_trio(total=256, af=128)
+    cipher = RecordingCipher()
+    establish_ss_channel(s1, s2, agg, SimRng(41), cipher)
+    assert cipher.sealed == [128, 4 + 16 + 128 + 16, 164] * 2
 
 
 def test_af_never_holds_ss_keys():
@@ -419,10 +468,43 @@ def test_open_with_wrong_key_fails():
 
 
 def test_open_wrong_aad_fails():
+    # Right after the seal, so the open finds the seal's keystream cached.
     key, nonce = b"k" * 16, b"n" * 16
-    body = CIPHER.seal(key, nonce, b"data", b"aad-1")
+    for data in (b"data", bytes(164)):
+        body = CIPHER.seal(key, nonce, data, b"aad-1")
+        with pytest.raises(AuthenticationError):
+            CIPHER.open(key, nonce, body, b"aad-2")
+
+
+def _flip(index):
+    def tamper(frame):
+        body = bytearray(frame.body)
+        body[index] ^= 0x01
+        return SealedFrame(frame.sender, frame.receiver, frame.nonce, bytes(body))
+    return tamper
+
+
+def _new_nonce(frame):
+    return SealedFrame(frame.sender, frame.receiver, bytes(b ^ 0xFF for b in frame.nonce),
+                       frame.body)
+
+
+@pytest.mark.parametrize("length", [10, 164])
+@pytest.mark.parametrize("tamper", [_flip(0), _flip(-1), _new_nonce],
+                         ids=["ciphertext-bit", "tag-bit", "nonce"])
+def test_hop_open_checks_the_tag_over_a_cached_keystream(tamper, length):
+    _, agg, s1, _ = make_trio()
     with pytest.raises(AuthenticationError):
-        CIPHER.open(key, nonce, body, b"aad-2")
+        hop(s1, agg, (1, 0), bytes(range(length)), b"aad", SimRng(42), CIPHER, tamper)
+
+
+def test_hop_open_reuses_the_seal_keystream():
+    _, agg, s1, _ = make_trio()
+    before = StreamMacCipher._keystream.cache_info()
+    _, _, opened = hop(s1, agg, (1, 0), bytes(range(164)), b"aad", SimRng(43), CIPHER)
+    after = StreamMacCipher._keystream.cache_info()
+    assert opened == bytes(range(164))
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
 
 
 # Seal outputs recorded from the per-block SHA-256 / hmac.new cipher for
