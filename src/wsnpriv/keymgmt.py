@@ -31,7 +31,7 @@ Wire formats (simulated, documented for log parsing):
 
 The default cipher is a keyed SHA-256 counter stream plus an HMAC tag —
 adequate for the simulation, deliberately not production cryptography.  Its
-last few keystreams are kept, so a hop's open reuses the stream its seal
+last four keystreams are kept, so a hop's open reuses the stream its seal
 derived; the tag is still recomputed and compared on every open.  Any
 object with the same seal/open methods can be passed as `cipher`.
 """
