@@ -28,7 +28,6 @@ __all__ = [
     "bfs_distances",
     "shortest_path",
     "step_draw",
-    "draw",
 ]
 
 NodeId = int
@@ -122,20 +121,11 @@ def step_draw(candidates: tuple[NodeId, ...]) -> StepDraw:
     """The draw table for a uniform pick from `candidates` (non-empty).
 
     Random.choice(seq) draws k = len(seq).bit_length() bits and redraws while
-    they index past the end; draw() repeats those exact calls, so a walk
-    consumes its stream as a choice()-based walk would.
+    they index past the end; phantom's walk repeats those exact calls, so a
+    walk consumes its stream as a choice()-based walk would.
     """
     k = len(candidates).bit_length()
     return k, candidates + (None,) * ((1 << k) - len(candidates))
-
-
-def draw(getrandbits, step: StepDraw) -> NodeId:
-    """Pick from a step_draw table with a Random's getrandbits, as choice()."""
-    k, slots = step
-    pick = slots[getrandbits(k)]
-    while pick is None:
-        pick = slots[getrandbits(k)]
-    return pick
 
 
 def _build_adjacency(

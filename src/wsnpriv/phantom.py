@@ -4,13 +4,15 @@ A message first performs a random walk away from its source (ending at a
 phantom node), then floods from there to reach the sink.  The two-way
 variant replaces the flood with a rendezvous: the sink pre-establishes a
 receptor walk, source messages random-walk until they hit it, and follow
-it home.
+it home.  Both walks, and the directed walk's fallback, take their steps
+from one non-backtracking kernel, `_walk`.
 
 The adversary is a patient hunter.  It camps at a node, and for each
 delivered message relocates to the transmitter it heard earliest (lowest
-tick, then lowest node id).  It catches the source when it reaches the
-source node at a moment the source is transmitting.  The safety period is
-the number of messages the source got out before that happens.
+tick, then lowest node id), read off `Schedule.first_heard`.  It catches
+the source when it reaches the source node at a moment the source is
+transmitting.  The safety period is the number of messages the source got
+out before that happens.
 
 The flooding-zone math (how many nodes a zone needs so that back-tracing
 succeeds with probability below a target) is exact combinatorics.
@@ -21,9 +23,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from .netsim import NodeId, Topology, Transmission, draw
+from .netsim import NodeId, Topology, Transmission
 from .rng import SimRng
 
 __all__ = [
@@ -108,6 +112,34 @@ class ZonePlan:
     k: int
 
 
+def _walk(
+    topology: Topology, route: list[NodeId], steps: int, stop: Container[NodeId], rng: SimRng
+) -> bool:
+    """Extend `route` by up to `steps` pure steps; True if it ends in `stop`.
+
+    Each step draws from step_row(cur)[prev] as choice() would, prev being
+    route[-2] (None on a one-node route).  route[-1] must have neighbours.
+    """
+    rows = topology.step_table()
+    getrandbits = rng.getrandbits
+    append = route.append
+    cur = route[-1]
+    prev = route[-2] if len(route) > 1 else None
+    for _ in repeat(None, steps):
+        row = rows[cur]
+        if row is None:
+            row = topology.step_row(cur)
+        k, slots = row[prev]
+        nxt = slots[getrandbits(k)]
+        while nxt is None:
+            nxt = slots[getrandbits(k)]
+        append(nxt)
+        if nxt in stop:
+            return True
+        prev, cur = cur, nxt
+    return False
+
+
 def random_walk(
     topology: Topology, source: NodeId, cfg: WalkConfig, rng: SimRng
 ) -> list[NodeId]:
@@ -121,23 +153,19 @@ def random_walk(
     path = [source]
     if not topology.adjacency[source]:
         return path
-    getrandbits = rng.getrandbits
-    directed = cfg.mode is WalkMode.DIRECTED
-    prev: NodeId | None = None
-    cur = source
+    if cfg.mode is WalkMode.PURE:
+        _walk(topology, path, cfg.hops, (), rng)
+        return path
     for _ in range(cfg.hops):
-        farther = None
-        if directed:
-            d_cur = topology.distance(cur, source)
-            farther = [
-                n for n in topology.adjacency[cur] if topology.distance(n, source) > d_cur
-            ]
+        cur = path[-1]
+        d_cur = topology.distance(cur, source)
+        farther = [
+            n for n in topology.adjacency[cur] if topology.distance(n, source) > d_cur
+        ]
         if farther:
-            nxt = rng.choice(farther)
+            path.append(rng.choice(farther))
         else:
-            nxt = draw(getrandbits, topology.step_row(cur)[prev])
-        prev, cur = cur, nxt
-        path.append(nxt)
+            _walk(topology, path, 1, (), rng)
     return path
 
 
@@ -151,9 +179,9 @@ class Schedule:
     distance from flood_origin, destination excepted, unless the walk
     already had it forward.  Two-way routes have no flood (flood_origin is
     None).  The flood's BFS is read from the topology's memo the first time
-    tick(), ticks or log() needs it, and never otherwise.  `transmissions`
-    counts every broadcast (walk revisits included) and `latency_hops` is
-    the tick the destination first hears the message.
+    tick(), first_heard(), ticks or log() needs it, and never otherwise.
+    `transmissions` counts every broadcast (walk revisits included) and
+    `latency_hops` is the tick the destination first hears the message.
     """
 
     topology: Topology = field(repr=False, compare=False)
@@ -174,20 +202,38 @@ class Schedule:
 
     def tick(self, node: NodeId) -> int | None:
         """Earliest tick at which `node` forwards, or None if it never does."""
+        heard = self.first_heard((node,))
+        return None if heard is None else heard[0]
+
+    def first_heard(self, nodes: Iterable[NodeId]) -> tuple[int, NodeId] | None:
+        """(tick, node) of the earliest of `nodes` to forward, or None.
+
+        Each walk tick holds one node and comes before every flood tick, so
+        the first walk node among `nodes` wins outright.  Otherwise the
+        lowest flood tick does, lowest id on a tie.
+        """
         walk = self.walk
-        try:
-            return walk.index(node)
-        except ValueError:
-            pass
-        if self.flood_origin is None or node == self.destination:
+        nodes = frozenset(nodes)
+        first = next(filter(nodes.__contains__, walk), None)
+        if first is not None:
+            return walk.index(first), first
+        others = nodes - {self.destination}
+        if self.flood_origin is None or not others:
             return None
-        return len(walk) + self.flood_dist[node]
+        dist = self.flood_dist
+        return min([(len(walk) + dist[v], v) for v in others])
 
     @property
     def ticks(self) -> dict[NodeId, int]:
         """tick() of every forwarding node, as one mapping (built per call)."""
-        nodes = self.walk if self.flood_origin is None else range(self.topology.node_count)
-        return {u: t for u in nodes if (t := self.tick(u)) is not None}
+        walk = self.walk
+        ticks = {}
+        if self.flood_origin is not None:
+            ticks = {u: len(walk) + d for u, d in enumerate(self.flood_dist)}
+            del ticks[self.destination]
+        # Reversed, so that each walk node keeps its first tick.
+        ticks.update(zip(reversed(walk), range(len(walk) - 1, -1, -1)))
+        return ticks
 
     def log(self, payload_id: str) -> list[Transmission]:
         """One Transmission per forwarding node, ordered by (tick, sender)."""
@@ -250,27 +296,11 @@ def deliver_two_way(
     index_of = {node: i for i, node in enumerate(receptor.nodes)}
     if source in index_of:
         return list(receptor.nodes[index_of[source]:])
-    rows = topology.step_table()
-    getrandbits = rng.getrandbits
     route = [source]
-    prev: NodeId | None = None
-    cur = source
-    for _ in range(max_steps):
-        row = rows[cur]
-        if row is None:
-            row = topology.step_row(cur)
-        k, slots = row[prev]  # draw() inlined: this loop is the hot path
-        nxt = slots[getrandbits(k)]
-        while nxt is None:
-            nxt = slots[getrandbits(k)]
-        route.append(nxt)
-        if nxt in index_of:
-            route.extend(receptor.nodes[index_of[nxt] + 1:])
-            return route
-        prev, cur = cur, nxt
-    raise NoRendezvousError(
-        f"no rendezvous with receptor within {max_steps} steps"
-    )
+    if _walk(topology, route, max_steps, index_of, rng):
+        route.extend(receptor.nodes[index_of[route[-1]] + 1:])
+        return route
+    raise NoRendezvousError(f"no rendezvous with receptor within {max_steps} steps")
 
 
 def route_message(
@@ -357,15 +387,10 @@ def hunt(
         # Source transmits at tick 0 of every message, so an adversary
         # camped on it (only when the sink is the source) stays and catches it.
         if adversary != source:
-            heard = [
-                (t, u)
-                for u in topology.adjacency[adversary]
-                if (t := sched.tick(u)) is not None
-            ]
-            if heard:
-                _, target = min(heard)
-                moves.append((msg, adversary, target))
-                adversary = target
+            heard = sched.first_heard(topology.adjacency[adversary])
+            if heard is not None:
+                moves.append((msg, adversary, heard[1]))
+                adversary = heard[1]
         if adversary == source:
             captured = True
             safety_period = msg

@@ -11,6 +11,11 @@ it the capture probability and the mean safety period E[min(T, budget)].
 Seeded hunt() trials must agree with both within 5 sigma.  The trial count,
 the seeds and the bound were fixed before the first run.  Two-way routing is
 left out: its walks are unbounded.
+
+One step of the chain is also checked on its own: from a few hunter
+positions, where route_message and Schedule.first_heard send the hunter must
+follow the exact move distribution (Pearson's chi-square test; sample count,
+positions, seed and significance level fixed before the first run).
 """
 
 import dataclasses
@@ -21,11 +26,13 @@ from fractions import Fraction
 import pytest
 
 from wsnpriv.netsim import build_grid, build_random_geometric
-from wsnpriv.phantom import WalkConfig, WalkMode, hunt
+from wsnpriv.phantom import WalkConfig, WalkMode, hunt, route_message
 from wsnpriv.rng import SimRng
 
 TRIALS = 600
 SIGMAS = 5
+MOVE_SAMPLES = 10_000  # routed messages per walk mode
+MOVE_ALPHA = 1e-4  # per (mode, position) test: at most 8e-4 for all eight
 
 
 def bfs(topo, origin):
@@ -69,34 +76,42 @@ def walk_probabilities(topo, source, cfg):
     return walks
 
 
-def capture_cdf(topo, cfg, budget):
-    """[P(T <= k) for k = 0..budget], exact, for the hunt of `topo`'s first source."""
-    source, sink, h = topo.sources[0], topo.sink, cfg.hops
-    walks = walk_probabilities(topo, source, cfg)
-    # Per walk, each node's forwarding tick: walk[i] at its first index i < h,
-    # any other node but the sink at h plus its hop distance from the walk's end.
-    from_end = {}
-    tick_maps = []
-    for walk, p in walks:
+def tick_maps(topo, cfg):
+    """[(tick map, probability)] over every walk, for `topo`'s first source.
+
+    A map gives each forwarding node's tick: walk[i] at its first index i < h,
+    any other node but the sink at h plus its hop distance from the walk's end.
+    """
+    h, from_end, maps = cfg.hops, {}, []
+    for walk, p in walk_probabilities(topo, topo.sources[0], cfg):
         if walk[-1] not in from_end:
             from_end[walk[-1]] = bfs(topo, walk[-1])
-        ticks = {u: h + d for u, d in from_end[walk[-1]].items() if u != sink}
+        ticks = {u: h + d for u, d in from_end[walk[-1]].items() if u != topo.sink}
         for i in reversed(range(h)):
             ticks[walk[i]] = i
-        tick_maps.append((ticks, p))
+        maps.append((ticks, p))
+    return maps
 
-    def move(u):
-        """The hunter at u goes to the neighbour it hears first (lowest tick, then id)."""
-        out = {}
-        for ticks, p in tick_maps:
-            heard = [(ticks[v], v) for v in topo.adjacency[u] if v in ticks]
-            v = min(heard)[1] if heard else u
-            out[v] = out.get(v, 0) + p
-        return out
+
+def move(topo, maps, u):
+    """{v: P(the hunter at u goes to v)}: it goes to the neighbour it hears
+    first (lowest tick, then id), or stays if it hears none."""
+    out = {}
+    for ticks, p in maps:
+        heard = [(ticks[v], v) for v in topo.adjacency[u] if v in ticks]
+        v = min(heard)[1] if heard else u
+        out[v] = out.get(v, 0) + p
+    return out
+
+
+def capture_cdf(topo, cfg, budget):
+    """[P(T <= k) for k = 0..budget], exact, for the hunt of `topo`'s first source."""
+    source, sink = topo.sources[0], topo.sink
+    maps = tick_maps(topo, cfg)
 
     # The position distribution is carried as integer numerators over D**k
     # after k messages, D the common denominator of the walk probabilities.
-    denom = math.lcm(*(p.denominator for _, p in walks))
+    denom = math.lcm(*(p.denominator for _, p in maps))
     moves = {source: {source: denom}}  # capture absorbs
     mass, scale, cdf = {sink: 1}, 1, [Fraction(0)]
     for _ in range(budget):
@@ -104,7 +119,7 @@ def capture_cdf(topo, cfg, budget):
         for u, m in mass.items():
             if u not in moves:
                 moves[u] = {v: q.numerator * (denom // q.denominator)
-                            for v, q in move(u).items()}
+                            for v, q in move(topo, maps, u).items()}
             for v, q in moves[u].items():
                 nxt[v] = nxt.get(v, 0) + m * q
         mass, scale = nxt, scale * denom
@@ -156,3 +171,40 @@ def test_hunt_matches_the_exact_capture_distribution(cell, mode):
     assert abs(captures - TRIALS * p) <= SIGMAS * math.sqrt(TRIALS * p * (1 - p))
     observed = sum(r.safety_period for r in reports) / TRIALS
     assert abs(observed - mean) <= SIGMAS * math.sqrt(var / TRIALS)
+
+
+def chi2_sf(x, df):
+    """P(X >= x) for X chi-square with integer df >= 1 degrees of freedom."""
+    half = x / 2
+    if df % 2 == 0:
+        return math.exp(-half) * sum(half**i / math.factorial(i) for i in range(df // 2))
+    return math.erfc(math.sqrt(half)) + math.exp(-half) * sum(
+        half ** (i + 0.5) / math.gamma(i + 1.5) for i in range((df - 1) // 2))
+
+
+def test_chi2_sf_reference_values():
+    # Textbook 5 % critical values for 1-4 degrees of freedom.
+    for x, df in ((3.841, 1), (5.991, 2), (7.815, 3), (9.488, 4)):
+        assert chi2_sf(x, df) == pytest.approx(0.05, abs=1e-4)
+    assert chi2_sf(0.0, 3) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mode", list(WalkMode), ids=lambda m: m.value)
+def test_one_step_moves_match_the_exact_chain(mode):
+    topo, cfg = build_grid(8, 8), WalkConfig(mode, 4)
+    positions = (5, 36, 45, 53)  # near the sink, mid-field, near the source
+    maps = tick_maps(topo, cfg)
+    exact = {u: move(topo, maps, u) for u in positions}
+    counts = {u: dict.fromkeys(exact[u], 0) for u in positions}
+    rng = SimRng(2026, f"hunt-chain/one-step/{mode.value}")
+    for _ in range(MOVE_SAMPLES):
+        sched = route_message(topo, topo.sources[0], topo.sink, cfg, rng)
+        for u in positions:
+            heard = sched.first_heard(topo.adjacency[u])
+            v = u if heard is None else heard[1]
+            counts[u][v] += 1  # a KeyError is a move the chain rules out
+    for u in positions:
+        assert len(exact[u]) > 1
+        stat = sum((counts[u][v] - MOVE_SAMPLES * p) ** 2 / (MOVE_SAMPLES * p)
+                   for v, p in exact[u].items())
+        assert chi2_sf(stat, len(exact[u]) - 1) > MOVE_ALPHA, (u, counts[u], exact[u])

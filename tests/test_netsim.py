@@ -9,15 +9,15 @@ from wsnpriv import netsim
 from wsnpriv.netsim import (
     DisconnectedGraphError,
     PlacementError,
+    Topology,
     bfs_distances,
     build_grid,
     build_random_geometric,
-    draw,
     shortest_path,
-    step_draw,
     _build_adjacency,
     _grid_adjacency,
 )
+from wsnpriv.phantom import WalkConfig, random_walk
 from wsnpriv.rng import SimRng
 
 
@@ -254,15 +254,24 @@ def test_simrng_determinism_and_stream_independence():
 
 @given(
     seed=st.integers(0, 2**64),
-    candidates=st.lists(st.integers(0, 10**6), min_size=1, max_size=8).map(tuple),
+    leaves=st.integers(1, 8),
     draws=st.integers(1, 12),
 )
-def test_table_draw_matches_random_choice(seed, candidates, draws):
-    # One candidate still consumes bits; the draw must consume them too.
+def test_table_draw_matches_random_choice(seed, leaves, draws):
+    # A walk on a star draws from the hub's step table, then from a leaf's.
+    # The leaf's one way back still consumes bits; the draw must consume them too.
+    hub = leaves
+    star = Topology(
+        positions=tuple((math.cos(i), math.sin(i)) for i in range(leaves)) + ((0.0, 0.0),),
+        radio_range=1.0,
+        adjacency=((hub,),) * leaves + (tuple(range(leaves)),),
+        sink=hub,
+        sources=(0,),
+    )
     table_rng, choice_rng = SimRng(seed), SimRng(seed)
-    step = step_draw(candidates)
     for _ in range(draws):
-        assert draw(table_rng.getrandbits, step) == choice_rng.choice(candidates)
+        walk = random_walk(star, hub, WalkConfig(hops=2), table_rng)
+        assert walk == [hub, choice_rng.choice(range(leaves)), choice_rng.choice((hub,))]
     assert table_rng.getstate() == choice_rng.getstate()
 
 

@@ -21,6 +21,7 @@ from wsnpriv.phantom import (
     random_walk,
     route_message,
 )
+from wsnpriv import phantom
 from wsnpriv.rng import SimRng
 
 
@@ -67,22 +68,28 @@ def test_directed_walk_monotone_on_line():
         assert path == list(range(h + 1))
 
 
-def choice_walk(topo, source, hops, rng):
-    """Reference pure walk drawing with rng.choice."""
+def choice_walk(topo, source, hops, rng, directed=False):
+    """Reference walk drawing with rng.choice: a directed step picks from the
+    neighbours farther from the source, when there are any, else as pure."""
     path, prev = [source], None
     for _ in range(hops):
         nbrs = topo.adjacency[path[-1]]
-        nxt = rng.choice([n for n in nbrs if n != prev] or list(nbrs))
+        d = topo.distance(path[-1], source)
+        farther = [n for n in nbrs if topo.distance(n, source) > d] if directed else []
+        nxt = rng.choice(farther or [n for n in nbrs if n != prev] or list(nbrs))
         prev = path[-1]
         path.append(nxt)
     return path
 
 
-def choice_two_way(topo, source, receptor, rng):
-    """Reference two-way route drawing with rng.choice."""
+def choice_two_way(topo, source, receptor, rng, max_steps=None):
+    """Reference two-way route drawing with rng.choice; None once it has
+    walked max_steps steps without meeting the receptor."""
     nodes = list(receptor.nodes)
     route, prev = [source], None
     while route[-1] not in nodes:
+        if len(route) - 1 == max_steps:
+            return None
         nbrs = topo.adjacency[route[-1]]
         nxt = rng.choice([n for n in nbrs if n != prev] or list(nbrs))
         prev = route[-1]
@@ -104,6 +111,28 @@ def test_table_walks_match_choice_reference():
             assert walk == choice_walk(topo, source, 12, b)
             assert deliver_two_way(topo, source, rec, a) == choice_two_way(topo, source, rec, b)
             assert a.getstate() == b.getstate()
+
+
+def test_directed_walk_falls_back_without_backtracking():
+    # Where no neighbour is farther from the source (a 3x3 grid's corners,
+    # seen from its centre), the walk goes on by the pure rule and must not
+    # turn straight back.
+    fields = (build_grid(3, 3), build_grid(6, 6),
+              build_random_geometric(50, 10.0, 3.0, SimRng(8)))
+    fallbacks = 0
+    for topo in fields:
+        source = topo.node_count // 2
+        for seed in range(25):
+            a, b = SimRng(seed, "walk"), SimRng(seed, "walk")
+            walk = random_walk(topo, source, WalkConfig(WalkMode.DIRECTED, 9), a)
+            assert walk == choice_walk(topo, source, 9, b, directed=True)
+            assert a.getstate() == b.getstate()
+            fallbacks += sum(
+                len(topo.adjacency[u]) > 1 and all(
+                    topo.distance(n, source) <= topo.distance(u, source)
+                    for n in topo.adjacency[u])
+                for u in walk[1:-1])
+    assert fallbacks  # some steps could have turned back
 
 
 # --- flood ---
@@ -200,6 +229,44 @@ def test_two_way_no_rendezvous_error():
         deliver_two_way(topo, 99, rec, SimRng(0), max_steps=1)
 
 
+@pytest.mark.parametrize("max_steps", [1, 7, 50])
+def test_lost_message_leaves_the_stream_where_choice_does(max_steps):
+    # A walk that runs out of steps has drawn exactly max_steps choice() steps.
+    topo = build_grid(10, 10)
+    rec = build_receptor(topo, 0, 2, SimRng(1))
+    lost = 0
+    for seed in range(20):
+        a, b = SimRng(seed, "walk"), SimRng(seed, "walk")
+        expected = choice_two_way(topo, 99, rec, b, max_steps)
+        if expected is None:
+            lost += 1
+            with pytest.raises(NoRendezvousError):
+                deliver_two_way(topo, 99, rec, a, max_steps=max_steps)
+        else:
+            assert deliver_two_way(topo, 99, rec, a, max_steps=max_steps) == expected
+        assert a.getstate() == b.getstate()
+    assert lost
+
+
+def test_hunt_draws_the_message_after_a_lost_one_from_where_it_stopped(monkeypatch):
+    real = phantom.deliver_two_way
+    monkeypatch.setattr(phantom, "deliver_two_way",
+                        lambda *args: real(*args, max_steps=9))
+    topo = build_grid(6, 6)
+    lost = delivered = 0
+    for seed in range(6):
+        report = hunt(topo, TwoWay(3), 40, SimRng(seed))
+        rng = SimRng(seed)
+        rec = build_receptor(topo, topo.sink, 3, rng.stream("receptor"))
+        walk_rng = rng.stream("walk")
+        for latency in report.delivery_latency_hops:
+            route = choice_two_way(topo, topo.sources[0], rec, walk_rng, 9)
+            assert latency == (-1 if route is None else len(route) - 1)
+            lost += route is None
+            delivered += route is not None
+    assert lost and delivered
+
+
 # --- per-node ticks ---
 
 def reference_ticks(g, strategy, walk, destination):
@@ -242,6 +309,28 @@ def test_tick_matches_full_tick_map():
                 ]
 
 
+def test_first_heard_matches_the_tick_map_oracle():
+    field = build_random_geometric(40, 8.0, 2.5, SimRng(6))
+    strategies = (WalkConfig(), WalkConfig(hops=5),
+                  WalkConfig(WalkMode.DIRECTED, 3))
+    for topo in (build_grid(7, 7), build_grid(6, 5), field):
+        g = to_networkx(topo)
+        rec = build_receptor(topo, topo.sink, 4, SimRng(2))
+        for strategy in (*strategies, rec):
+            for seed in range(8):
+                source = (5 * seed + 2) % topo.node_count
+                a, b = SimRng(seed, "walk"), SimRng(seed, "walk")
+                sched = route_message(topo, source, topo.sink, strategy, a)
+                if isinstance(strategy, ReceptorPath):
+                    walk = deliver_two_way(topo, source, rec, b)
+                else:
+                    walk = random_walk(topo, source, strategy, b)
+                ticks = reference_ticks(g, strategy, walk, topo.sink)
+                for nodes in (*topo.adjacency, (), range(topo.node_count)):
+                    heard = [(ticks[v], v) for v in nodes if v in ticks]
+                    assert sched.first_heard(nodes) == (min(heard) if heard else None)
+
+
 def test_destination_ticks_only_when_the_walk_passes_it():
     topo = build_grid(4, 4)
     strategy = WalkConfig(hops=6)
@@ -273,7 +362,10 @@ def test_flood_bfs_waits_for_the_first_tick():
                 assert sched.latency_hops == len(walk) - 1 + hops
                 if ("bfs", end) not in topo._memo:
                     lazy += 1
-                    sched.tick(topo.sink)  # the destination needs no flood distance
+                    t = sched.tick(topo.sink)  # the destination needs no flood distance
+                    assert sched.first_heard((topo.sink,)) == (None if t is None else (t, topo.sink))
+                    if sched.walk:  # nor does a walk node
+                        assert sched.first_heard([topo.sink, *sched.walk]) == (0, source)
                     assert ("bfs", end) not in topo._memo
                     off_walk = next(u for u in range(topo.node_count)
                                     if u not in sched.walk and u != topo.sink)
