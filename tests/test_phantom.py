@@ -5,6 +5,7 @@ import time
 import networkx as nx
 import pytest
 
+from wsnpriv import phantom
 from wsnpriv.netsim import build_grid, build_random_geometric
 from wsnpriv.phantom import (
     NoRendezvousError,
@@ -21,7 +22,6 @@ from wsnpriv.phantom import (
     random_walk,
     route_message,
 )
-from wsnpriv import phantom
 from wsnpriv.rng import SimRng
 
 
@@ -230,6 +230,8 @@ def test_lost_message_leaves_the_stream_where_choice_does(max_steps):
 
 
 def test_hunt_draws_the_message_after_a_lost_one_from_where_it_stopped(monkeypatch):
+    # With a 9-step walk budget some messages are lost; each next message's
+    # walk must start where the lost walk left the "walk" stream.
     real = phantom.deliver_two_way
     monkeypatch.setattr(phantom, "deliver_two_way",
                         lambda *args: real(*args, max_steps=9))
