@@ -27,7 +27,6 @@ __all__ = [
     "build_random_geometric",
     "bfs_distances",
     "shortest_path",
-    "step_draw",
 ]
 
 NodeId = int
@@ -53,6 +52,9 @@ class Transmission:
 
 # One walk step's draw: k random bits index a slot tuple of 2**k entries
 # holding the candidates, then None for each value Random.choice rejects.
+# Random.choice(seq) draws k = len(seq).bit_length() bits and redraws while
+# they index past the end; phantom's walk repeats those exact calls, so a
+# walk consumes its stream as a choice()-based walk would.
 StepDraw = tuple[int, tuple[NodeId | None, ...]]
 
 
@@ -91,18 +93,22 @@ class Topology:
 
         step_row(cur)[prev] is the draw over cur's neighbours other than
         prev (all of them when prev is the only one; prev is None at a
-        walk's start).  Empty for a node without neighbours.
+        walk's start).  Empty for a node without neighbours.  Every prev
+        leaves as many candidates, so one (k, pad) serves them all.
         """
         rows = self.step_table()
         row = rows[cur]
         if row is None:
             nbrs = self.adjacency[cur]
-            row = rows[cur] = {
-                prev: step_draw(nbrs[:i] + nbrs[i + 1:] or nbrs)
-                for i, prev in enumerate(nbrs)
-            }
+            m = max(len(nbrs) - 1, 1)
+            k = m.bit_length()
+            pad = (None,) * ((1 << k) - m)
+            row = rows[cur] = {}
+            for i, prev in enumerate(nbrs):
+                row[prev] = k, (nbrs[:i] + nbrs[i + 1:] or nbrs) + pad
             if nbrs:
-                row[None] = step_draw(nbrs)
+                k = len(nbrs).bit_length()
+                row[None] = k, nbrs + (None,) * ((1 << k) - len(nbrs))
         return row
 
     def step_table(self) -> list[dict[NodeId | None, StepDraw] | None]:
@@ -115,17 +121,6 @@ class Topology:
         if rows is None:
             rows = self._memo["steps"] = [None] * self.node_count
         return rows
-
-
-def step_draw(candidates: tuple[NodeId, ...]) -> StepDraw:
-    """The draw table for a uniform pick from `candidates` (non-empty).
-
-    Random.choice(seq) draws k = len(seq).bit_length() bits and redraws while
-    they index past the end; phantom's walk repeats those exact calls, so a
-    walk consumes its stream as a choice()-based walk would.
-    """
-    k = len(candidates).bit_length()
-    return k, candidates + (None,) * ((1 << k) - len(candidates))
 
 
 def _build_adjacency(
@@ -168,10 +163,11 @@ def _grid_adjacency(
     """_build_adjacency of the width x height lattice, linked by offset.
 
     A node links to the offsets (dx, dy) that pass the spatial hash's float
-    test, added to its id where they stay on the lattice.  A range the hash
-    would refuse is refused before any row is built, by the hash's own
-    count: a hash cell holds (lattice columns in its x span) x (lattice
-    rows in its y span) nodes, so the count comes from per-axis sums.
+    test and stay on the lattice; rows are built a run of nodes at a time,
+    from slices of one id list.  A range the hash would refuse is refused
+    before any row is built, by the hash's own count: a hash cell holds
+    (lattice columns in its x span) x (lattice rows in its y span) nodes,
+    so the count comes from per-axis sums.
     """
     cell = radio_range * (1 + 1e-9)
     axes = []
@@ -194,20 +190,38 @@ def _grid_adjacency(
         if dx < 0:
             break
         reach.append(dx)
-    tall = len(reach) - 1
-    # The offsets in range, in id order: (id delta, dx, dy).
-    stencil = [
-        (dy * width + dx, dx, dy)
-        for dy in range(-tall, tall + 1)
-        for dx in range(-reach[abs(dy)], reach[abs(dy)] + 1)
-        if dx or dy
-    ]
+    tall, side = len(reach) - 1, reach[0]
+    if not (tall or side):  # a lone node, or a range short of the lattice pitch
+        return ((),) * (width * height)
+    # A run of a row's nodes has equal room (capped at the reach) to each
+    # edge, so its members share one list of id offsets, and the ids at one
+    # offset from the run are a slice of ids.  Rows with equal room above
+    # and below share their runs.
+    cuts = sorted({*range(side + 1), *range(width - side, width + 1)})
     ids = list(range(width * height))  # one int object per node id in every row
-    return tuple(
-        tuple([ids[y * width + x + d] for d, dx, dy in stencil
-               if 0 <= x + dx < width and 0 <= y + dy < height])
-        for y in range(height) for x in range(width)
-    )
+    runs: dict[tuple[int, int], list[tuple[int, int, list[int]]]] = {}
+    rows: list[tuple[NodeId, ...]] = []
+    for y in range(height):
+        room = min(y, tall), min(height - 1 - y, tall)
+        if room not in runs:
+            runs[room] = [(a, b, _offsets(width, reach, a, room)) for a, b in zip(cuts, cuts[1:])]
+        for a, b, offsets in runs[room]:
+            start, stop = y * width + a, y * width + b
+            if stop - start > 1:
+                rows += zip(*[ids[start + d:stop + d] for d in offsets])
+            else:  # one slice per offset costs more than one lookup
+                rows.append(tuple([ids[start + d] for d in offsets]))
+    return tuple(rows)
+
+
+def _offsets(width: int, reach: list[int], x: int, room: tuple[int, int]) -> list[int]:
+    """Sorted id offsets in range of column x, with room[0] rows below and room[1] above."""
+    offsets: list[int] = []
+    for dy in range(-room[0], room[1] + 1):
+        r = reach[abs(dy)]
+        offsets += range(dy * width - min(x, r), dy * width + min(width - 1 - x, r) + 1)
+    offsets.remove(0)
+    return offsets
 
 
 def bfs_distances(topology: Topology, origin: NodeId) -> list[int]:
@@ -290,8 +304,9 @@ def build_grid(
 ) -> Topology:
     """width x height unit lattice.  Node id = y * width + x.
 
-    Nodes are linked from the lattice's offset stencil, which gives the
-    spatial hash's adjacency and refuses the ranges the hash would.
+    Nodes are linked by id offset, a run of equally placed nodes at a
+    time, which gives the spatial hash's adjacency and refuses the ranges
+    the hash would.  Positions share one float object per coordinate.
 
     Default roles: sink at node 0 (one corner), single source at the
     opposite corner.
@@ -302,7 +317,8 @@ def build_grid(
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
     _check_range(radio_range)
     adjacency = _grid_adjacency(width, height, radio_range)
-    positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
+    xs = list(map(float, range(width)))  # one float object per coordinate
+    positions = [(x, y) for y in map(float, range(height)) for x in xs]
     return _finish(positions, radio_range, adjacency, sink, sources)
 
 

@@ -21,7 +21,6 @@ succeeds with probability below a target) is exact combinatorics.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
@@ -178,8 +177,8 @@ class Schedule:
     every node of the (connected) field forwards at len(walk) + its hop
     distance from flood_origin, destination excepted, unless the walk
     already had it forward.  Two-way routes have no flood (flood_origin is
-    None).  The flood's BFS is read from the topology's memo the first time
-    tick(), first_heard(), ticks or log() needs it, and never otherwise.
+    None).  The flood's BFS comes from the topology's memo, built the first
+    time tick(), first_heard(), ticks or log() needs it, never otherwise.
     `transmissions` counts every broadcast (walk revisits included) and
     `latency_hops` is the tick the destination first hears the message.
     """
@@ -194,11 +193,6 @@ class Schedule:
     @property
     def delivered(self) -> bool:
         return self.latency_hops >= 0
-
-    @functools.cached_property
-    def flood_dist(self) -> list[int]:
-        """Hop distance of every node from flood_origin (a flood only)."""
-        return self.topology.distances_from(self.flood_origin)
 
     def tick(self, node: NodeId) -> int | None:
         """Earliest tick at which `node` forwards, or None if it never does."""
@@ -220,7 +214,7 @@ class Schedule:
         others = nodes - {self.destination}
         if self.flood_origin is None or not others:
             return None
-        dist = self.flood_dist
+        dist = self.topology.distances_from(self.flood_origin)
         return min([(len(walk) + dist[v], v) for v in others])
 
     @property
@@ -229,7 +223,8 @@ class Schedule:
         walk = self.walk
         ticks = {}
         if self.flood_origin is not None:
-            ticks = {u: len(walk) + d for u, d in enumerate(self.flood_dist)}
+            dist = self.topology.distances_from(self.flood_origin)
+            ticks = {u: len(walk) + d for u, d in enumerate(dist)}
             del ticks[self.destination]
         # Reversed, so that each walk node keeps its first tick.
         ticks.update(zip(reversed(walk), range(len(walk) - 1, -1, -1)))

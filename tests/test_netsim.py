@@ -117,14 +117,17 @@ STENCIL_RANGES = [0.3, 0.5, 1.0, 1 + 1e-9, math.sqrt(2), 1.5, 2.5, 7.3, 1e18, 1e
 
 
 def test_grid_stencil_matches_the_spatial_hash():
-    for width in range(1, 13):
-        for height in range(1, 13):
-            positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
-            for radio_range in STENCIL_RANGES:
-                expected = _build_adjacency(positions, radio_range)
-                assert _grid_adjacency(width, height, radio_range) == expected
-                if radio_range >= 1:  # the builder refuses a disconnected field
-                    assert build_grid(width, height, radio_range).adjacency == expected
+    # Lattices wider and taller than 2 * reach + 1 (15 at range 7.3) have
+    # interior runs as well as edge runs at every finite range up to 7.3.
+    shapes = [(w, h, r) for w in range(1, 13) for h in range(1, 13) for r in STENCIL_RANGES]
+    shapes += [(w, h, r) for w, h in ((17, 3), (3, 17), (16, 16))
+               for r in STENCIL_RANGES if r <= 7.3]
+    for width, height, radio_range in shapes:
+        positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
+        expected = _build_adjacency(positions, radio_range)
+        assert _grid_adjacency(width, height, radio_range) == expected
+        if radio_range >= 1:  # the builder refuses a disconnected field
+            assert build_grid(width, height, radio_range).adjacency == expected
 
 
 def test_infinite_range_grid_is_complete():
@@ -277,12 +280,14 @@ def test_table_draw_matches_random_choice(seed, leaves, draws):
 
 def test_step_table_is_the_non_backtracking_rule():
     field = build_random_geometric(60, 10.0, 2.5, SimRng(4))
-    for topo in (build_grid(5, 4), build_grid(4, 4, radio_range=1.5), field):
+    # build_grid(1, 1) and (1, 4) have nodes of degree 0 and 1.
+    for topo in (build_grid(5, 4), build_grid(4, 4, radio_range=1.5), field,
+                 build_grid(1, 1), build_grid(1, 4)):
         assert topo.step_table() == [None] * topo.node_count  # nothing built yet
         for cur, nbrs in enumerate(topo.adjacency):
             row = topo.step_row(cur)
             assert row is topo.step_table()[cur] is topo.step_row(cur)
-            assert set(row) == {None, *nbrs}
+            assert set(row) == ({None, *nbrs} if nbrs else set())
             for prev, (k, slots) in row.items():
                 candidates = tuple(n for n in slots if n is not None)
                 assert candidates == (tuple(n for n in nbrs if n != prev) or nbrs)
