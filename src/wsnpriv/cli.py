@@ -76,8 +76,37 @@ def _write(path: pathlib.Path, text: str) -> bytes:
     return data
 
 
+_SCALARS = {  # json's text for each scalar type
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: lambda v: float.__repr__(v) if v - v == 0 else json.dumps(v),  # NaN, Infinity
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda v: "null",
+}
+
+
 def _json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte.
+
+    CPython's C encoder ignores indent, so json.dumps runs its generator-
+    based Python encoder; this joins lists of rendered children instead."""
+    return _render(doc, "\n") + "\n"
+
+
+def _render(value, nl: str) -> str:
+    # nl is the newline plus this value's indent.
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = nl + "  "
+    if type(value) is dict and value and {*map(type, value)} == {str}:
+        return "{" + inner + ("," + inner).join([
+            _SCALARS[str](k) + ": " + _render(value[k], inner) for k in sorted(value)
+        ]) + nl + "}"
+    if type(value) in (list, tuple) and value:
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in value]) + nl + "]"
+    # Empty containers, other keys and types: json's own text, re-indented.
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", nl)
 
 
 def _finish(args, results: dict, files: dict[str, str],

@@ -169,16 +169,18 @@ def _grid_adjacency(
     (lattice columns in its x span) x (lattice rows in its y span) nodes,
     so the count comes from per-axis sums.
     """
-    cell = radio_range * (1 + 1e-9)
-    axes = []
-    for side in (width, height):
-        cells = Counter(int(v // cell) for v in map(float, range(side)))
-        axes.append((sum(m * m for m in cells.values()),  # one cell's span with itself
-                     sum(m * cells[c + 1] for c, m in cells.items())))  # with the next one's
-    (xx, xn), (yy, yn) = axes
-    # Pairs within a cell, then a cell with its later x, y and two diagonal cells.
-    if (xx * yy - width * height) // 2 + xn * yy + xx * yn + 2 * xn * yn > PAIR_TESTS_MAX:
-        raise _too_many_tests(radio_range)
+    n = width * height
+    if n * (n - 1) // 2 > PAIR_TESTS_MAX:  # else the hash, testing each pair once, cannot refuse
+        cell = radio_range * (1 + 1e-9)
+        axes = []
+        for side in (width, height):
+            cells = Counter(int(v // cell) for v in map(float, range(side)))
+            axes.append((sum(m * m for m in cells.values()),  # one cell's span with itself
+                         sum(m * cells[c + 1] for c, m in cells.items())))  # with the next one's
+        (xx, xn), (yy, yn) = axes
+        # Pairs within a cell, then a cell with its later x, y and two diagonal cells.
+        if (xx * yy - n) // 2 + xn * yy + xx * yn + 2 * xn * yn > PAIR_TESTS_MAX:
+            raise _too_many_tests(radio_range)
     # reach[dy]: the widest dx in range at that dy.  The float test fails
     # for every wider offset once it fails, so reach only shrinks.
     r2 = radio_range * radio_range

@@ -147,7 +147,6 @@ def pair_sources(
         raise ConfigError("need at least two sources to pair")
     remaining = sorted(sources)
     forbidden = set(sources) | {topology.sink}
-    allowed = [n for n in range(topology.node_count) if n not in forbidden]
     dist_from = {s: topology.distances_from(s) for s in remaining}
     clusters: list[Cluster] = []
     while len(remaining) >= 2:
@@ -162,10 +161,12 @@ def pair_sources(
         )
         if common:
             af = common[0]
-        elif allowed:
-            # min keeps the first of equal sums, so ties go to the lowest id.
+        elif topology.node_count > len(forbidden):
+            # Forbidden nodes sum past any two hop distances; ties go to the lowest id.
             summed = list(map(operator.add, dist_from[s1], dist_from[s2]))
-            af = min(allowed, key=summed.__getitem__)
+            for n in forbidden:
+                summed[n] = 2 * topology.node_count
+            af = summed.index(min(summed))
         else:
             raise ConfigError(
                 f"sources: no aggregator-forwarder candidate can reach both {s1} and {s2}"

@@ -1,14 +1,19 @@
+import enum
 import hashlib
 import json
+import math
+import re
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wsnpriv
-from wsnpriv.cli import _parse_b_grid, _parse_dist, _parse_sizes, build_parser, main
+from wsnpriv.cli import _json, _parse_b_grid, _parse_dist, _parse_sizes, build_parser, main
 
 
 def run(tmp_path, *argv):
@@ -314,3 +319,71 @@ def test_outputs_byte_identical_across_runs(tmp_path):
         })
     assert digests[0] == digests[1]
     assert len(digests[0]) == 6
+
+
+# --- the JSON writer ---
+
+class Level(enum.IntEnum):
+    HIGH = 2**70
+
+
+def dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80), st.text(),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, Level.HIGH]),
+    st.sampled_from([{}, [], ()]),
+)
+KEYS = [st.text(), st.integers(), st.booleans(), st.none(), st.floats()]
+JSON_TREES = st.recursive(SCALARS, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    *(st.dictionaries(key, children, max_size=4) for key in KEYS),  # one key type per dict
+), max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=JSON_TREES)
+def test_writer_is_indented_json_dumps(doc):
+    assert _json(doc) == dumps(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"ok": [{1: 0, "a": 0}]}, [1, {"a": object()}], {"a": [2**64, 10**5000]},
+], ids=["mixed-keys", "unknown-type", "huge-int"])
+def test_writer_raises_what_json_raises(doc):
+    with pytest.raises(Exception) as want:
+        dumps(doc)
+    with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+        _json(doc)
+
+
+SUBCOMMANDS = [
+    ["plan-zone", "--pr", "0.01", "--hops", "3"],
+    ["simulate-hunt", "--grid", "5x5", "--strategy", "flood", "--strategy", "twoway:3",
+     "--trials", "3", "--budget", "20"],
+    ["aggregate", "--x", "5", "--y", "7"],
+    ["bench", "--sizes", "3,4", "--reps", "30"],
+    ["disclosure-curve", "--b-grid", "0:1:0.25"],
+    ["run-pipeline", "PIPELINE"],
+    ["run-scenarios", "scenarios/reference_sppda.json"],
+]
+
+
+def test_every_subcommand_json_file_re_encodes_to_itself(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "level": "full", "width": 6, "height": 6, "sources": [22, 24, 35],
+        "readings": {"22": 5, "24": 7, "35": 1}, "master_seed": 42,
+        "walk": {"mode": "directed", "hops": 3}, "note": "caf\u00e9\t",
+    }))
+    for argv in SUBCOMMANDS:
+        out = tmp_path / argv[0]
+        assert run(out, *[str(cfg) if a == "PIPELINE" else a for a in argv]) == 0
+        written = sorted(out.glob("*.json"))
+        assert written
+        for path in written:
+            text = path.read_text()
+            assert text == dumps(json.loads(text)), path.name

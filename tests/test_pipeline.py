@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from wsnpriv.netsim import bfs_distances, build_grid, shortest_path
+from wsnpriv.netsim import bfs_distances, build_grid, build_random_geometric, shortest_path
 from wsnpriv.phantom import WalkConfig, WalkMode
 from wsnpriv.pipeline import (
     Cluster,
@@ -13,6 +13,7 @@ from wsnpriv.pipeline import (
     pair_sources,
     run_pipeline,
 )
+from wsnpriv.rng import SimRng
 
 
 def test_privacy_level_layers():
@@ -97,6 +98,25 @@ def test_pair_fallback_af_matches_brute_force_oracle():
         fallbacks += used
         pairs += len(clusters)
     assert 2 * fallbacks > pairs  # the fallback, not a common neighbor, picked most AFs
+
+    # A random-geometric field: uneven degrees, and ties between summed distances.
+    fallbacks = 0
+    for seed in range(6):
+        sources = tuple(random.Random(seed).sample(range(1, 80), 9))
+        topo = build_random_geometric(80, 10.0, 1.8, SimRng(seed, "field"), sources=sources)
+        clusters, unpaired, used = pair_sources_oracle(sources, topo)
+        assert pair_sources(sources, topo) == (clusters, unpaired)
+        fallbacks += used
+    assert fallbacks
+
+    # Every node of least summed distance is a source or the sink: on the
+    # path 0-1-...-8 (sink 0), pair (1, 2) sums 1 at 1 and 2, 3 at 0 and 3
+    # and 5 at 4, so its AF is node 5 at sum 7.
+    sources = (1, 2, 3, 4)
+    topo = build_grid(9, 1, sources=sources)
+    clusters, unpaired, used = pair_sources_oracle(sources, topo)
+    assert clusters == [Cluster(s1=1, s2=2, af=5), Cluster(s1=3, s2=4, af=5)] and used == 2
+    assert pair_sources(sources, topo) == (clusters, unpaired)
 
 
 # --- pipeline flows ---
