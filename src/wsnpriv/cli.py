@@ -86,7 +86,7 @@ _SCALARS = {  # json's text for each scalar type
 
 
 def _json(doc) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True) + "\n", byte for byte.
+    """json.dumps(doc, indent=2, sort_keys=True) + "\\n", byte for byte.
 
     CPython's C encoder ignores indent, so json.dumps runs its generator-
     based Python encoder; this joins lists of rendered children instead."""

@@ -351,25 +351,13 @@ def test_writer_is_indented_json_dumps(doc):
 
 
 @pytest.mark.parametrize("doc", [
-    {"ok": [{1: 0, "a": 0}]}, [1, {"a": object()}], {"a": [2**64, 10**5000]},
-], ids=["mixed-keys", "unknown-type", "huge-int"])
+    {"ok": [{1: 0, "a": 0}]}, [1, {"a": object()}], {"a": [2**64, {(1, 2): 0}]},
+], ids=["mixed-keys", "unknown-type", "tuple-key"])
 def test_writer_raises_what_json_raises(doc):
     with pytest.raises(Exception) as want:
         dumps(doc)
     with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
         _json(doc)
-
-
-SUBCOMMANDS = [
-    ["plan-zone", "--pr", "0.01", "--hops", "3"],
-    ["simulate-hunt", "--grid", "5x5", "--strategy", "flood", "--strategy", "twoway:3",
-     "--trials", "3", "--budget", "20"],
-    ["aggregate", "--x", "5", "--y", "7"],
-    ["bench", "--sizes", "3,4", "--reps", "30"],
-    ["disclosure-curve", "--b-grid", "0:1:0.25"],
-    ["run-pipeline", "PIPELINE"],
-    ["run-scenarios", "scenarios/reference_sppda.json"],
-]
 
 
 def test_every_subcommand_json_file_re_encodes_to_itself(tmp_path):
@@ -379,9 +367,18 @@ def test_every_subcommand_json_file_re_encodes_to_itself(tmp_path):
         "readings": {"22": 5, "24": 7, "35": 1}, "master_seed": 42,
         "walk": {"mode": "directed", "hops": 3}, "note": "caf\u00e9\t",
     }))
-    for argv in SUBCOMMANDS:
+    for argv in [
+        ["plan-zone", "--pr", "0.01", "--hops", "3"],
+        ["simulate-hunt", "--grid", "5x5", "--strategy", "flood", "--strategy", "twoway:3",
+         "--trials", "3", "--budget", "20"],
+        ["aggregate", "--x", "5", "--y", "7"],
+        ["bench", "--sizes", "3,4", "--reps", "30"],
+        ["disclosure-curve", "--b-grid", "0:1:0.25"],
+        ["run-pipeline", str(cfg)],
+        ["run-scenarios", "scenarios/reference_sppda.json"],
+    ]:
         out = tmp_path / argv[0]
-        assert run(out, *[str(cfg) if a == "PIPELINE" else a for a in argv]) == 0
+        assert run(out, *argv) == 0
         written = sorted(out.glob("*.json"))
         assert written
         for path in written:
