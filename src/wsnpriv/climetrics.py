@@ -260,11 +260,11 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
     """
     if campaign.trials < 1:
         raise ConfigError("trials: must be >= 1")
+    strategies = [(spec, parse_strategy(spec)) for spec in campaign.strategies]
     summary = []
     for (w, h) in campaign.grids:
         topology = build_grid(w, h)
-        for spec in campaign.strategies:
-            strategy = parse_strategy(spec)
+        for spec, strategy in strategies:
             safeties = []
             captures = 0
             trial_rows = []

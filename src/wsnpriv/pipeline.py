@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .keymgmt import check_bank_split
 from .netsim import NodeId, Topology, build_grid
-from .phantom import WalkConfig, WalkMode, build_receptor, route_message
+from .phantom import TwoWay, WalkConfig, WalkMode, route_message
 from .ppda import DEFAULT_MODULUS, PrimeField, RoundTranscript, SppdaCluster
 from .rng import SimRng
 
@@ -144,7 +144,7 @@ def pair_sources(
     distance to the pair.  Returns (clusters, unpaired leftovers).
     """
     if len(sources) < 2:
-        raise ConfigError("need at least two sources to pair")
+        raise ConfigError("sources: need at least two sources to pair")
     remaining = sorted(sources)
     forbidden = set(sources) | {topology.sink}
     dist_from = {s: topology.distances_from(s) for s in remaining}
@@ -215,9 +215,7 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     if config.level.anonymity:
         strategy = config.walk
         if config.receptor_length is not None:
-            strategy = build_receptor(
-                topology, topology.sink, config.receptor_length, rng.stream("receptor")
-            )
+            strategy = TwoWay(config.receptor_length).receptor(topology, rng)
     for i, (origin, value, cluster) in enumerate(outbound):
         if strategy is None:
             hops = tx = topology.distances_from(topology.sink)[origin]

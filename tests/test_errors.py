@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wsnpriv import climetrics
 from wsnpriv.cli import _parse_b_grid, main as cli_main, run_scenarios
 from wsnpriv.climetrics import (
     HuntCampaign,
@@ -177,6 +178,23 @@ def strategy_not_integer(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("error: strategy: ")
 
 
+def twoway_negative_length(tmp_path, capsys):
+    # Refused when the spec is parsed, before the flood cell runs any trial.
+    with pytest.raises(ValueError, match="^receptor_length: must be >= 0$"):
+        parse_strategy("twoway:-1")
+
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "5x5",
+            "--strategy", "flood", "--strategy", "twoway:-1"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(climetrics, "hunt", no_trial)
+        assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: receptor_length: must be >= 0\n"
+    assert not (tmp_path / "hunt_trials.csv").exists()
+
+
 def walk_hops_over_the_bound(tmp_path, capsys):
     # A 10^9-hop phantom walk ran for minutes per message; 10,000 hops is the bound.
     assert WalkConfig(hops=10_000).hops == 10_000
@@ -296,8 +314,8 @@ PIPELINE_ERRORS = [
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
              b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
              dist_span_huge, scenario_name_not_plain, out_is_a_file, output_name_is_a_directory,
-             modulus_not_prime, strategy_not_integer, walk_hops_over_the_bound,
-             grid_zero_width, grid_too_large,
+             modulus_not_prime, strategy_not_integer, twoway_negative_length,
+             walk_hops_over_the_bound, grid_zero_width, grid_too_large,
              pool_size_not_int, bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct,
              modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],

@@ -161,7 +161,7 @@ def test_receptor_structure():
     rec = build_receptor(topo, 0, 6, SimRng(2))
     assert len(rec.nodes) <= 7
     assert len(set(rec.nodes)) == len(rec.nodes)
-    assert rec.destination == 0
+    assert rec.nodes[-1] == 0
     for a, b in zip(rec.nodes, rec.nodes[1:]):
         assert b in topo.adjacency[a]
 
@@ -169,6 +169,20 @@ def test_receptor_structure():
 def test_receptor_deterministic():
     topo = build_grid(10, 10)
     assert build_receptor(topo, 0, 6, SimRng(2)) == build_receptor(topo, 0, 6, SimRng(2))
+
+
+@pytest.mark.parametrize("length", [0, 1, 6, 30])
+def test_two_way_receptor_ends_at_the_sink_from_the_receptor_stream(length):
+    topo = build_grid(8, 8, sink=27, sources=(63,))
+    rng = SimRng(11, "trial")
+    expected = build_receptor(topo, topo.sink, length, rng.stream("receptor"))
+    assert TwoWay(length).receptor(topo, rng) == expected
+    assert expected.nodes[-1] == 27
+
+
+def test_two_way_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="^receptor_length: must be >= 0$"):
+        TwoWay(-1)
 
 
 def test_two_way_source_on_receptor():

@@ -51,7 +51,7 @@ def test_pair_odd_source_reported_unpaired():
 
 def test_pair_needs_two_sources():
     topo = build_grid(3, 3)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^sources: "):
         pair_sources((4,), topo)
 
 
