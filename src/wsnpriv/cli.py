@@ -39,7 +39,7 @@ from .climetrics import (
     rows_to_csv,
 )
 from .phantom import min_zone_nodes
-from .pipeline import ConfigError, run_pipeline
+from .pipeline import run_pipeline
 from .ppda import DEFAULT_MODULUS, PrimeField, run_sppda
 from .rng import SimRng
 
@@ -50,11 +50,11 @@ B_GRID_MAX = 100_001  # points in a start:stop:step range; 0:1:0.00001 fits
 
 @contextlib.contextmanager
 def _out_errors():
-    """An output path the OS refuses is bad input: ConfigError("out: ...")."""
+    """An output path the OS refuses is bad input: ValueError("out: ...")."""
     try:
         yield
     except OSError as exc:
-        raise ConfigError(f"out: {exc}") from exc
+        raise ValueError(f"out: {exc}") from exc
 
 
 def _out_dir(out: str | None) -> pathlib.Path:
@@ -267,7 +267,7 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
     doc = climetrics.read_json(path, "file")
     scenarios = doc.get("scenarios") if isinstance(doc, dict) else None
     if not isinstance(scenarios, list):
-        raise ConfigError("scenarios: expected a list")
+        raise ValueError("scenarios: expected a list")
     status = 0
     for i, scen in enumerate(scenarios):
         if not isinstance(scen, dict):

@@ -24,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 from .netsim import NodeId, build_grid
 from .phantom import TwoWay, WalkConfig, WalkMode, hunt
-from .pipeline import ConfigError, PipelineConfig, PrivacyLevel
+from .pipeline import PipelineConfig, PrivacyLevel
 from .ppda import PrimeField, SppdaCluster, run_cpda
 from .rng import SimRng
 
@@ -49,7 +49,7 @@ def expecting(field: str, form: str, spec: str):
     try:
         yield
     except ValueError:
-        raise ConfigError(f"{field}: expected {form}, got {spec!r}") from None
+        raise ValueError(f"{field}: expected {form}, got {spec!r}") from None
 
 
 class DisclosureModel(enum.Enum):
@@ -249,7 +249,7 @@ def parse_strategy(spec: str) -> WalkConfig | TwoWay:
         if kind == "phantom":
             return WalkConfig(mode=WalkMode.PURE, hops=n)
         return TwoWay(receptor_length=n)
-    raise ConfigError(f"strategy: unrecognized spec {spec!r}")
+    raise ValueError(f"strategy: unrecognized spec {spec!r}")
 
 
 def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
@@ -259,7 +259,7 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
     transmissions, mean latency) for the CSV log.
     """
     if campaign.trials < 1:
-        raise ConfigError("trials: must be >= 1")
+        raise ValueError("trials: must be >= 1")
     strategies = [(spec, parse_strategy(spec)) for spec in campaign.strategies]
     summary = []
     for (w, h) in campaign.grids:
@@ -323,7 +323,7 @@ def rows_to_csv(rows: list[dict], columns: list[str]) -> str:
 
 def _expect(key: str, value, kinds: tuple[type, ...], name: str):
     if type(value) not in kinds:  # exact types: a bool is not an int
-        raise ConfigError(f"{key}: expected {name}")
+        raise ValueError(f"{key}: expected {name}")
     return value
 
 
@@ -331,7 +331,7 @@ def _readings(key: str, value) -> dict[NodeId, int]:
     readings = {}
     for node, v in _expect(key, value, (dict,), "object").items():
         if not (isinstance(node, str) and node.isdecimal()):
-            raise ConfigError(f"{key}: key {node!r} is not a decimal node id")
+            raise ValueError(f"{key}: key {node!r} is not a decimal node id")
         readings[int(node)] = _expect(f"{key}.{node}", v, (int,), "int")
     return readings
 
@@ -342,7 +342,7 @@ def _enum(cls: type[enum.Enum]):
     def parse(key: str, value):
         if isinstance(value, str) and value in members:
             return members[value]
-        raise ConfigError(f"{key}: unknown value {value!r}")
+        raise ValueError(f"{key}: unknown value {value!r}")
     return parse
 
 
@@ -361,11 +361,11 @@ def _fields_parser(cls, defaults=None):
                   for name, parse_field, _ in spec if name in doc}
         missing = [prefix + name for name, _, required in spec if required and name not in doc]
         if missing:
-            raise ConfigError(f"{', '.join(missing)}: missing required field")
+            raise ValueError(f"{', '.join(missing)}: missing required field")
         try:
             return cls(**kwargs) if defaults is None else replace(defaults, **kwargs)
-        except ValueError as exc:  # the dataclass's own check, e.g. walk.hops
-            raise ConfigError(f"{prefix}{exc}") from None
+        except ValueError as exc:  # the dataclass's own checks, e.g. walk.hops
+            raise ValueError(f"{prefix}{exc}") from None
     return parse
 
 
@@ -396,4 +396,4 @@ def read_json(path: str, key: str):
     try:
         return json.loads(pathlib.Path(path).read_bytes())  # JSON is UTF-8, whatever the locale
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ValueError(f"{key}: {exc}") from None

@@ -161,13 +161,14 @@ class StreamMacCipher:
 DEFAULT_CIPHER = StreamMacCipher()
 
 
-def check_bank_split(pool_size: int, af_bank: int, error: type[ValueError] = ValueError) -> None:
-    """Both banks non-empty, and the SS bank at most SS_BANK_MAX keys, so
-    its ordering message fits u16 indices."""
+def check_bank_split(pool_size: int, af_bank: int) -> None:
+    """Both banks non-empty, and the SS bank at most SS_BANK_MAX keys, so its
+    ordering message fits u16 indices; else ValueError("af_bank: ...") or
+    ValueError("pool_size: ...").  PipelineConfig and generate_pool call it."""
     if not 1 <= af_bank < pool_size:
-        raise error(f"af_bank: must be in [1, pool_size={pool_size})")
+        raise ValueError(f"af_bank: must be in [1, pool_size={pool_size})")
     if pool_size - af_bank > SS_BANK_MAX:
-        raise error(f"pool_size: SS bank (pool_size - af_bank) over {SS_BANK_MAX} keys")
+        raise ValueError(f"pool_size: SS bank (pool_size - af_bank) over {SS_BANK_MAX} keys")
 
 
 def generate_pool(total: int, af_count: int, rng: SimRng) -> KeyPool:

@@ -243,25 +243,14 @@ def bfs_distances(topology: Topology, origin: NodeId) -> list[int]:
 
 
 def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> list[NodeId]:
-    """One BFS shortest path origin -> destination (lowest-id tie-break)."""
-    prev: dict[NodeId, NodeId] = {origin: origin}
-    queue = deque([origin])
-    while queue:
-        u = queue.popleft()
-        if u == destination:
-            break
-        for v in topology.adjacency[u]:
-            if v not in prev:
-                prev[v] = u
-                queue.append(v)
-    if destination not in prev:
-        raise DisconnectedGraphError(
-            f"no path from {origin} to {destination}"
-        )
-    path = [destination]
-    while path[-1] != origin:
-        path.append(prev[path[-1]])
-    path.reverse()
+    """A shortest path origin -> destination, read off the memoized BFS from
+    the destination: each hop goes to the lowest-id neighbour one hop nearer."""
+    dist = topology.distances_from(destination)
+    if dist[origin] < 0:
+        raise DisconnectedGraphError(f"no path from {origin} to {destination}")
+    path = [origin]
+    for d in range(dist[origin] - 1, -1, -1):
+        path.append(next(v for v in topology.adjacency[path[-1]] if dist[v] == d))
     return path
 
 

@@ -261,13 +261,11 @@ def flood(topology: Topology, origin: NodeId, destination: NodeId) -> Schedule:
 def build_receptor(
     topology: Topology, destination: NodeId, length: int, rng: SimRng
 ) -> ReceptorPath:
-    """Self-avoiding walk of up to `length` hops anchored at the destination.
+    """Self-avoiding walk of up to `length` >= 0 hops anchored at the destination.
 
     Grown outward from the destination and reversed, so the stored path
     runs interior -> destination.  Truncates if the walk traps itself.
     """
-    if length < 0:
-        raise ValueError("length: must be >= 0")
     walk = [destination]
     visited = {destination}
     for _ in range(length):
@@ -412,12 +410,12 @@ def binom(n: int, h: int) -> int:
 
 
 def min_zone_nodes(p_r: float, hops: int) -> ZonePlan:
-    """Smallest flooding-zone size whose back-trace odds beat the target.
+    """Smallest flooding-zone size N >= hops with C(N, hops) > 1/p_r.
 
-    Finds the least N >= hops with C(N, hops) > 1/p_r, i.e. the zone is
-    large enough that picking the true source among the C(N, H) candidate
-    hop-subsets succeeds with probability below p_r.  C(N, hops) grows
-    with N, so N is found by galloping from hops, then bisecting.
+    1/C(N, H) is the paper's counting model (choosing one H-subset of N
+    nodes), not the success probability of an adversary who sees where the
+    walk ends, which can be far higher.  C(N, hops) grows with N, so N is
+    found by galloping from hops, then bisecting.
     """
     if not 0.0 < p_r <= 1.0:
         raise ValueError("p_r: must be in (0, 1]")

@@ -27,15 +27,9 @@ __all__ = [
     "Cluster",
     "FlowRecord",
     "DeliveryReport",
-    "ConfigError",
     "pair_sources",
     "run_pipeline",
 ]
-
-
-class ConfigError(ValueError):
-    """Bad input: a pipeline config, a scenario document or a CLI value
-    that breaks its rules.  The message starts with the field's name."""
 
 
 class PrivacyLevel(enum.Enum):
@@ -77,23 +71,23 @@ class PipelineConfig:
     af_bank: int = 128
     aggregator_dummy: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.sources:
-            raise ConfigError("sources: at least one source required")
+            raise ValueError("sources: at least one source required")
         if self.level.perturbation and len(self.sources) < 2:
-            raise ConfigError(
+            raise ValueError(
                 "sources: perturbation layer needs at least two sources to form a cluster"
             )
         if len(set(self.sources)) != len(self.sources):
-            raise ConfigError(f"sources: duplicate node ids in {list(self.sources)}")
+            raise ValueError(f"sources: duplicate node ids in {list(self.sources)}")
         if self.sink in self.sources:
-            raise ConfigError(f"sources: node {self.sink} is the sink")
+            raise ValueError(f"sources: node {self.sink} is the sink")
         missing = [s for s in self.sources if s not in self.readings]
         if missing:
-            raise ConfigError(f"readings: missing for sources {missing}")
-        if self.receptor_length is not None and self.receptor_length < 0:
-            raise ConfigError("receptor_length: must be >= 0")
-        check_bank_split(self.pool_size, self.af_bank, ConfigError)
+            raise ValueError(f"readings: missing for sources {missing}")
+        if self.receptor_length is not None:
+            TwoWay(self.receptor_length)  # its own check refuses a negative length
+        check_bank_split(self.pool_size, self.af_bank)
 
 
 @dataclass(frozen=True)
@@ -144,7 +138,7 @@ def pair_sources(
     distance to the pair.  Returns (clusters, unpaired leftovers).
     """
     if len(sources) < 2:
-        raise ConfigError("sources: need at least two sources to pair")
+        raise ValueError("sources: need at least two sources to pair")
     remaining = sorted(sources)
     forbidden = set(sources) | {topology.sink}
     dist_from = {s: topology.distances_from(s) for s in remaining}
@@ -168,7 +162,7 @@ def pair_sources(
                 summed[n] = 2 * topology.node_count
             af = summed.index(min(summed))
         else:
-            raise ConfigError(
+            raise ValueError(
                 f"sources: no aggregator-forwarder candidate can reach both {s1} and {s2}"
             )
         clusters.append(Cluster(s1=s1, s2=s2, af=af))
@@ -177,7 +171,6 @@ def pair_sources(
 
 def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     """Execute one scenario: layer selection, aggregation, delivery."""
-    config.validate()
     rng = SimRng(config.master_seed, "pipeline")
     topology = build_grid(
         config.width, config.height, config.radio_range,

@@ -21,7 +21,7 @@ from wsnpriv.climetrics import (
 )
 from wsnpriv.netsim import build_grid
 from wsnpriv.phantom import TwoWay, WalkConfig, WalkMode, hunt
-from wsnpriv.pipeline import ConfigError, PipelineConfig
+from wsnpriv.pipeline import PipelineConfig
 from wsnpriv.rng import SimRng
 
 
@@ -142,7 +142,7 @@ def test_parse_strategy():
     tw = parse_strategy("twoway:4")
     assert isinstance(tw, TwoWay) and tw.receptor_length == 4
     for bad in ("phantom", "walk:3", "phantom:", ""):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ValueError):
             parse_strategy(bad)
 
 
@@ -200,11 +200,11 @@ def test_scenario_doc_validation_names_field():
     ]:
         bad = dict(base)
         bad[key] = value
-        with pytest.raises(ConfigError, match=needle):
+        with pytest.raises(ValueError, match=needle):
             pipeline_config_from_doc(bad)
     missing = dict(base)
     del missing["readings"]
-    with pytest.raises(ConfigError, match="readings"):
+    with pytest.raises(ValueError, match="readings"):
         pipeline_config_from_doc(missing)
 
 
@@ -232,7 +232,7 @@ def test_run_scenarios_empty_list(tmp_path):
 def test_run_scenarios_bad_file(tmp_path, capsys):
     f = tmp_path / "s.json"
     f.write_text("{not json")
-    with pytest.raises(ConfigError, match="^file: "):
+    with pytest.raises(ValueError, match="^file: "):
         run_scenarios(str(f), str(tmp_path / "out"))
     assert main(["--out", str(tmp_path / "out"), "run-scenarios", str(f)]) == 2
     assert capsys.readouterr().out.startswith("error: file: ")

@@ -13,7 +13,7 @@ from wsnpriv.climetrics import (
     pipeline_config_from_doc,
 )
 from wsnpriv.phantom import WalkConfig
-from wsnpriv.pipeline import ConfigError, PipelineConfig, PrivacyLevel
+from wsnpriv.pipeline import PipelineConfig, PrivacyLevel
 from wsnpriv.ppda import SppdaCluster
 from wsnpriv.rng import SimRng
 
@@ -24,19 +24,18 @@ SCENARIO = {
 
 
 def duplicate_sources(tmp_path, capsys):
-    cfg = PipelineConfig(width=5, height=5, level=PrivacyLevel.FULL,
-                         sources=(22, 22), readings={22: 5}, master_seed=1)
-    with pytest.raises(ConfigError, match="^sources: "):
-        cfg.validate()
+    with pytest.raises(ValueError, match="^sources: "):
+        PipelineConfig(width=5, height=5, level=PrivacyLevel.FULL,
+                       sources=(22, 22), readings={22: 5}, master_seed=1)
 
 
 def walk_not_object(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="^walk: expected object$"):
+    with pytest.raises(ValueError, match="^walk: expected object$"):
         pipeline_config_from_doc({**SCENARIO, "walk": 5})
     for walk, field in (({"mode": 3}, "walk.mode"), ({"mode": ["pure"]}, "walk.mode"),
                         ({"mode": "sideways"}, "walk.mode"), ({"hops": "5"}, "walk.hops"),
                         ({"hops": True}, "walk.hops"), ({"hops": -1}, "walk.hops")):
-        with pytest.raises(ConfigError, match=f"^{field}: "):
+        with pytest.raises(ValueError, match=f"^{field}: "):
             pipeline_config_from_doc({**SCENARIO, "walk": walk})
 
 
@@ -50,7 +49,7 @@ def scenario_not_object(tmp_path, capsys):
 
 
 def zero_trials(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="^trials: must be >= 1$"):
+    with pytest.raises(ValueError, match="^trials: must be >= 1$"):
         montecarlo_hunt(HuntCampaign(grids=((4, 4),), strategies=("flood",),
                                      trials=0, message_budget=5, master_seed=1))
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
@@ -170,7 +169,7 @@ def modulus_not_prime(tmp_path, capsys):
 
 
 def strategy_not_integer(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="^strategy: expected an integer"):
+    with pytest.raises(ValueError, match="^strategy: expected an integer"):
         parse_strategy("twoway:x")
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "4x4",
             "--strategy", "twoway:x", "--trials", "1"]
@@ -233,7 +232,7 @@ def run_pipeline_doc(tmp_path, doc):
 def pool_size_not_int(tmp_path, capsys):
     for field in ("modulus", "pool_size", "af_bank"):
         for value in ("x", 1.5, True):
-            with pytest.raises(ConfigError, match=f"^{field}: expected int$"):
+            with pytest.raises(ValueError, match=f"^{field}: expected int$"):
                 pipeline_config_from_doc({**SCENARIO, field: value})
     assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": "x"}) == 2
     assert capsys.readouterr().out == "error: pool_size: expected int\n"
@@ -241,9 +240,8 @@ def pool_size_not_int(tmp_path, capsys):
 
 def bank_split_invalid(tmp_path, capsys):
     for pool_size, af_bank in ((4, 4), (4, 0), (4, 9)):
-        cfg = pipeline_config_from_doc({**SCENARIO, "pool_size": pool_size, "af_bank": af_bank})
-        with pytest.raises(ConfigError, match="^af_bank: "):
-            cfg.validate()
+        with pytest.raises(ValueError, match="^af_bank: "):
+            pipeline_config_from_doc({**SCENARIO, "pool_size": pool_size, "af_bank": af_bank})
     assert run_pipeline_doc(tmp_path, {**SCENARIO, "pool_size": 4, "af_bank": 4}) == 2
     assert capsys.readouterr().out == "error: af_bank: must be in [1, pool_size=4)\n"
 
@@ -307,6 +305,24 @@ PIPELINE_ERRORS = [
      {"width": 3, "height": 1, "sources": [1, 2], "readings": {"1": 5, "2": 7}},
      "sources: no aggregator-forwarder candidate can reach both 1 and 2"),
 ]
+
+
+# PipelineConfig's own rules: a document that breaks one is refused when it is parsed.
+CONFIG_RULE_ERRORS = [
+    *(error for error in PIPELINE_ERRORS if error[0] in (
+        "no_sources", "one_source_perturbed", "source_at_sink", "reading_missing",
+        "receptor_length_negative")),
+    ("duplicate_sources", {"sources": [22, 22]}, "sources: duplicate node ids in [22, 22]"),
+    ("bank_split", {"pool_size": 4, "af_bank": 4}, "af_bank: must be in [1, pool_size=4)"),
+]
+
+
+@pytest.mark.parametrize("field, message", [error[1:] for error in CONFIG_RULE_ERRORS],
+                         ids=[error[0] for error in CONFIG_RULE_ERRORS])
+def test_config_rules_refuse_the_document_when_parsed(field, message):
+    with pytest.raises(ValueError) as refused:
+        pipeline_config_from_doc({**SCENARIO, **field})
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize(

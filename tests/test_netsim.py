@@ -1,6 +1,7 @@
 import math
 import re
 
+import networkx as nx
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -185,6 +186,29 @@ def test_shortest_path_endpoints_and_length():
     assert len(path) - 1 == bfs_distances(topo, 0)[15] == 6
     for a, b in zip(path, path[1:]):
         assert b in topo.adjacency[a]
+    # A grid whose sink is not a corner and three seeded random fields, against
+    # networkx: every hop is an edge to the lowest-id neighbour one hop nearer.
+    fields = [build_grid(6, 5, sink=14)] + [
+        build_random_geometric(40, 5.0, 1.6, SimRng(seed, "shortest-path")) for seed in (1, 2, 3)]
+    for topo in fields:
+        g = nx.Graph()
+        g.add_nodes_from(range(topo.node_count))
+        g.add_edges_from((a, b) for a, nbrs in enumerate(topo.adjacency) for b in nbrs)
+        for destination in (topo.sink, topo.node_count // 2):
+            hops_to = nx.single_source_shortest_path_length(g, destination)
+            for origin in range(topo.node_count):
+                path = shortest_path(topo, origin, destination)
+                assert path[0] == origin and path[-1] == destination
+                assert len(path) - 1 == nx.shortest_path_length(g, origin, destination)
+                for a, b in zip(path, path[1:]):
+                    assert g.has_edge(a, b)
+                    assert b == min(v for v in g[a] if hops_to[v] == hops_to[a] - 1)
+    # A hand-built field whose node 2 has no link.
+    split = Topology(positions=((0.0, 0.0), (1.0, 0.0), (5.0, 0.0)), radio_range=1.0,
+                     adjacency=((1,), (0,), ()), sink=0, sources=())
+    assert shortest_path(split, 1, 0) == [1, 0]
+    with pytest.raises(DisconnectedGraphError, match="^no path from 2 to 0$"):
+        shortest_path(split, 2, 0)
 
 
 @pytest.mark.parametrize("radio_range", [0.0, -1.0, float("nan"), 1e-10])
