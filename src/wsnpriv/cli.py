@@ -269,6 +269,7 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
     if not isinstance(scenarios, list):
         raise ValueError("scenarios: expected a list")
     status = 0
+    taken = set()
     for i, scen in enumerate(scenarios):
         if not isinstance(scen, dict):
             _say(f"error: scenario-{i}: expected an object")
@@ -279,6 +280,11 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
             _say(f"error: name: {name!r} is not a plain file name")
             status = 1
             continue
+        if name in taken:  # its files would overwrite the earlier scenario's
+            _say(f"error: name: {name!r} is taken by an earlier scenario")
+            status = 1
+            continue
+        taken.add(name)
         try:
             report = _run_doc(scen)
             _write(out / f"{name}.json", _json(report))

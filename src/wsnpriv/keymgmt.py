@@ -70,7 +70,7 @@ __all__ = [
 KEY_LEN = 16  # 128-bit keys
 NONCE_LEN = 16
 TAG_LEN = 16
-SS_BANK_MAX = 1 << 16  # an SS-bank ordering travels as u8 or u16 indices
+SS_BANK_MAX = 1 << 16  # keys per bank; an SS-bank ordering travels as u8 or u16 indices
 Link = tuple[tuple[bytes, ...], tuple[int, ...]]  # (bank, ordering) keying one link's frames
 
 
@@ -162,11 +162,14 @@ DEFAULT_CIPHER = StreamMacCipher()
 
 
 def check_bank_split(pool_size: int, af_bank: int) -> None:
-    """Both banks non-empty, and the SS bank at most SS_BANK_MAX keys, so its
-    ordering message fits u16 indices; else ValueError("af_bank: ...") or
+    """Both banks non-empty and each at most SS_BANK_MAX keys: the SS bank so
+    its ordering message fits u16 indices, the AF bank so no pool is drawn
+    past 131,072 keys; else ValueError("af_bank: ...") or
     ValueError("pool_size: ...").  PipelineConfig and generate_pool call it."""
     if not 1 <= af_bank < pool_size:
         raise ValueError(f"af_bank: must be in [1, pool_size={pool_size})")
+    if af_bank > SS_BANK_MAX:
+        raise ValueError(f"af_bank: AF bank over {SS_BANK_MAX} keys")
     if pool_size - af_bank > SS_BANK_MAX:
         raise ValueError(f"pool_size: SS bank (pool_size - af_bank) over {SS_BANK_MAX} keys")
 

@@ -139,17 +139,19 @@ def pair_sources(
     """
     if len(sources) < 2:
         raise ValueError("sources: need at least two sources to pair")
-    remaining = sorted(sources)
-    forbidden = set(sources) | {topology.sink}
-    dist_from = {s: topology.distances_from(s) for s in remaining}
+    ids = sorted(sources)
+    unpaired = set(sources)
+    forbidden = unpaired | {topology.sink}
+    dist_from = {s: topology.distances_from(s) for s in ids}
     clusters: list[Cluster] = []
-    while len(remaining) >= 2:
-        # Closest pair, ties to the lowest ids.
-        _, s1, s2 = min(
-            (dist_from[a][b], a, b) for i, a in enumerate(remaining) for b in remaining[i + 1:]
-        )
-        remaining.remove(s1)
-        remaining.remove(s2)
+    # Closest pair first, ties to the lowest ids: each pair in this order
+    # whose ends are both unpaired is the closest pair left among them.
+    for _, s1, s2 in sorted(
+        (dist_from[a][b], a, b) for i, a in enumerate(ids) for b in ids[i + 1:]
+    ):
+        if s1 not in unpaired or s2 not in unpaired:
+            continue
+        unpaired -= {s1, s2}
         common = sorted(
             set(topology.adjacency[s1]) & set(topology.adjacency[s2]) - forbidden
         )
@@ -166,7 +168,7 @@ def pair_sources(
                 f"sources: no aggregator-forwarder candidate can reach both {s1} and {s2}"
             )
         clusters.append(Cluster(s1=s1, s2=s2, af=af))
-    return clusters, remaining
+    return clusters, sorted(unpaired)
 
 
 def run_pipeline(config: PipelineConfig) -> DeliveryReport:

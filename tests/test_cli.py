@@ -264,14 +264,19 @@ def test_scenario_files_are_utf8(tmp_path):
     assert rows[1].startswith(f"{name},0,")
 
 
+def run_process(out, *argv, timeout=60, **env):
+    """`python -m wsnpriv.cli --out <out> <argv>` in a real process, which
+    exits by `sys.exit(main())`; `env` is set over this environment."""
+    env = {**{k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}, **env,
+           "PYTHONPATH": str(pathlib.Path(wsnpriv.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "wsnpriv.cli", "--out", str(out), *argv],
+                          env=env, capture_output=True, timeout=timeout)
+
+
 def run_ascii_process(out, *argv):
     """The CLI in a real process whose locale is ASCII: stdout and file names
     are ASCII, and open() decodes as ASCII."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
-    env.update(LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
-               PYTHONPATH=str(pathlib.Path(wsnpriv.__file__).parents[1]))
-    return subprocess.run([sys.executable, "-m", "wsnpriv.cli", "--out", str(out), *argv],
-                          env=env, capture_output=True, timeout=60)
+    return run_process(out, *argv, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
 
 
 def test_ascii_locale_reads_utf8_json_and_keeps_a_batch_going(tmp_path):
@@ -300,6 +305,49 @@ def test_ascii_locale_prints_a_bad_input_error_escaped(tmp_path):
     assert proc.returncode == 2, (out, proc.stderr)
     assert out.startswith("error: level: ") and "ful\\xe9" in out
     assert proc.stderr == b""
+
+
+# Inputs that once ran for hours or without end: a linear N_min search, range
+# specs expanded before their bounds were checked, a radio range that put a
+# whole field in one hash cell, a 10^9-hop phantom walk.
+HANG_REPRODUCERS = [  # exit status, stdout prefix, CLI arguments
+    pytest.param(0, "zone plan: N_min=1000000000001 ", "plan-zone --pr 1e-12 --hops 1",
+                 id="zone_n_min_huge"),
+    pytest.param(2, "error: p_r:", "plan-zone --pr 5e-324 --hops 1",
+                 id="zone_probability_subnormal"),
+    pytest.param(2, "error: b:", "disclosure-curve --b-grid 0:2:0.0000005",
+                 id="b_grid_outside_unit"),
+    pytest.param(2, "error: b:", "disclosure-curve --b-grid 0:inf:0.5",
+                 id="b_grid_infinite_stop"),
+    pytest.param(2, "error: b-grid:", "disclosure-curve --b-grid 0:1:1e-300",
+                 id="b_grid_tiny_step"),
+    pytest.param(2, "error: b-grid:", "disclosure-curve --b-grid 0:1:inf",
+                 id="b_grid_infinite_step"),
+    pytest.param(2, "error: sizes:", "bench --sizes 3..1000000000", id="sizes_range_huge"),
+    pytest.param(2, "error: max_size:", "disclosure-curve --dist uniform:3..1000000000",
+                 id="dist_uniform_huge"),
+    pytest.param(2, "error: max_size:", "disclosure-curve --dist 3=0.5,1000000000=0.5",
+                 id="dist_sizes_huge"),
+    pytest.param(2, "error: width:", "simulate-hunt --grid 100000x100000 --strategy flood",
+                 id="grid_too_large"),
+    pytest.param(2, "error: hops:", "simulate-hunt --grid 3x3 --strategy phantom:1000000000 "
+                 "--trials 1 --budget 1", id="walk_hops_huge"),
+    pytest.param(2, "error: radio_range:", "run-pipeline wide_range.json",
+                 id="radio_range_too_large"),
+]
+
+
+@pytest.mark.parametrize("status, prefix, args", HANG_REPRODUCERS)
+def test_former_hang_finishes_in_time(tmp_path, status, prefix, args):
+    # Within 10 s, with the exit rule's status and, on bad input, the field.
+    (tmp_path / "wide_range.json").write_text(json.dumps({
+        "level": "none", "width": 200, "height": 200, "sources": [1],
+        "readings": {"1": 1}, "master_seed": 1, "radio_range": 1e300}))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in args.split()]
+    proc = run_process(tmp_path / "out", *argv, timeout=10)
+    out = proc.stdout.decode()
+    assert proc.returncode == status, (out, proc.stderr)
+    assert out.startswith(prefix), out
 
 
 # --- determinism across runs ---

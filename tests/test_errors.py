@@ -130,6 +130,25 @@ def scenario_name_not_plain(tmp_path, capsys):
     assert written == {path, out_dir / "ok-scenario.json", out_dir / "ok-scenario.csv"}
 
 
+def scenario_name_taken(tmp_path, capsys):
+    # A second scenario of a name (given, or the scenario-<i> default) fails
+    # alone: it wrote over the first one's files, and each printed ok.
+    unnamed = {k: v for k, v in SCENARIO.items() if k != "name"}
+    scenarios = [{**SCENARIO, "name": "a"},
+                 {**SCENARIO, "name": "a", "readings": {"22": 6, "24": 7}},
+                 {**SCENARIO, "name": "scenario-3"}, unnamed]
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps({"scenarios": scenarios}))
+    assert run_scenarios(str(path), str(tmp_path / "out")) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "ok: a: 1 flow(s)", "error: name: 'a' is taken by an earlier scenario",
+        "ok: scenario-3: 1 flow(s)", "error: name: 'scenario-3' is taken by an earlier scenario"]
+    report = json.loads((tmp_path / "out" / "a.json").read_text())
+    assert report["flows"][0]["delivered_value"] == 12  # the first scenario's 5 + 7
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "a.csv", "a.json", "scenario-3.csv", "scenario-3.json"]
+
+
 def out_is_a_file(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("kept")
@@ -205,6 +224,12 @@ def walk_hops_over_the_bound(tmp_path, capsys):
     assert capsys.readouterr().out == "error: hops: must be <= 10000\n"
 
 
+def grid_not_wxh(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "3", "--strategy", "flood"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: grid: expected WxH, got '3'\n"
+
+
 def grid_zero_width(tmp_path, capsys):
     argv = ["--out", str(tmp_path), "simulate-hunt", "--grid", "0x4",
             "--strategy", "flood", "--trials", "1"]
@@ -256,6 +281,14 @@ def ss_bank_too_large(tmp_path, capsys):
 def ss_bank_too_large_direct(tmp_path, capsys):
     with pytest.raises(ValueError, match="^pool_size: SS bank"):
         SppdaCluster(SimRng(1, "direct"), pool_size=70000, af_bank=1)
+
+
+def af_bank_too_large_direct(tmp_path, capsys):
+    # Refused before the pool is drawn: 2^40 keys died in generate_pool with a
+    # MemoryError.  The largest split, 65,536 keys in each bank, still builds.
+    with pytest.raises(ValueError, match="^af_bank: AF bank over 65536 keys$"):
+        SppdaCluster(SimRng(1, "direct"), pool_size=2**40, af_bank=2**40 - 1)
+    SppdaCluster(SimRng(1, "direct"), pool_size=2 * 65536, af_bank=65536)
 
 
 def modulus_too_small(tmp_path, capsys):
@@ -314,6 +347,8 @@ CONFIG_RULE_ERRORS = [
         "receptor_length_negative")),
     ("duplicate_sources", {"sources": [22, 22]}, "sources: duplicate node ids in [22, 22]"),
     ("bank_split", {"pool_size": 4, "af_bank": 4}, "af_bank: must be in [1, pool_size=4)"),
+    ("af_bank_too_large", {"pool_size": 2**40, "af_bank": 2**40 - 1},
+     "af_bank: AF bank over 65536 keys"),
 ]
 
 
@@ -329,11 +364,11 @@ def test_config_rules_refuse_the_document_when_parsed(field, message):
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
              zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
              b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
-             dist_span_huge, scenario_name_not_plain, out_is_a_file, output_name_is_a_directory,
-             modulus_not_prime, strategy_not_integer, twoway_negative_length,
-             walk_hops_over_the_bound, grid_zero_width, grid_too_large,
-             pool_size_not_int, bank_split_invalid, ss_bank_too_large, ss_bank_too_large_direct,
-             modulus_too_small,
+             dist_span_huge, scenario_name_not_plain, scenario_name_taken, out_is_a_file,
+             output_name_is_a_directory, modulus_not_prime, strategy_not_integer,
+             twoway_negative_length, walk_hops_over_the_bound, grid_not_wxh, grid_zero_width,
+             grid_too_large, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
+             ss_bank_too_large_direct, af_bank_too_large_direct, modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],
     ids=lambda case: case.__name__,
 )

@@ -99,6 +99,14 @@ def test_pair_fallback_af_matches_brute_force_oracle():
         pairs += len(clusters)
     assert 2 * fallbacks > pairs  # the fallback, not a common neighbor, picked most AFs
 
+    # Many sources on a small grid: pair distances tie often, so the order
+    # among equally close pairs decides the clusters.
+    for seed in range(4):
+        sources = tuple(random.Random(seed).sample(range(1, 144), 39 + seed % 2))
+        topo = build_grid(12, 12, sources=sources)
+        clusters, unpaired, _ = pair_sources_oracle(sources, topo)
+        assert pair_sources(sources, topo) == (clusters, unpaired)
+
     # A random-geometric field: uneven degrees, and ties between summed distances.
     fallbacks = 0
     for seed in range(6):
