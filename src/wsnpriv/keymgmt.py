@@ -31,8 +31,9 @@ Wire formats (simulated, documented for log parsing):
 
 The default cipher is a keyed SHA-256 counter stream plus an HMAC tag —
 adequate for the simulation, deliberately not production cryptography.  Its
-last four keystreams are kept, so a hop's open reuses the stream its seal
-derived; the tag is still recomputed and compared on every open.  Any
+last four keystreams and tags are kept, so a hop's open reuses what its seal
+derived; every open still compares the received tag with the tag over the
+bytes it received, so a changed frame misses the memo and fails.  Any
 object with the same seal/open methods can be passed as `cipher`.
 """
 
@@ -44,6 +45,7 @@ import hmac
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .netsim import NodeId
 from .rng import SimRng
@@ -92,8 +94,9 @@ class KeyPool:
     bank_ss: tuple[bytes, ...]
 
 
-@dataclass(frozen=True)
-class SealedFrame:
+class SealedFrame(NamedTuple):
+    """One sealed link frame, an immutable tuple."""
+
     sender: NodeId
     receiver: NodeId
     nonce: bytes
@@ -112,9 +115,11 @@ _IPAD = bytes(b ^ 0x36 for b in range(256))
 _OPAD = bytes(b ^ 0x5C for b in range(256))
 
 
+@functools.lru_cache(maxsize=4)
 def _hmac_sha256(key: bytes, msg: bytes) -> bytes:
     # RFC 2104 written out over hashlib.sha256.  On OpenSSL 3 this costs about
     # two thirds of hmac.digest's one-shot; every frame is tagged and checked.
+    # Cached like _keystream: an open of the bytes just sealed reuses the tag.
     if len(key) > 64:
         key = hashlib.sha256(key).digest()
     key = key.ljust(64, b"\0")
@@ -276,7 +281,7 @@ def seal_frame(bank: tuple[bytes, ...], ordering: Sequence[int], sender: NodeId,
     slot = rng.randint(1, len(ordering))
     nonce = rng.randbytes(NONCE_LEN)
     body = cipher.seal(_slot_key(bank, ordering, slot), nonce, payload, aad)
-    return slot, SealedFrame(sender=sender, receiver=receiver, nonce=nonce, body=body)
+    return slot, SealedFrame(sender, receiver, nonce, body)
 
 
 def open_frame(bank: tuple[bytes, ...], ordering: Sequence[int], slot: int,

@@ -18,6 +18,7 @@ from wsnpriv.keymgmt import (
     SS_BANK_MAX,
     _decode_perm,
     _encode_perm,
+    _hmac_sha256,
     generate_pool,
     hop,
     open_frame,
@@ -498,13 +499,57 @@ def test_hop_open_checks_the_tag_over_a_cached_keystream(tamper, length):
         hop(s1, agg, (1, 0), bytes(range(length)), b"aad", SimRng(42), CIPHER, tamper)
 
 
+def _cache_delta(cached, before):
+    """(misses, hits) that an lru_cache'd function gained since `before`."""
+    after = cached.cache_info()
+    return after.misses - before.misses, after.hits - before.hits
+
+
 def test_hop_open_reuses_the_seal_keystream():
     _, agg, s1, _ = make_trio()
     before = StreamMacCipher._keystream.cache_info()
     _, _, opened = hop(s1, agg, (1, 0), bytes(range(164)), b"aad", SimRng(43), CIPHER)
-    after = StreamMacCipher._keystream.cache_info()
     assert opened == bytes(range(164))
-    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert _cache_delta(StreamMacCipher._keystream, before) == (1, 1)
+
+
+def test_hop_open_reuses_the_seal_tag():
+    _, agg, s1, _ = make_trio()
+    before = _hmac_sha256.cache_info()
+    _, _, opened = hop(s1, agg, (1, 0), bytes(range(164)), b"aad", SimRng(44), CIPHER)
+    assert opened == bytes(range(164))
+    assert _cache_delta(_hmac_sha256, before) == (1, 1)
+
+
+def test_cluster_setup_opens_every_frame_from_the_tag_memo():
+    # Per direction: the inner seal, two relay hops, then the inner open
+    # three seals after its seal, still within the memo's four entries.
+    before = _hmac_sha256.cache_info()
+    SppdaCluster(SimRng(45, "memo"))
+    assert _cache_delta(_hmac_sha256, before) == (6, 6)
+
+
+@pytest.mark.parametrize("length", [10, 164])
+@pytest.mark.parametrize("index, delta", [(-1, (0, 1)), (0, (1, 0))],
+                         ids=["tag-byte", "ciphertext-byte"])
+def test_open_after_seal_fails_on_a_flipped_byte(length, index, delta):
+    # The seal leaves its tag in the memo: a flipped tag byte finds it there
+    # and fails the compare, a flipped ciphertext byte misses and is hashed.
+    key, nonce = b"k" * 16, b"n" * 16
+    body = bytearray(CIPHER.seal(key, nonce, bytes(range(length)), b"aad"))
+    body[index] ^= 0x01
+    before = _hmac_sha256.cache_info()
+    with pytest.raises(AuthenticationError):
+        CIPHER.open(key, nonce, bytes(body), b"aad")
+    assert _cache_delta(_hmac_sha256, before) == delta
+
+
+def test_sealed_frame_is_an_immutable_named_tuple():
+    frame = SealedFrame(sender=1, receiver=2, nonce=b"n" * 16, body=b"b" * 20)
+    assert frame == SealedFrame(1, 2, b"n" * 16, b"b" * 20)
+    assert SealedFrame._fields == ("sender", "receiver", "nonce", "body")
+    with pytest.raises(AttributeError):
+        frame.body = b""
 
 
 # Seal outputs recorded from the per-block SHA-256 / hmac.new cipher for
