@@ -21,7 +21,6 @@ from .phantom import (
     build_receptor,
     deliver_two_way,
     hunt,
-    binom,
     min_zone_nodes,
 )
 from .ppda import (

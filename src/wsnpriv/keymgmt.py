@@ -195,7 +195,7 @@ def generate_pool(total: int, af_count: int, rng: SimRng) -> KeyPool:
 def permute_bank_for_pair(bank_size: int, rng: SimRng) -> tuple[int, ...]:
     """Uniform random permutation of bank indices for one pair."""
     if bank_size < 1:
-        raise ValueError("bank must be non-empty")
+        raise ValueError("bank_size: must be >= 1")
     # Fisher-Yates making Random.shuffle's exact draws: _randbelow(i + 1)
     # takes k = (i + 1).bit_length() bits and redraws values past the end.
     # k is tracked as i falls: it drops by one once i + 1 < 2**(k-1).

@@ -45,7 +45,6 @@ __all__ = [
     "deliver_two_way",
     "route_message",
     "hunt",
-    "binom",
     "min_zone_nodes",
 ]
 
@@ -183,9 +182,11 @@ class Schedule:
     distance from flood_origin, destination excepted, unless the walk
     already had it forward.  Two-way routes have no flood (flood_origin is
     None).  The flood's BFS comes from the topology's memo, built the first
-    time tick(), first_heard(), ticks or log() needs it, never otherwise.
-    `transmissions` counts every broadcast (walk revisits included) and
-    `latency_hops` is the tick the destination first hears the message.
+    time first_heard() or log() needs it, never otherwise; a node's own tick
+    is first_heard((node,)).  `transmissions` counts every broadcast (walk
+    revisits included) and `latency_hops` is the tick the destination first
+    hears the message.  Every Schedule was delivered: a two-way walk that
+    misses its receptor raises NoRendezvousError instead.
     """
 
     topology: Topology = field(repr=False, compare=False)
@@ -194,15 +195,6 @@ class Schedule:
     destination: NodeId
     transmissions: int
     latency_hops: int
-
-    @property
-    def delivered(self) -> bool:
-        return self.latency_hops >= 0
-
-    def tick(self, node: NodeId) -> int | None:
-        """Earliest tick at which `node` forwards, or None if it never does."""
-        heard = self.first_heard((node,))
-        return None if heard is None else heard[0]
 
     def first_heard(self, nodes: Iterable[NodeId]) -> tuple[int, NodeId] | None:
         """(tick, node) of the earliest of `nodes` to forward, or None.
@@ -222,9 +214,8 @@ class Schedule:
         dist = self.topology.distances_from(self.flood_origin)
         return min([(len(walk) + dist[v], v) for v in others])
 
-    @property
-    def ticks(self) -> dict[NodeId, int]:
-        """tick() of every forwarding node, as one mapping (built per call)."""
+    def log(self, payload_id: str) -> list[Transmission]:
+        """One Transmission per forwarding node, ordered by (tick, sender)."""
         walk = self.walk
         ticks = {}
         if self.flood_origin is not None:
@@ -233,10 +224,6 @@ class Schedule:
             del ticks[self.destination]
         # Reversed, so that each walk node keeps its first tick.
         ticks.update(zip(reversed(walk), range(len(walk) - 1, -1, -1)))
-        return ticks
-
-    def log(self, payload_id: str) -> list[Transmission]:
-        """One Transmission per forwarding node, ordered by (tick, sender)."""
         return [
             Transmission(
                 tick=t,
@@ -244,7 +231,7 @@ class Schedule:
                 payload_id=payload_id,
                 hearers=frozenset(self.topology.adjacency[node]),
             )
-            for node, t in sorted(self.ticks.items(), key=lambda kv: (kv[1], kv[0]))
+            for t, node in sorted((t, node) for node, t in ticks.items())
         ]
 
 
@@ -350,6 +337,8 @@ def hunt(
     """
     if message_budget < 1:
         raise ValueError("message_budget: must be >= 1")
+    if not topology.sources:
+        raise ValueError("sources: the topology has no source to hunt")
     source = topology.sources[0]
     destination = topology.sink
     adversary = destination
@@ -400,22 +389,15 @@ def hunt(
     )
 
 
-def binom(n: int, h: int) -> int:
-    """Exact C(n, h); rejects h > n instead of returning 0."""
-    if n < 0 or h < 0:
-        raise ValueError("binom arguments must be non-negative")
-    if h > n:
-        raise ValueError(f"binom domain error: h={h} > n={n}")
-    return math.comb(n, h)
-
-
 def min_zone_nodes(p_r: float, hops: int) -> ZonePlan:
     """Smallest flooding-zone size N >= hops with C(N, hops) > 1/p_r.
 
     1/C(N, H) is the paper's counting model (choosing one H-subset of N
     nodes), not the success probability of an adversary who sees where the
-    walk ends, which can be far higher.  C(N, hops) grows with N, so N is
-    found by galloping from hops, then bisecting.
+    walk ends, which can be far higher: on a 2x5 zone (N = 10, the answer
+    for p_r = 0.01 at 3 hops) a pure walk's end names the source with
+    probability 0.400, not 1/120.  C(N, hops) grows with N, so N is found
+    by galloping from hops, then bisecting.
     """
     if not 0.0 < p_r <= 1.0:
         raise ValueError("p_r: must be in (0, 1]")
@@ -425,12 +407,12 @@ def min_zone_nodes(p_r: float, hops: int) -> ZonePlan:
     if not math.isfinite(threshold):
         raise ValueError(f"p_r: 1/p_r overflows for p_r={p_r!r}")
     lo, hi = hops, hops + 1  # C(hops, hops) = 1 <= threshold, since p_r <= 1
-    while binom(hi, hops) <= threshold:
+    while math.comb(hi, hops) <= threshold:
         lo, hi = hi, hops + 2 * (hi - hops)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if binom(mid, hops) > threshold:
+        if math.comb(mid, hops) > threshold:
             hi = mid
         else:
             lo = mid
-    return ZonePlan(p_r=p_r, hops=hops, n_min=hi, k=binom(hi, hops))
+    return ZonePlan(p_r=p_r, hops=hops, n_min=hi, k=math.comb(hi, hops))

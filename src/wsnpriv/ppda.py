@@ -105,12 +105,12 @@ class SeedAssignment:
 
     def __post_init__(self):
         if len(self.participants) != len(self.seeds):
-            raise ValueError("one seed per participant required")
+            raise ValueError("seeds: need one seed per participant")
         norm = [s % self.field.p for s in self.seeds]
         if any(s == 0 for s in norm):
-            raise ValueError("seeds must be nonzero")
+            raise ValueError("seeds: must be nonzero mod p")
         if len(set(norm)) != len(norm):
-            raise ValueError("seeds must be pairwise distinct")
+            raise ValueError("seeds: must be pairwise distinct mod p")
 
     @classmethod
     def draw(
@@ -159,7 +159,7 @@ def solve_aggregate(seeds: SeedAssignment, sums: Sequence[int]) -> int:
     out of Lagrange interpolation at 0 over the n distinct seeds.
     """
     if len(sums) != len(seeds.seeds):
-        raise ValueError("need one node sum per seed")
+        raise ValueError("sums: need one node sum per seed")
     p = seeds.field.p
     xs = [s % p for s in seeds.seeds]
     # Lagrange basis at x = 0:  l_i(0) = prod_{j != i} x_j / (x_j - x_i).
@@ -249,6 +249,8 @@ class SppdaCluster:
         node_ids: tuple[int, int, int] = (0, 1, 2),  # (AF, S1, S2)
         cipher: StreamMacCipher = DEFAULT_CIPHER,
     ):
+        if len(set(node_ids)) != len(node_ids):
+            raise ValueError(f"node_ids: duplicate node ids in {list(node_ids)}")
         self.field = field_ or PrimeField()
         self.cipher = cipher
         self.rng = rng
@@ -342,7 +344,7 @@ def run_cpda(
     """
     n = len(values)
     if n < 3:
-        raise ValueError("cluster baseline needs at least 3 participants")
+        raise ValueError("values: cluster baseline needs at least 3 participants")
     f = field_ or PrimeField()
     seeds = SeedAssignment.draw(tuple(f"P{i}" for i in range(n)), f, rng.stream("seeds"))
     coeffs = rng.stream("coeffs")

@@ -6,6 +6,7 @@ values are either recomputed here by independent brute-force oracles or are
 trivially checkable by hand; nothing is copied out of the implementation.
 """
 
+import math
 import random
 import time
 
@@ -32,7 +33,7 @@ from wsnpriv.keymgmt import (
 )
 from wsnpriv.keymgmt import AggregatorNode, SourceNode
 from wsnpriv.netsim import build_grid
-from wsnpriv.phantom import WalkConfig, binom, hunt, min_zone_nodes
+from wsnpriv.phantom import WalkConfig, hunt, min_zone_nodes
 from wsnpriv.pipeline import PipelineConfig, PrivacyLevel, run_pipeline
 from wsnpriv.ppda import (
     DEFAULT_MODULUS,
@@ -96,12 +97,12 @@ def test_criterion_2_worked_example_against_oracle():
 def test_criterion_3_zone_planner():
     assert min_zone_nodes(0.01, 3).n_min == 10
     # A commonly quoted four-hop figure of "about 8" fails the inequality:
-    assert binom(8, 4) == 70 and 70 <= 100 < binom(9, 4) == 126
+    assert math.comb(8, 4) == 70 and 70 <= 100 < math.comb(9, 4) == 126
     assert min_zone_nodes(0.01, 4).n_min == 9
 
     def brute(p_r, hops):
         n = hops
-        while binom(n, hops) <= 1.0 / p_r:
+        while math.comb(n, hops) <= 1.0 / p_r:
             n += 1
         return n
 

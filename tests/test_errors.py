@@ -12,9 +12,11 @@ from wsnpriv.climetrics import (
     parse_strategy,
     pipeline_config_from_doc,
 )
-from wsnpriv.phantom import WalkConfig
+from wsnpriv.keymgmt import permute_bank_for_pair
+from wsnpriv.netsim import build_grid
+from wsnpriv.phantom import TwoWay, WalkConfig, hunt
 from wsnpriv.pipeline import PipelineConfig, PrivacyLevel
-from wsnpriv.ppda import SppdaCluster
+from wsnpriv.ppda import PrimeField, SeedAssignment, SppdaCluster, run_cpda, solve_aggregate
 from wsnpriv.rng import SimRng
 
 SCENARIO = {
@@ -291,6 +293,29 @@ def af_bank_too_large_direct(tmp_path, capsys):
     SppdaCluster(SimRng(1, "direct"), pool_size=2 * 65536, af_bank=65536)
 
 
+class NoStreams(SimRng):
+    """A SimRng that fails if a child stream is derived from it."""
+
+    def stream(self, label):
+        raise AssertionError(f"stream {label!r} derived")
+
+
+def hunt_without_source(tmp_path, capsys):
+    # Once an IndexError out of topology.sources[0]; refused before any stream.
+    for strategy in (WalkConfig(), WalkConfig(hops=3), TwoWay(2)):
+        with pytest.raises(ValueError, match="^sources: "):
+            hunt(build_grid(3, 3, sources=()), strategy, 5, NoStreams(1))
+
+
+def cluster_node_ids_repeated(tmp_path, capsys):
+    # (5, 5, 6) and (5, 6, 5) once built a cluster whose links overwrote one
+    # another, so run_round raised AuthenticationError; (5, 6, 6) raised it in
+    # setup.  All are refused before the key setup derives a stream.
+    for node_ids in ((5, 5, 6), (5, 6, 5), (5, 6, 6)):
+        with pytest.raises(ValueError, match=r"^node_ids: duplicate node ids in \["):
+            SppdaCluster(NoStreams(1), node_ids=node_ids)
+
+
 def modulus_too_small(tmp_path, capsys):
     argv = ["--out", str(tmp_path), "aggregate", "--x", "1", "--y", "2", "--modulus", "3"]
     assert cli_main(argv) == 2
@@ -368,9 +393,29 @@ def test_config_rules_refuse_the_document_when_parsed(field, message):
              output_name_is_a_directory, modulus_not_prime, strategy_not_integer,
              twoway_negative_length, walk_hops_over_the_bound, grid_not_wxh, grid_zero_width,
              grid_too_large, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
-             ss_bank_too_large_direct, af_bank_too_large_direct, modulus_too_small,
+             ss_bank_too_large_direct, af_bank_too_large_direct, hunt_without_source,
+             cluster_node_ids_repeated, modulus_too_small,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],
     ids=lambda case: case.__name__,
 )
 def test_bad_input_is_a_typed_error(case, tmp_path, capsys):
     case(tmp_path, capsys)
+
+
+SEEDS = SeedAssignment(("A", "S1", "S2"), (1, 2, 3), PrimeField(7))
+LIBRARY_ERRORS = [  # direct calls no CLI input reaches
+    ("bank_size", lambda: permute_bank_for_pair(0, SimRng(1))),
+    ("seeds", lambda: SeedAssignment(("A", "S1"), (1,), PrimeField(7))),
+    ("seeds", lambda: SeedAssignment(("A", "S1"), (7, 1), PrimeField(7))),
+    ("seeds", lambda: SeedAssignment(("A", "S1"), (1, 8), PrimeField(7))),
+    ("sums", lambda: solve_aggregate(SEEDS, [1, 2])),
+    ("values", lambda: run_cpda([1, 2], SimRng(1))),
+]
+
+
+@pytest.mark.parametrize("field, call", LIBRARY_ERRORS,
+                         ids=["bank_empty", "seeds_count", "seeds_zero", "seeds_repeated",
+                              "sums_count", "values_too_few"])
+def test_library_errors_name_the_field(field, call):
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        call()

@@ -10,10 +10,12 @@ To re-record after an intended output change (say so in CHANGES.md):
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ast
 import hashlib
 import importlib
 import json
 import pathlib
+import pkgutil
 import runpy
 import sys
 
@@ -106,7 +108,7 @@ def digest_flood(tmp: pathlib.Path) -> dict:
         res = flood(topo, origin, dest)
         log = res.log("msg")
         out[f"{origin}->{dest}"] = _sha({
-            "delivered": res.delivered,
+            "delivered": res.latency_hops >= 0,
             "transmissions": res.transmissions,
             "latency_hops": res.latency_hops,
             "log": _log_doc(log),
@@ -162,6 +164,27 @@ def test_every_traced_name_resolves():
         for cls in classes:
             owner = vars(owner).get(cls)
         assert owner is not None and name in vars(owner), f"{module_name}.{attr}"
+
+
+def test_every_exported_name_resolves():
+    # A name deleted from src/ must leave its module's __all__ and the
+    # package's imports with it; a stale entry breaks `import *` and the
+    # package import.  Each module's __all__ is checked, and each name
+    # wsnpriv/__init__.py imports, read from its source.
+    package = importlib.import_module("wsnpriv")
+    modules = [info.name for info in pkgutil.iter_modules(package.__path__)]
+    for module_name in modules:
+        module = importlib.import_module(f"wsnpriv.{module_name}")
+        for name in module.__all__:
+            assert hasattr(module, name), f"wsnpriv.{module_name}.__all__: {name}"
+    init = ast.parse(pathlib.Path(package.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in init.body if isinstance(node, ast.ImportFrom)]
+    assert {node.module for node in imports} <= set(modules)
+    for node in imports:
+        module = importlib.import_module(f"wsnpriv.{node.module}")
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"wsnpriv/__init__.py: {node.module}.{alias.name}"
+            assert hasattr(package, alias.asname or alias.name)
 
 
 def test_readme_quick_start_runs(capsys):

@@ -16,6 +16,10 @@ One step of the chain is also checked on its own: from a few hunter
 positions, where route_message and Schedule.first_heard send the hunter must
 follow the exact move distribution (Pearson's chi-square test; sample count,
 positions, seed and significance level fixed before the first run).
+
+The same walk enumeration also prices the zone planner: the exact success of
+an adversary who sees one walk's end node and guesses the most likely source,
+set beside the planner's counting model 1/C(N, H).
 """
 
 import dataclasses
@@ -26,7 +30,7 @@ from fractions import Fraction
 import pytest
 
 from wsnpriv.netsim import build_grid, build_random_geometric
-from wsnpriv.phantom import WalkConfig, WalkMode, hunt, route_message
+from wsnpriv.phantom import WalkConfig, WalkMode, hunt, min_zone_nodes, route_message
 from wsnpriv.rng import SimRng
 
 TRIALS = 600
@@ -208,3 +212,41 @@ def test_one_step_moves_match_the_exact_chain(mode):
         stat = sum((counts[u][v] - MOVE_SAMPLES * p) ** 2 / (MOVE_SAMPLES * p)
                    for v, p in exact[u].items())
         assert chi2_sf(stat, len(exact[u]) - 1) > MOVE_ALPHA, (u, counts[u], exact[u])
+
+
+def end_node_guess(topo, cfg):
+    """Exact single-trace success of the Bayes-optimal adversary that sees
+    where the walk ends: sum over end nodes e of max_s P(s) P(e | s), with the
+    source s uniform over the zone."""
+    best = {}
+    for source in range(topo.node_count):
+        ends = {}
+        for walk, p in walk_probabilities(topo, source, cfg):
+            ends[walk[-1]] = ends.get(walk[-1], 0) + p
+        for end, p in ends.items():
+            best[end] = max(best.get(end, 0), p)
+    return sum(best.values()) / topo.node_count
+
+
+ZONES = {  # (width, height, hops): (pure, directed), rounded to three decimals
+    (2, 5, 3): (0.400, 0.542),
+    (3, 3, 4): (0.488, 0.840),
+    (4, 4, 3): (0.239, 0.397),
+    (6, 6, 5): (0.120, 0.328),
+}
+
+
+@pytest.mark.parametrize("zone", list(ZONES), ids=lambda z: f"{z[0]}x{z[1]}/H={z[2]}")
+def test_zone_planner_counting_model_against_the_end_node_adversary(zone):
+    width, height, hops = zone
+    n = width * height
+    counting = Fraction(1, math.comb(n, hops))
+    for mode, pinned in zip(WalkMode, ZONES[zone]):
+        success = end_node_guess(build_grid(width, height), WalkConfig(mode, hops))
+        print(f"{width}x{height} H={hops} {mode.value}: 1/C(N, H) = {float(counting):.2g}, "
+              f"end-node guess = {float(success):.3f}")
+        assert round(float(success), 3) == pinned
+        assert success >= 48 * counting
+    # 2x5 and 3x3 are the planner's own zones for p_r = 0.01 at 3 and 4 hops.
+    if n == min_zone_nodes(0.01, hops).n_min:
+        assert counting < 0.01 < min(ZONES[zone])
