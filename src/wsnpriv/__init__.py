@@ -7,11 +7,7 @@ simulator, metrics harness, and CLI sit on top.
 """
 
 from .rng import SimRng
-from .netsim import (
-    Topology,
-    build_grid,
-    build_random_geometric,
-)
+from .netsim import Topology, build_grid
 from .phantom import (
     WalkConfig,
     WalkMode,

@@ -2,8 +2,8 @@
 
 Nodes live at 2-D positions and are adjacent iff their Euclidean distance is
 within the radio range.  One designated sink (the home gateway) plus one or
-more source nodes.  All experiment topologies must be connected; builders
-check this at construction time.
+more source nodes.  Every experiment runs on a build_grid lattice, which
+refuses a disconnected field; a Topology built directly takes any adjacency.
 
 Time is integer ticks, one hop per tick.  A Transmission records a single
 broadcast: everyone within radio range of the sender hears it.
@@ -15,31 +15,24 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .rng import SimRng
-
 __all__ = [
     "NodeId",
     "Topology",
     "Transmission",
     "DisconnectedGraphError",
-    "PlacementError",
     "build_grid",
-    "build_random_geometric",
     "bfs_distances",
     "shortest_path",
 ]
 
 NodeId = int
 GRID_MAX_NODES = 10**6  # a larger lattice fails as bad input, not as a MemoryError
-PAIR_TESTS_MAX = 10**8  # distance tests the spatial hash may make; 1000x1000 at range 1 makes 4e6
+# The most node pairs a grid may hold in touching cells of side r * (1 + 1e-9).
+PAIR_TESTS_MAX = 10**8  # 1000x1000 at range 1 holds 4e6
 
 
 class DisconnectedGraphError(ValueError):
-    """Raised when a builder would produce a disconnected field."""
-
-
-class PlacementError(RuntimeError):
-    """Raised when random placement cannot reach a connected field."""
+    """Raised for a disconnected field, or a destination no path reaches."""
 
 
 @dataclass(frozen=True)
@@ -123,54 +116,21 @@ class Topology:
         return rows
 
 
-def _build_adjacency(
-    positions: list[tuple[float, float]], radio_range: float
-) -> tuple[tuple[NodeId, ...], ...]:
-    # Spatial hash keeps this near-linear.  Cells are a hair wider than the
-    # radio range, so nodes two cells apart fail the distance test however
-    # it rounds.  A cell is compared with itself and its four later cells,
-    # so each node pair is tested once.
-    cell = radio_range * (1 + 1e-9)
-    buckets: dict[tuple[int, int], list[tuple[int, float, float]]] = {}
-    for i, (x, y) in enumerate(positions):
-        buckets.setdefault((int(x // cell), int(y // cell)), []).append((i, x, y))
-    r2 = radio_range * radio_range
-    adjacency: list[list[int]] = [[] for _ in positions]
-    tests = 0
-    for (cx, cy), members in buckets.items():
-        pool = members.copy()
-        for later in ((cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1), (cx, cy + 1)):
-            pool += buckets.get(later, ())
-        m = len(members)
-        tests += m * len(pool) - m * (m + 1) // 2
-        if tests > PAIR_TESTS_MAX:  # a range this wide builds a near-complete graph
-            raise _too_many_tests(radio_range)
-        for k, (i, xi, yi) in enumerate(members, 1):
-            for j, xj, yj in pool[k:]:
-                if (xi - xj) ** 2 + (yi - yj) ** 2 <= r2:
-                    adjacency[i].append(j)
-                    adjacency[j].append(i)
-    return tuple(tuple(sorted(nbrs)) for nbrs in adjacency)
-
-
-def _too_many_tests(radio_range: float) -> ValueError:
-    return ValueError(f"radio_range: {radio_range} needs over {PAIR_TESTS_MAX} node-pair tests")
-
-
 def _grid_adjacency(
     width: int, height: int, radio_range: float
 ) -> tuple[tuple[NodeId, ...], ...]:
-    """_build_adjacency of the width x height lattice, linked by offset.
+    """Adjacency of the width x height unit lattice, linked by offset.
 
-    A node links to the offsets (dx, dy) that pass the spatial hash's float
-    test and stay on the lattice; rows are built a run of nodes at a time,
-    from slices of one id list.  A range the hash would refuse is refused
-    before any row is built, by the hash's own count: a hash cell holds
-    (lattice columns in its x span) x (lattice rows in its y span) nodes,
-    so the count comes from per-axis sums.
+    A node links to the offsets (dx, dy) on the lattice with float(dx)**2 +
+    float(dy)**2 <= r**2; rows are built a run of nodes at a time, from
+    slices of one id list.  Before any row is built, a range is refused if
+    over PAIR_TESTS_MAX node pairs lie in touching cells (equal or adjacent
+    in both axes) of side r * (1 + 1e-9).  A cell holds (lattice columns in
+    its x span) x (lattice rows in its y span) nodes, so the count comes
+    from per-axis sums.
     """
     n = width * height
-    if n * (n - 1) // 2 > PAIR_TESTS_MAX:  # else the hash, testing each pair once, cannot refuse
+    if n * (n - 1) // 2 > PAIR_TESTS_MAX:  # fewer pairs in all than the cap: nothing to count
         cell = radio_range * (1 + 1e-9)
         axes = []
         for side in (width, height):
@@ -180,7 +140,9 @@ def _grid_adjacency(
         (xx, xn), (yy, yn) = axes
         # Pairs within a cell, then a cell with its later x, y and two diagonal cells.
         if (xx * yy - n) // 2 + xn * yy + xx * yn + 2 * xn * yn > PAIR_TESTS_MAX:
-            raise _too_many_tests(radio_range)
+            raise ValueError(
+                f"radio_range: {radio_range} needs over {PAIR_TESTS_MAX} node-pair tests"
+            )
     # reach[dy]: the widest dx in range at that dy.  The float test fails
     # for every wider offset once it fails, so reach only shrinks.
     r2 = radio_range * radio_range
@@ -254,38 +216,6 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
     return path
 
 
-def _check_range(radio_range: float) -> None:
-    if not radio_range >= 1e-9:  # also NaN; a smaller range overflows the spatial hash
-        raise ValueError("radio_range: must be >= 1e-9")
-
-
-def _finish(
-    positions: list[tuple[float, float]],
-    radio_range: float,
-    adjacency: tuple[tuple[NodeId, ...], ...],
-    sink: NodeId | None,
-    sources: tuple[NodeId, ...] | None,
-) -> Topology:
-    n = len(positions)
-    topology = Topology(
-        positions=tuple(positions),
-        radio_range=radio_range,
-        adjacency=adjacency,
-        sink=0 if sink is None else sink,
-        sources=(n - 1,) if sources is None else tuple(sources),
-    )
-    if n == 0 or -1 in topology.distances_from(0):
-        raise DisconnectedGraphError(
-            f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
-        )
-    if not 0 <= topology.sink < n:
-        raise ValueError(f"sink: node {topology.sink} outside [0, {n})")
-    for s in topology.sources:
-        if not 0 <= s < n:
-            raise ValueError(f"sources: node {s} outside [0, {n})")
-    return topology
-
-
 def build_grid(
     width: int,
     height: int,
@@ -295,47 +225,36 @@ def build_grid(
 ) -> Topology:
     """width x height unit lattice.  Node id = y * width + x.
 
-    Nodes are linked by id offset, a run of equally placed nodes at a
-    time, which gives the spatial hash's adjacency and refuses the ranges
-    the hash would.  Positions share one float object per coordinate.
+    Nodes within radio_range are linked by id offset, a run of equally
+    placed nodes at a time; a range linking too many node pairs is refused
+    first (_grid_adjacency).  Positions share one float object per coordinate.
 
     Default roles: sink at node 0 (one corner), single source at the
     opposite corner.
     """
     if width < 1 or height < 1:
         raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
-    if width * height > GRID_MAX_NODES:
+    n = width * height
+    if n > GRID_MAX_NODES:
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
-    _check_range(radio_range)
+    if not radio_range >= 1e-9:  # also NaN; far smaller ranges overflow the cell count
+        raise ValueError("radio_range: must be >= 1e-9")
     adjacency = _grid_adjacency(width, height, radio_range)
     xs = list(map(float, range(width)))  # one float object per coordinate
-    positions = [(x, y) for y in map(float, range(height)) for x in xs]
-    return _finish(positions, radio_range, adjacency, sink, sources)
-
-
-def build_random_geometric(
-    node_count: int,
-    area_side: float,
-    radio_range: float,
-    rng: SimRng,
-    sink: NodeId | None = None,
-    sources: tuple[NodeId, ...] | None = None,
-    max_attempts: int = 50,
-) -> Topology:
-    """Uniform placement in a square; retries until connected."""
-    if node_count < 1:
-        raise ValueError("node_count: must be >= 1")
-    _check_range(radio_range)
-    for _ in range(max_attempts):
-        positions = [
-            (rng.uniform(0.0, area_side), rng.uniform(0.0, area_side))
-            for _ in range(node_count)
-        ]
-        try:
-            adjacency = _build_adjacency(positions, radio_range)
-            return _finish(positions, radio_range, adjacency, sink, sources)
-        except DisconnectedGraphError:
-            continue
-    raise PlacementError(
-        f"no connected placement of {node_count} nodes in {max_attempts} attempts"
+    topology = Topology(
+        positions=tuple([(x, y) for y in map(float, range(height)) for x in xs]),
+        radio_range=radio_range,
+        adjacency=adjacency,
+        sink=0 if sink is None else sink,
+        sources=(n - 1,) if sources is None else tuple(sources),
     )
+    if -1 in topology.distances_from(0):
+        raise DisconnectedGraphError(
+            f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
+        )
+    if not 0 <= topology.sink < n:
+        raise ValueError(f"sink: node {topology.sink} outside [0, {n})")
+    for s in topology.sources:
+        if not 0 <= s < n:
+            raise ValueError(f"sources: node {s} outside [0, {n})")
+    return topology

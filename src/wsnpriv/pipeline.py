@@ -88,6 +88,7 @@ class PipelineConfig:
         if self.receptor_length is not None:
             TwoWay(self.receptor_length)  # its own check refuses a negative length
         check_bank_split(self.pool_size, self.af_bank)
+        PrimeField(self.modulus)  # refuses a composite modulus, or one past the exact test
 
 
 @dataclass(frozen=True)

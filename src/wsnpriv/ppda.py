@@ -47,11 +47,15 @@ __all__ = [
 ]
 
 DEFAULT_MODULUS = 2**31 - 1
+# psi_12, the least strong pseudoprime to all twelve prime bases 2..37
+# (Jiang & Deng 2014); Miller-Rabin with those bases is exact below it.
+MODULUS_BOUND = 318_665_857_834_031_151_167_461
 
 
 @lru_cache(maxsize=None)  # one entry per distinct modulus a process uses
 def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin, valid far beyond 64-bit moduli.
+    # Deterministic Miller-Rabin with the prime bases 2..37: exact for every
+    # n < MODULUS_BOUND (about 2**78), which PrimeField checks first.
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -79,6 +83,8 @@ class PrimeField:
     distinct p.  Callers reduce with `% p` inline; only inversion lives here."""
 
     def __init__(self, modulus: int = DEFAULT_MODULUS):
+        if modulus >= MODULUS_BOUND:
+            raise ValueError(f"modulus: must be < {MODULUS_BOUND}, where primality is exact")
         if not _is_prime(modulus):
             raise ValueError(f"modulus: {modulus} is not prime")
         self.p = modulus

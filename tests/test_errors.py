@@ -66,6 +66,12 @@ def zone_probability_zero(tmp_path, capsys):
     assert capsys.readouterr().out == "error: p_r: must be in (0, 1]\n"
 
 
+def zone_hops_zero(tmp_path, capsys):
+    argv = ["--out", str(tmp_path), "plan-zone", "--pr", "0.01", "--hops", "0"]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == "error: hops: must be >= 1\n"
+
+
 def zone_probability_subnormal(tmp_path, capsys):
     for pr in ("5e-324", "1e-310"):  # 1 / p_r overflows; a linear search never ends
         argv = ["--out", str(tmp_path), "plan-zone", "--pr", pr, "--hops", "1"]
@@ -187,6 +193,24 @@ def modulus_not_prime(tmp_path, capsys):
             "--modulus", "10"]
     assert cli_main(argv) == 2
     assert capsys.readouterr().out == "error: modulus: 10 is not prime\n"
+    # A config refuses it when built, not when run.
+    with pytest.raises(ValueError, match="^modulus: 10 is not prime$"):
+        PipelineConfig(width=5, height=5, level=PrivacyLevel.FULL, sources=(22, 24),
+                       readings={22: 5, 24: 7}, master_seed=1, modulus=10)
+
+
+PSI_12 = 318665857834031151167461  # composite; passes Miller-Rabin to every base 2..37
+MODULUS_OVER_BOUND = f"modulus: must be < {PSI_12}, where primality is exact"
+
+
+def modulus_over_the_exact_bound(tmp_path, capsys):
+    # aggregate once took it as prime and printed pair_sum = 12.
+    with pytest.raises(ValueError, match=f"^{MODULUS_OVER_BOUND}$"):
+        PrimeField(PSI_12)
+    argv = ["--out", str(tmp_path), "aggregate", "--x", "5", "--y", "7",
+            "--modulus", str(PSI_12)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().out == f"error: {MODULUS_OVER_BOUND}\n"
 
 
 def strategy_not_integer(tmp_path, capsys):
@@ -362,6 +386,8 @@ PIPELINE_ERRORS = [
     ("no_af_candidate",  # every node of a 3x1 grid is the sink or a source
      {"width": 3, "height": 1, "sources": [1, 2], "readings": {"1": 5, "2": 7}},
      "sources: no aggregator-forwarder candidate can reach both 1 and 2"),
+    ("modulus_composite", {"modulus": 10}, "modulus: 10 is not prime"),
+    ("modulus_over_the_exact_bound_doc", {"modulus": PSI_12}, MODULUS_OVER_BOUND),
 ]
 
 
@@ -369,7 +395,7 @@ PIPELINE_ERRORS = [
 CONFIG_RULE_ERRORS = [
     *(error for error in PIPELINE_ERRORS if error[0] in (
         "no_sources", "one_source_perturbed", "source_at_sink", "reading_missing",
-        "receptor_length_negative")),
+        "receptor_length_negative", "modulus_composite", "modulus_over_the_exact_bound_doc")),
     ("duplicate_sources", {"sources": [22, 22]}, "sources: duplicate node ids in [22, 22]"),
     ("bank_split", {"pool_size": 4, "af_bank": 4}, "af_bank: must be in [1, pool_size=4)"),
     ("af_bank_too_large", {"pool_size": 2**40, "af_bank": 2**40 - 1},
@@ -387,14 +413,15 @@ def test_config_rules_refuse_the_document_when_parsed(field, message):
 
 @pytest.mark.parametrize(
     "case", [duplicate_sources, walk_not_object, scenario_not_object, zero_trials,
-             zone_probability_zero, zone_probability_subnormal, b_grid_range_outside_unit,
+             zone_probability_zero, zone_hops_zero, zone_probability_subnormal,
+             b_grid_range_outside_unit,
              b_grid_too_many_points, b_grid_infinite_step, sizes_range_huge,
              dist_span_huge, scenario_name_not_plain, scenario_name_taken, out_is_a_file,
              output_name_is_a_directory, modulus_not_prime, strategy_not_integer,
              twoway_negative_length, walk_hops_over_the_bound, grid_not_wxh, grid_zero_width,
              grid_too_large, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
              ss_bank_too_large_direct, af_bank_too_large_direct, hunt_without_source,
-             cluster_node_ids_repeated, modulus_too_small,
+             cluster_node_ids_repeated, modulus_too_small, modulus_over_the_exact_bound,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],
     ids=lambda case: case.__name__,
 )

@@ -29,9 +29,11 @@ from fractions import Fraction
 
 import pytest
 
-from wsnpriv.netsim import build_grid, build_random_geometric
+from wsnpriv.netsim import build_grid
 from wsnpriv.phantom import WalkConfig, WalkMode, hunt, min_zone_nodes, route_message
 from wsnpriv.rng import SimRng
+
+from random_fields import random_field as seeded_field
 
 TRIALS = 600
 SIGMAS = 5
@@ -140,7 +142,7 @@ def exact_moments(cdf, budget):
 
 
 def random_field():
-    field = build_random_geometric(40, 5.0, 1.6, SimRng(40, "hunt-chain/field"))
+    field = seeded_field(40, 5.0, 1.6, SimRng(40, "hunt-chain/field"))
     dist = field.distances_from(field.sink)
     # As on a grid, the source is the node farthest from the sink (lowest id on ties).
     far = max(range(field.node_count), key=lambda u: (dist[u], -u))
@@ -250,3 +252,22 @@ def test_zone_planner_counting_model_against_the_end_node_adversary(zone):
     # 2x5 and 3x3 are the planner's own zones for p_r = 0.01 at 3 and 4 hops.
     if n == min_zone_nodes(0.01, hops).n_min:
         assert counting < 0.01 < min(ZONES[zone])
+
+
+CORNER_MEANS = {  # (side, hops, budget): exact E[min(T, budget)], (pure, directed), 3 decimals
+    (12, 4, 100): (48.845, 44.668),
+    (16, 5, 120): (74.314, 68.110),
+}
+
+
+@pytest.mark.parametrize("cell", list(CORNER_MEANS), ids=lambda c: f"{c[0]}x{c[0]}/h={c[1]}")
+def test_directed_walk_from_a_corner_is_caught_sooner_than_the_pure_walk(cell):
+    # The pipeline's default walk is directed.  From a corner source the
+    # neighbours farther from the source point into the field, toward the
+    # sink and the hunter, so at these h the pure walk keeps the source
+    # safe longer (higher is safer).
+    side, hops, budget = cell
+    topo = build_grid(side, side)
+    means = [exact_moments(capture_cdf(topo, WalkConfig(mode, hops), budget), budget)[1]
+             for mode in WalkMode]
+    assert [round(float(mean), 3) for mean in means] == list(CORNER_MEANS[cell])

@@ -271,6 +271,37 @@ def test_ss_channel_tamper_detected():
         establish_ss_channel(s1, s2, agg, SimRng(12), CIPHER, tamper=flip_bit)
 
 
+class RewritingCipher:
+    """A duck-typed cipher= that rewrites each plaintext it opens under an
+    AAD starting with `prefix`, as a faulty or hostile implementation might."""
+
+    def __init__(self, prefix, rewrite):
+        self.prefix, self.rewrite = prefix, rewrite
+
+    def seal(self, key, nonce, plaintext, aad=b""):
+        return CIPHER.seal(key, nonce, plaintext, aad)
+
+    def open(self, key, nonce, body, aad=b""):
+        plain = CIPHER.open(key, nonce, body, aad)
+        return self.rewrite(plain) if aad.startswith(self.prefix) else plain
+
+
+def test_ss_channel_refuses_a_short_relay_payload():
+    # u32 slot || 16-byte nonce || at least a 16-byte tag: 36 bytes, cut to 35.
+    _, agg, s1, s2 = make_trio()
+    cipher = RewritingCipher(b"relay:", lambda plain: plain[:35])
+    with pytest.raises(ProtocolError, match="^malformed relay payload: too short$"):
+        establish_ss_channel(s1, s2, agg, SimRng(42), cipher)
+
+
+def test_ss_channel_refuses_a_changed_ordering():
+    # Two slots of the relayed ordering swapped still decode as a permutation.
+    _, agg, s1, s2 = make_trio()
+    cipher = RewritingCipher(b"ss-perm:", lambda plain: plain[1:2] + plain[:1] + plain[2:])
+    with pytest.raises(ProtocolError, match="^relayed permutation does not match the original$"):
+        establish_ss_channel(s1, s2, agg, SimRng(43), cipher)
+
+
 def test_relay_opacity_inner_frame_unreadable_by_af():
     # The inner permutation message the AF relays is sealed under an SS-bank
     # key; every key the AF holds must fail authentication against it.
@@ -451,6 +482,14 @@ def test_keystream_is_the_documented_block_rule():
         blocks = b"".join(hashlib.sha256(key + nonce + i.to_bytes(8, "big")).digest()
                           for i in range(-(-length // 32)))
         assert CIPHER._keystream(key, nonce, length) == blocks[:length], length
+
+
+def test_open_refuses_a_body_shorter_than_the_tag():
+    key, nonce = b"k" * 16, b"n" * 16
+    body = CIPHER.seal(key, nonce, b"")  # the 16-byte tag alone opens
+    assert CIPHER.open(key, nonce, body) == b""
+    with pytest.raises(AuthenticationError, match="^body shorter than tag$"):
+        CIPHER.open(key, nonce, body[:-1])
 
 
 def test_open_with_wrong_key_fails():

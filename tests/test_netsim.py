@@ -3,23 +3,22 @@ import re
 
 import networkx as nx
 import pytest
-from hypothesis import example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from wsnpriv import netsim
 from wsnpriv.netsim import (
     DisconnectedGraphError,
-    PlacementError,
     Topology,
     bfs_distances,
     build_grid,
-    build_random_geometric,
     shortest_path,
-    _build_adjacency,
     _grid_adjacency,
 )
 from wsnpriv.phantom import WalkConfig, random_walk
 from wsnpriv.rng import SimRng
+
+from random_fields import all_pairs_adjacency, random_field
 
 
 def lattice_neighbors(width, height, x, y, radio_range):
@@ -70,62 +69,25 @@ def test_grid_degree_set_matches_lattice_position(width, height):
 
 
 def test_adjacency_symmetric_and_irreflexive():
-    for topo in (build_grid(7, 4), build_random_geometric(60, 8.0, 2.0, SimRng(3))):
+    for topo in (build_grid(7, 4), random_field(60, 8.0, 2.0, SimRng(3))):
         for a in range(topo.node_count):
             assert a not in topo.adjacency[a]
             for b in topo.adjacency[a]:
                 assert a in topo.adjacency[b]
 
 
-def all_pairs_adjacency(positions, radio_range):
-    """Independent oracle: test every node pair with the builder's expression."""
-    r2 = radio_range * radio_range
-    return tuple(
-        tuple(j for j, (xj, yj) in enumerate(positions)
-              if j != i and (xi - xj) ** 2 + (yi - yj) ** 2 <= r2)
-        for i, (xi, yi) in enumerate(positions)
-    )
-
-
-RANGES = [0.5, 1.0, math.sqrt(2), 1.5, 2.0, 3.3]
-
-
-@pytest.mark.parametrize("radio_range", RANGES)
-@pytest.mark.parametrize("width,height", [(1, 1), (1, 7), (7, 3), (20, 20)])
-def test_adjacency_matches_all_pairs_oracle_on_lattices(width, height, radio_range):
-    positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
-    assert _build_adjacency(positions, radio_range) == all_pairs_adjacency(positions, radio_range)
-
-
-@st.composite
-def fields(draw):
-    radio_range = draw(st.sampled_from(RANGES))
-    on_boundary = st.integers(-8, 8).map(lambda k: k * radio_range)  # a multiple of r
-    coord = st.one_of(on_boundary, st.floats(-10, 10))
-    points = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30))
-    coincident = draw(st.lists(st.sampled_from(points), max_size=5))
-    return points + coincident, radio_range
-
-
-@given(fields())
-@example(([(0.5, 0.0), (-2e-85, 0.0)], 0.5))  # two cells apart, yet 0.5 + 2e-85 rounds to 0.5
-def test_adjacency_matches_all_pairs_oracle_on_random_fields(field):
-    positions, radio_range = field
-    assert _build_adjacency(positions, radio_range) == all_pairs_adjacency(positions, radio_range)
-
-
 STENCIL_RANGES = [0.3, 0.5, 1.0, 1 + 1e-9, math.sqrt(2), 1.5, 2.5, 7.3, 1e18, 1e300, math.inf]
 
 
-def test_grid_stencil_matches_the_spatial_hash():
+def test_grid_stencil_matches_all_pairs():
     # Lattices wider and taller than 2 * reach + 1 (15 at range 7.3) have
     # interior runs as well as edge runs at every finite range up to 7.3.
     shapes = [(w, h, r) for w in range(1, 13) for h in range(1, 13) for r in STENCIL_RANGES]
-    shapes += [(w, h, r) for w, h in ((17, 3), (3, 17), (16, 16))
+    shapes += [(w, h, r) for w, h in ((17, 3), (3, 17), (16, 16), (20, 20))
                for r in STENCIL_RANGES if r <= 7.3]
     for width, height, radio_range in shapes:
         positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
-        expected = _build_adjacency(positions, radio_range)
+        expected = all_pairs_adjacency(positions, radio_range)
         assert _grid_adjacency(width, height, radio_range) == expected
         if radio_range >= 1:  # the builder refuses a disconnected field
             assert build_grid(width, height, radio_range).adjacency == expected
@@ -153,32 +115,6 @@ def test_disconnected_grid_rejected():
         build_grid(3, 3, 0.5)
 
 
-def test_random_geometric_singleton():
-    topo = build_random_geometric(1, 10.0, 1.0, SimRng(1), sink=0, sources=(0,))
-    assert topo.node_count == 1
-
-
-def test_random_geometric_edges_within_range():
-    topo = build_random_geometric(100, 10.0, 2.0, SimRng(7))
-    # Oracle: recheck every pair against raw Euclidean distance.
-    for a in range(topo.node_count):
-        for b in range(a + 1, topo.node_count):
-            within = topo.distance(a, b) <= 2.0
-            assert (b in topo.adjacency[a]) == within
-    assert all(d >= 0 for d in bfs_distances(topo, 0))
-
-
-def test_random_geometric_deterministic():
-    t1 = build_random_geometric(50, 8.0, 2.0, SimRng(11))
-    t2 = build_random_geometric(50, 8.0, 2.0, SimRng(11))
-    assert t1 == t2
-
-
-def test_random_geometric_placement_failure():
-    with pytest.raises(PlacementError):
-        build_random_geometric(30, 100.0, 0.1, SimRng(1), max_attempts=5)
-
-
 def test_shortest_path_endpoints_and_length():
     topo = build_grid(4, 4)
     path = shortest_path(topo, 0, 15)
@@ -189,7 +125,7 @@ def test_shortest_path_endpoints_and_length():
     # A grid whose sink is not a corner and three seeded random fields, against
     # networkx: every hop is an edge to the lowest-id neighbour one hop nearer.
     fields = [build_grid(6, 5, sink=14)] + [
-        build_random_geometric(40, 5.0, 1.6, SimRng(seed, "shortest-path")) for seed in (1, 2, 3)]
+        random_field(40, 5.0, 1.6, SimRng(seed, "shortest-path")) for seed in (1, 2, 3)]
     for topo in fields:
         g = nx.Graph()
         g.add_nodes_from(range(topo.node_count))
@@ -212,45 +148,33 @@ def test_shortest_path_endpoints_and_length():
 
 
 @pytest.mark.parametrize("radio_range", [0.0, -1.0, float("nan"), 1e-10])
-@pytest.mark.parametrize("build", [
-    lambda r: build_grid(3, 3, r),
-    lambda r: build_random_geometric(5, 2.0, r, SimRng(1)),
-], ids=["grid", "random_geometric"])
+@pytest.mark.parametrize("build", [lambda r: build_grid(3, 3, r)], ids=["grid"])
 def test_every_builder_rejects_a_bad_radio_range(build, radio_range):
-    # One check covers both builders: a range whose square is
-    # positive (-1), zero and NaN all fail with the field's name.
+    # build_grid is the one builder: a range whose square is positive (-1),
+    # zero and NaN all fail with the field's name.
     with pytest.raises(ValueError, match=r"^radio_range: must be >= 1e-9$"):
         build(radio_range)
 
 
 def hash_pair_tests(positions, radio_range):
-    """The spatial hash tests each pair of nodes whose cells differ by at
-    most one in both axes, once."""
+    """The grid's refusal count: pairs of nodes whose cells of side
+    r * (1 + 1e-9) touch, that is differ by at most one in both axes."""
     cell = radio_range * (1 + 1e-9)
     cells = [(int(x // cell), int(y // cell)) for x, y in positions]
     return sum(abs(ax - bx) <= 1 and abs(ay - by) <= 1
                for i, (ax, ay) in enumerate(cells) for bx, by in cells[i + 1:])
 
 
-def test_pair_test_cap_counts_every_tested_pair(monkeypatch):
-    positions = [(x * 0.7, y * 0.4) for y in range(9) for x in range(6)]
-    tested = hash_pair_tests(positions, 1.5)
-    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested)
-    _build_adjacency(positions, 1.5)
-    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested - 1)
-    with pytest.raises(ValueError, match=f"^radio_range: 1.5 needs over {tested - 1} "):
-        _build_adjacency(positions, 1.5)
-
-
 @pytest.mark.parametrize("width,height,radio_range", [
     (9, 6, 1.5), (13, 4, 0.7), (1, 17, 2.5), (8, 8, 3.9), (7, 5, 1e300), (6, 6, math.inf),
 ])
 def test_grid_cap_counts_the_spatial_hash_tests(monkeypatch, width, height, radio_range):
-    # The grid links by stencil but refuses at exactly the hash's count.
+    # The grid links by stencil but refuses at exactly the touching-cell count.
     positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
     tested = hash_pair_tests(positions, radio_range)
     monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested)
-    assert _grid_adjacency(width, height, radio_range) == _build_adjacency(positions, radio_range)
+    expected = all_pairs_adjacency(positions, radio_range)
+    assert _grid_adjacency(width, height, radio_range) == expected
     monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested - 1)
     message = re.escape(f"radio_range: {radio_range} needs over {tested - 1} node-pair tests")
     for build in (_grid_adjacency, lambda w, h, r: build_grid(w, h, r)):
@@ -258,12 +182,9 @@ def test_grid_cap_counts_the_spatial_hash_tests(monkeypatch, width, height, radi
             build(width, height, radio_range)
 
 
-def test_grid_refuses_a_complete_graph_without_the_hash(monkeypatch):
-    # The hash would first place and bucket all 10^6 nodes; the grid counts
-    # its tests per axis and never calls it.
-    def unreachable(*args):
-        raise AssertionError("the grid called the spatial hash")
-    monkeypatch.setattr(netsim, "_build_adjacency", unreachable)
+def test_grid_refuses_a_complete_graph_without_the_hash():
+    # The grid counts its node pairs per axis, so 10^6 nodes in one cell
+    # are refused before any row or position is built.
     with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs over 100000000 node-pair"):
         build_grid(1, 10**6, radio_range=1e300)
 
@@ -303,7 +224,7 @@ def test_table_draw_matches_random_choice(seed, leaves, draws):
 
 
 def test_step_table_is_the_non_backtracking_rule():
-    field = build_random_geometric(60, 10.0, 2.5, SimRng(4))
+    field = random_field(60, 10.0, 2.5, SimRng(4))
     # build_grid(1, 1) and (1, 4) have nodes of degree 0 and 1.
     for topo in (build_grid(5, 4), build_grid(4, 4, radio_range=1.5), field,
                  build_grid(1, 1), build_grid(1, 4)):

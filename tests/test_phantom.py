@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from wsnpriv import phantom
-from wsnpriv.netsim import build_grid, build_random_geometric
+from wsnpriv.netsim import build_grid
 from wsnpriv.phantom import (
     NoRendezvousError,
     ReceptorPath,
@@ -23,6 +23,8 @@ from wsnpriv.phantom import (
 )
 from wsnpriv.rng import SimRng
 
+from random_fields import random_field
+
 
 def to_networkx(topo):
     g = nx.Graph()
@@ -38,6 +40,14 @@ def to_networkx(topo):
 def test_walk_zero_hops():
     topo = build_grid(3, 3)
     assert random_walk(topo, 4, WalkConfig(hops=0), SimRng(1)) == [4]
+
+
+@pytest.mark.parametrize("mode", list(WalkMode), ids=lambda m: m.value)
+def test_walk_from_a_node_without_neighbours_stays_and_draws_nothing(mode):
+    rng = SimRng(3, "lone-node")
+    state = rng.getstate()
+    assert random_walk(build_grid(1, 1), 0, WalkConfig(mode, 3), rng) == [0]
+    assert rng.getstate() == state
 
 
 def test_walk_structure_many_seeds():
@@ -100,7 +110,7 @@ def test_table_walks_match_choice_reference():
     # Same route and same stream state after it, on grids of degree 1-4 and
     # a random geometric field of higher degree.
     fields = (build_grid(9, 1), build_grid(7, 7),
-              build_random_geometric(50, 10.0, 3.0, SimRng(8)))
+              random_field(50, 10.0, 3.0, SimRng(8)))
     for topo in fields:
         rec = build_receptor(topo, topo.sink, 4, SimRng(1))
         for seed in range(25):
@@ -299,7 +309,7 @@ def reference_ticks(g, strategy, walk, destination):
 
 
 def test_tick_matches_full_tick_map():
-    field = build_random_geometric(40, 8.0, 2.5, SimRng(6))
+    field = random_field(40, 8.0, 2.5, SimRng(6))
     strategies = (WalkConfig(), WalkConfig(hops=5),
                   WalkConfig(WalkMode.DIRECTED, 3))
     for topo in (build_grid(6, 5), build_grid(7, 7, sink=24), field):
@@ -344,7 +354,7 @@ def test_destination_ticks_only_when_the_walk_passes_it():
 
 def test_flood_bfs_waits_for_the_first_tick():
     # run_pipeline reads only latency and cost: no BFS from the walk's end.
-    for topo in (build_grid(7, 7, sink=24), build_random_geometric(40, 8.0, 2.5, SimRng(6))):
+    for topo in (build_grid(7, 7, sink=24), random_field(40, 8.0, 2.5, SimRng(6))):
         g = to_networkx(topo)
         lazy = 0
         for strategy in (WalkConfig(), WalkConfig(hops=5),
@@ -402,7 +412,7 @@ def test_hunt_flood_safety_period_is_the_hop_distance_on_every_pair():
     # Each flooded message draws the hunter one hop nearer the source, so
     # capture comes at exactly the sink-source hop distance.
     fields = (build_grid(6, 6), build_grid(7, 4),
-              build_random_geometric(40, 5.0, 1.6, SimRng(17, "flood-identity")))
+              random_field(40, 5.0, 1.6, SimRng(17, "flood-identity")))
     for topo in fields:
         for sink in range(topo.node_count):
             dist = topo.distances_from(sink)

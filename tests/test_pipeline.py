@@ -4,7 +4,7 @@ import random
 import networkx as nx
 import pytest
 
-from wsnpriv.netsim import bfs_distances, build_grid, build_random_geometric
+from wsnpriv.netsim import bfs_distances, build_grid
 from wsnpriv.phantom import WalkConfig, WalkMode
 from wsnpriv.pipeline import (
     Cluster,
@@ -14,6 +14,8 @@ from wsnpriv.pipeline import (
     run_pipeline,
 )
 from wsnpriv.rng import SimRng
+
+from random_fields import random_field
 
 
 def test_privacy_level_layers():
@@ -111,7 +113,7 @@ def test_pair_fallback_af_matches_brute_force_oracle():
     fallbacks = 0
     for seed in range(6):
         sources = tuple(random.Random(seed).sample(range(1, 80), 9))
-        topo = build_random_geometric(80, 10.0, 1.8, SimRng(seed, "field"), sources=sources)
+        topo = random_field(80, 10.0, 1.8, SimRng(seed, "field"), sources=sources)
         clusters, unpaired, used = pair_sources_oracle(sources, topo)
         assert pair_sources(sources, topo) == (clusters, unpaired)
         fallbacks += used

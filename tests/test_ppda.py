@@ -60,16 +60,48 @@ WORKED_SEEDS = SeedAssignment(participants=("A", "S1", "S2"), seeds=(1, 2, 3), f
 
 # --- field ---
 
+PSI_12 = 318_665_857_834_031_151_167_461  # = 399165290221 * 798330580441
+PSI_13 = 3_317_044_064_679_887_385_961_981
+
+
 def test_field_rejects_composite_modulus():
     with pytest.raises(ValueError):
         PrimeField(2**31)
     PrimeField(2**61 - 1)  # Mersenne prime, fine
+    # psi_12 and psi_13 (Jiang & Deng 2014) are composites that pass
+    # Miller-Rabin to every prime base 2..37; they are refused by size first.
+    assert PSI_12 == 399_165_290_221 * 798_330_580_441
+    for composite in (PSI_12, PSI_13):
+        with pytest.raises(ValueError, match=f"^modulus: must be < {PSI_12}, "):
+            PrimeField(composite)
+
+
+def test_primality_test_matches_a_sieve():
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    is_prime = _is_prime.__wrapped__  # uncached: 2e5 entries would stay in the cache
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # Strong pseudoprimes to the bases 2, 3, 5, 7 and to 2..31; primes past both.
+    for n, prime in ((3_215_031_751, False), (3_825_123_056_546_413_051, False),
+                     (65_537, True), (2**61 - 1, True)):
+        assert is_prime(n) is prime, n
+
+
+def test_field_inverse_of_zero_is_refused():
+    with pytest.raises(ZeroDivisionError):
+        F.inv(0)
+    with pytest.raises(ZeroDivisionError):
+        F.inv(P)
 
 
 def test_primality_checked_once_per_modulus():
     before = _is_prime.cache_info()
     for _ in range(3):
-        PrimeField(2**89 - 1)  # a Mersenne prime no other test uses
+        PrimeField(2**64 - 59)  # the largest 64-bit prime; no other test uses it
     after = _is_prime.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 2)
 
