@@ -1,12 +1,10 @@
-"""Sensor-field model: immutable topologies and the transmission record.
+"""Sensor-field model: immutable topologies, BFS and walk-step tables.
 
-Nodes live at 2-D positions and are adjacent iff their Euclidean distance is
-within the radio range.  One designated sink (the home gateway) plus one or
-more source nodes.  Every experiment runs on a build_grid lattice, which
-refuses a disconnected field; a Topology built directly takes any adjacency.
-
-Time is integer ticks, one hop per tick.  A Transmission records a single
-broadcast: everyone within radio range of the sender hears it.
+Nodes live at 2-D positions; build_grid links two nodes iff their Euclidean
+distance is within its radio range.  One designated sink (the home gateway)
+plus one or more source nodes.  Every experiment runs on a build_grid
+lattice, which refuses a disconnected field; a Topology built directly takes
+any adjacency.  A broadcast is heard by every neighbour of its sender.
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "NodeId",
     "Topology",
-    "Transmission",
     "DisconnectedGraphError",
     "build_grid",
     "bfs_distances",
@@ -35,14 +32,6 @@ class DisconnectedGraphError(ValueError):
     """Raised for a disconnected field, or a destination no path reaches."""
 
 
-@dataclass(frozen=True)
-class Transmission:
-    tick: int
-    sender: NodeId
-    payload_id: str
-    hearers: frozenset[NodeId]
-
-
 # One walk step's draw: k random bits index a slot tuple of 2**k entries
 # holding the candidates, then None for each value Random.choice rejects.
 # Random.choice(seq) draws k = len(seq).bit_length() bits and redraws while
@@ -54,7 +43,6 @@ StepDraw = tuple[int, tuple[NodeId | None, ...]]
 @dataclass(frozen=True)
 class Topology:
     positions: tuple[tuple[float, float], ...]
-    radio_range: float
     adjacency: tuple[tuple[NodeId, ...], ...]  # sorted neighbor ids per node
     sink: NodeId
     sources: tuple[NodeId, ...]
@@ -243,7 +231,6 @@ def build_grid(
     xs = list(map(float, range(width)))  # one float object per coordinate
     topology = Topology(
         positions=tuple([(x, y) for y in map(float, range(height)) for x in xs]),
-        radio_range=radio_range,
         adjacency=adjacency,
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),

@@ -26,7 +26,7 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
-from .netsim import NodeId, Topology, Transmission
+from .netsim import NodeId, Topology
 from .rng import SimRng
 
 __all__ = [
@@ -104,7 +104,6 @@ class HuntReport:
     transmissions_total: int
     delivery_latency_hops: tuple[int, ...]
     adversary_moves: tuple[tuple[int, NodeId, NodeId], ...]  # (message, from, to)
-    log: tuple[Transmission, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -182,8 +181,8 @@ class Schedule:
     distance from flood_origin, destination excepted, unless the walk
     already had it forward.  Two-way routes have no flood (flood_origin is
     None).  The flood's BFS comes from the topology's memo, built the first
-    time first_heard() or log() needs it, never otherwise; a node's own tick
-    is first_heard((node,)).  `transmissions` counts every broadcast (walk
+    time first_heard() needs it, never otherwise; a node's own tick is
+    first_heard((node,)).  `transmissions` counts every broadcast (walk
     revisits included) and `latency_hops` is the tick the destination first
     hears the message.  Every Schedule was delivered: a two-way walk that
     misses its receptor raises NoRendezvousError instead.
@@ -213,26 +212,6 @@ class Schedule:
             return None
         dist = self.topology.distances_from(self.flood_origin)
         return min([(len(walk) + dist[v], v) for v in others])
-
-    def log(self, payload_id: str) -> list[Transmission]:
-        """One Transmission per forwarding node, ordered by (tick, sender)."""
-        walk = self.walk
-        ticks = {}
-        if self.flood_origin is not None:
-            dist = self.topology.distances_from(self.flood_origin)
-            ticks = {u: len(walk) + d for u, d in enumerate(dist)}
-            del ticks[self.destination]
-        # Reversed, so that each walk node keeps its first tick.
-        ticks.update(zip(reversed(walk), range(len(walk) - 1, -1, -1)))
-        return [
-            Transmission(
-                tick=t,
-                sender=node,
-                payload_id=payload_id,
-                hearers=frozenset(self.topology.adjacency[node]),
-            )
-            for t, node in sorted((t, node) for node, t in ticks.items())
-        ]
 
 
 def flood(topology: Topology, origin: NodeId, destination: NodeId) -> Schedule:
@@ -322,7 +301,6 @@ def hunt(
     strategy: WalkConfig | TwoWay,
     message_budget: int,
     rng: SimRng,
-    record_log: bool = False,
 ) -> HuntReport:
     """Run a back-tracing adversary against the chosen routing strategy.
 
@@ -349,7 +327,6 @@ def hunt(
     transmissions_total = 0
     latencies: list[int] = []
     moves: list[tuple[int, NodeId, NodeId]] = []
-    log: list[Transmission] = []
     captured = False
     safety_period = message_budget
 
@@ -364,8 +341,6 @@ def hunt(
 
         transmissions_total += sched.transmissions
         latencies.append(sched.latency_hops)
-        if record_log:
-            log.extend(sched.log(f"msg:{msg}"))
 
         # Source transmits at tick 0 of every message, so an adversary
         # camped on it (only when the sink is the source) stays and catches it.
@@ -385,7 +360,6 @@ def hunt(
         transmissions_total=transmissions_total,
         delivery_latency_hops=tuple(latencies),
         adversary_moves=tuple(moves),
-        log=tuple(log) if record_log else None,
     )
 
 

@@ -94,9 +94,6 @@ class PrimeField:
             raise ZeroDivisionError("no inverse of 0")
         return pow(a, -1, self.p)  # extended Euclid: about 5x Fermat's a**(p-2)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 

@@ -29,7 +29,6 @@ def random_field(node_count, area_side, radio_range, rng, sources=None):
                           for _ in range(node_count))
         field = Topology(
             positions=positions,
-            radio_range=radio_range,
             adjacency=all_pairs_adjacency(positions, radio_range),
             sink=0,
             sources=(node_count - 1,) if sources is None else tuple(sources),

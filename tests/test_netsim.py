@@ -140,7 +140,7 @@ def test_shortest_path_endpoints_and_length():
                     assert g.has_edge(a, b)
                     assert b == min(v for v in g[a] if hops_to[v] == hops_to[a] - 1)
     # A hand-built field whose node 2 has no link.
-    split = Topology(positions=((0.0, 0.0), (1.0, 0.0), (5.0, 0.0)), radio_range=1.0,
+    split = Topology(positions=((0.0, 0.0), (1.0, 0.0), (5.0, 0.0)),
                      adjacency=((1,), (0,), ()), sink=0, sources=())
     assert shortest_path(split, 1, 0) == [1, 0]
     with pytest.raises(DisconnectedGraphError, match="^no path from 2 to 0$"):
@@ -211,7 +211,6 @@ def test_table_draw_matches_random_choice(seed, leaves, draws):
     hub = leaves
     star = Topology(
         positions=tuple((math.cos(i), math.sin(i)) for i in range(leaves)) + ((0.0, 0.0),),
-        radio_range=1.0,
         adjacency=((hub,),) * leaves + (tuple(range(leaves)),),
         sink=hub,
         sources=(0,),

@@ -147,13 +147,13 @@ def test_flood_matches_bfs_oracle():
         res = flood(topo, origin, dest)
         assert res.latency_hops == nx.shortest_path_length(g, origin, dest)
         # Whole-component flood: everyone except the destination forwards once.
-        senders = [t.sender for t in res.log("msg")]
-        assert len(senders) == len(set(senders)) == res.transmissions
-        assert res.transmissions == topo.node_count - 1
+        ticks = [res.first_heard((u,)) for u in range(topo.node_count)]
+        senders = [u for u in range(topo.node_count) if ticks[u] is not None]
+        assert len(senders) == res.transmissions == topo.node_count - 1
         assert dest not in senders
         # Each node's transmission tick equals its hop distance from origin.
-        for t in res.log("msg"):
-            assert t.tick == nx.shortest_path_length(g, origin, t.sender)
+        for u in senders:
+            assert ticks[u] == (nx.shortest_path_length(g, origin, u), u)
 
 
 # --- receptor / two-way ---
@@ -325,8 +325,6 @@ def test_tick_matches_full_tick_map():
                 else:
                     walk = random_walk(topo, source, strategy, b)
                 expected = reference_ticks(g, strategy, walk, topo.sink)
-                assert [(t.tick, t.sender) for t in sched.log("m")] == sorted(
-                    (t, u) for u, t in expected.items())
                 assert [sched.first_heard((u,)) for u in range(topo.node_count)] == [
                     (expected[u], u) if u in expected else None
                     for u in range(topo.node_count)
@@ -346,7 +344,6 @@ def test_destination_ticks_only_when_the_walk_passes_it():
         walk = random_walk(topo, 1, strategy, SimRng(seed))
         expected = (walk.index(0), 0) if 0 in walk[:-1] else None
         assert sched.first_heard((0,)) == expected
-        assert (0 in [t.sender for t in sched.log("m")]) == (expected is not None)
         passed += expected is not None
     assert passed  # some walks step through the destination
     assert flood(topo, 1, 0).first_heard((0,)) is None
@@ -424,24 +421,38 @@ def test_hunt_flood_safety_period_is_the_hop_distance_on_every_pair():
                 assert report.captured and report.safety_period == dist[source], (sink, source)
 
 
-def test_hunt_adversary_soundness_against_log():
+def test_hunt_moves_to_the_earliest_heard_neighbour():
+    # Each message's walk is replayed on the streams hunt draws from, and its
+    # ticks rebuilt by networkx: the hunter moves to the minimal (tick, node)
+    # among its neighbours, and stays on a message none of them forwards.
     topo = build_grid(8, 8)
+    g = to_networkx(topo)
+    source, sink = topo.sources[0], topo.sink
     for strategy in (WalkConfig(), WalkConfig(hops=4), TwoWay(5)):
-        report = hunt(topo, strategy, 30, SimRng(3), record_log=True)
-        position = topo.sink
-        by_msg = {}
-        for t in report.log:
-            by_msg.setdefault(t.payload_id, []).append(t)
-        for msg, frm, to in report.adversary_moves:
-            assert frm == position
-            heard = [
-                t for t in by_msg[f"msg:{msg}"] if position in t.hearers
-            ]
-            assert any(t.sender == to for t in heard)
-            # Earliest-heard rule: (tick, sender) minimal among heard.
-            best = min((t.tick, t.sender) for t in heard)
-            assert best[1] == to
-            position = to
+        report = hunt(topo, strategy, 30, SimRng(3))
+        rng = SimRng(3)
+        route = strategy.receptor(topo, rng) if isinstance(strategy, TwoWay) else strategy
+        walk_rng = rng.stream("walk")
+        moves = {msg: (frm, to) for msg, frm, to in report.adversary_moves}
+        assert len(moves) == len(report.adversary_moves)
+        position = sink
+        for msg in range(1, report.safety_period + 1):
+            try:
+                sched = route_message(topo, source, sink, route, walk_rng)
+            except NoRendezvousError:
+                assert msg not in moves
+                continue
+            end = sink if sched.flood_origin is None else sched.flood_origin
+            ticks = reference_ticks(g, route, sched.walk + [end], sink)
+            heard = [(ticks[v], v) for v in g[position] if v in ticks]
+            if position == source or not heard:
+                assert msg not in moves
+            else:
+                to = min(heard)[1]
+                assert moves[msg] == (position, to)
+                position = to
+        assert set(moves) <= set(range(1, report.safety_period + 1))
+        assert report.captured == (position == source)
 
 
 def test_energy_and_latency_properties():
@@ -454,6 +465,24 @@ def test_energy_and_latency_properties():
         ph = hunt(topo, WalkConfig(hops=h), 1, SimRng(seed))
         assert ph.transmissions_total <= base.transmissions_total + h
         assert ph.delivery_latency_hops[0] >= base.delivery_latency_hops[0]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the two-way source walk revisits nodes, so from 20x20 up a delivered "
+    "message costs more broadcasts than a whole-field flood"))
+def test_twoway_costs_no_more_than_flood_per_delivered_message():
+    topo = build_grid(20, 20)
+
+    def cost_per_delivered(strategy):
+        sent = delivered = 0
+        for t in range(40):
+            report = hunt(topo, strategy, 150, SimRng(t, "twoway-cost"))
+            sent += report.transmissions_total
+            delivered += sum(h >= 0 for h in report.delivery_latency_hops)
+        return sent / delivered
+
+    twoway, flooded = cost_per_delivered(TwoWay(10)), cost_per_delivered(WalkConfig())
+    assert twoway <= flooded, (twoway, flooded)
 
 
 # --- zone math ---
