@@ -1,10 +1,12 @@
-"""Sensor-field model: immutable topologies, BFS and walk-step tables.
+"""Sensor-field model: immutable topologies, hop distances and walk-step tables.
 
 Nodes live at 2-D positions; build_grid links two nodes iff their Euclidean
 distance is within its radio range.  One designated sink (the home gateway)
 plus one or more source nodes.  Every experiment runs on a build_grid
 lattice, which refuses a disconnected field; a Topology built directly takes
 any adjacency.  A broadcast is heard by every neighbour of its sender.
+Hop distances on a range-1 lattice are |dx| + |dy| in closed form; every
+other field runs bfs_distances.
 """
 
 from __future__ import annotations
@@ -61,12 +63,24 @@ class Topology:
     def distances_from(self, origin: NodeId) -> list[int]:
         """bfs_distances(self, origin), computed once per origin.
 
-        The list is shared by every caller and must not be mutated.
+        On a range-1 build_grid lattice (its width in the memo) the list is
+        |dx| + |dy|, two ranges per row; any other field runs the BFS.  The
+        list is shared by every caller and must not be mutated.
         """
         key = ("bfs", origin)
         dist = self._memo.get(key)
         if dist is None:
-            dist = self._memo[key] = bfs_distances(self, origin)
+            width = self._memo.get("lattice")
+            if width is None:
+                dist = bfs_distances(self, origin)
+            else:
+                oy, ox = divmod(origin, width)
+                dist = []
+                for y in range(self.node_count // width):
+                    dy = abs(y - oy)
+                    dist += range(ox + dy, dy, -1)  # x = 0 .. ox - 1
+                    dist += range(dy, dy + width - ox)  # x = ox .. width - 1
+            self._memo[key] = dist
         return dist
 
     def step_row(self, cur: NodeId) -> dict[NodeId | None, StepDraw]:
@@ -193,8 +207,9 @@ def bfs_distances(topology: Topology, origin: NodeId) -> list[int]:
 
 
 def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> list[NodeId]:
-    """A shortest path origin -> destination, read off the memoized BFS from
-    the destination: each hop goes to the lowest-id neighbour one hop nearer."""
+    """A shortest path origin -> destination, read off the memoized hop
+    distances from the destination (distances_from): each hop goes to the
+    lowest-id neighbour one hop nearer."""
     dist = topology.distances_from(destination)
     if dist[origin] < 0:
         raise DisconnectedGraphError(f"no path from {origin} to {destination}")
@@ -216,6 +231,8 @@ def build_grid(
     Nodes within radio_range are linked by id offset, a run of equally
     placed nodes at a time; a range linking too many node pairs is refused
     first (_grid_adjacency).  Positions share one float object per coordinate.
+    At range 1 (1 <= r*r < 2 in _grid_adjacency's float test: 4 neighbours
+    per node) it records the width, so distances_from needs no BFS.
 
     Default roles: sink at node 0 (one corner), single source at the
     opposite corner.
@@ -235,6 +252,8 @@ def build_grid(
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),
     )
+    if 1.0 <= radio_range * radio_range < 2.0:
+        topology._memo["lattice"] = width
     if -1 in topology.distances_from(0):
         raise DisconnectedGraphError(
             f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"

@@ -180,8 +180,9 @@ class Schedule:
     every node of the (connected) field forwards at len(walk) + its hop
     distance from flood_origin, destination excepted, unless the walk
     already had it forward.  Two-way routes have no flood (flood_origin is
-    None).  The flood's BFS comes from the topology's memo, built the first
-    time first_heard() needs it, never otherwise; a node's own tick is
+    None).  The flood's hop distances come from the topology's memo
+    (Topology.distances_from), built the first time first_heard() needs
+    them, never otherwise; a node's own tick is
     first_heard((node,)).  `transmissions` counts every broadcast (walk
     revisits included) and `latency_hops` is the tick the destination first
     hears the message.  Every Schedule was delivered: a two-way walk that
@@ -279,9 +280,10 @@ def route_message(
     A WalkConfig walks its h hops, then floods from the walk's end; h = 0
     is plain flooding and draws nothing from `rng`, which may be None.
     Latency is h plus the walk end's entry in the destination's memoized
-    BFS, as hop distance is symmetric.  A ReceptorPath (a run builds it by
-    TwoWay.receptor) is two-way routing: the message walks until it meets
-    the receptor and follows it home, or raises NoRendezvousError.
+    hop distances (distances_from), as hop distance is symmetric.  A
+    ReceptorPath (a run builds it by TwoWay.receptor) is two-way routing:
+    the message walks until it meets the receptor and follows it home, or
+    raises NoRendezvousError.
     """
     if isinstance(strategy, ReceptorPath):
         route = deliver_two_way(topology, source, strategy, rng)

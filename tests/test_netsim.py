@@ -255,6 +255,30 @@ def test_topology_memo_is_invisible_and_private():
     assert b.step_row(0) == a.step_row(0) and b.step_row(0) is not a.step_row(0)
     # A different field with the same node count gets its own distances.
     c = build_grid(8, 8, radio_range=1.5)
-    for o in range(c.node_count):
-        assert c.distances_from(o) == bfs_distances(c, o)
     assert c.distances_from(0) != a.distances_from(0)
+    # Ranges 1.0 up to the float below sqrt(2) take the closed form |dx| +
+    # |dy|, sqrt(2) (whose square rounds above 2), 1.5 and 2.0 the BFS; both
+    # give bfs_distances, on thin, odd and non-square lattices too.
+    below_sqrt2 = math.nextafter(math.sqrt(2), 0)
+    for width, height in ((1, 1), (1, 9), (9, 1), (2, 3), (8, 8), (13, 17)):
+        for radio_range in (1.0, 1.2, 1.41, below_sqrt2, math.sqrt(2), 1.5, 2.0):
+            topo = build_grid(width, height, radio_range=radio_range)
+            for o in range(topo.node_count):
+                assert topo.distances_from(o) == bfs_distances(topo, o), (width, height, radio_range, o)
+
+
+def test_only_range_one_lattices_skip_the_bfs(monkeypatch):
+    field = random_field(40, 5.0, 1.6, SimRng(5))
+
+    def no_bfs(topology, origin):
+        raise AssertionError("bfs_distances called")
+
+    monkeypatch.setattr(netsim, "bfs_distances", no_bfs)
+    lattice = build_grid(30, 30)
+    for o in range(lattice.node_count):
+        y, x = divmod(o, 30)
+        assert lattice.distances_from(o)[-1] == (29 - x) + (29 - y)
+    with pytest.raises(AssertionError, match="bfs_distances called"):
+        build_grid(30, 30, radio_range=1.5)
+    with pytest.raises(AssertionError, match="bfs_distances called"):
+        field.distances_from(1)
