@@ -27,7 +27,6 @@ from .ppda import (
     gen_shares,
     node_aggregate,
     solve_aggregate,
-    recover_pair_sum,
 )
 from .pipeline import PrivacyLevel, PipelineConfig, pair_sources, run_pipeline
 from .climetrics import (

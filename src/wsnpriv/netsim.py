@@ -11,7 +11,6 @@ other field runs bfs_distances.
 
 from __future__ import annotations
 
-import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
@@ -55,10 +54,6 @@ class Topology:
     @property
     def node_count(self) -> int:
         return len(self.positions)
-
-    def distance(self, a: NodeId, b: NodeId) -> float:
-        (ax, ay), (bx, by) = self.positions[a], self.positions[b]
-        return math.hypot(ax - bx, ay - by)
 
     def distances_from(self, origin: NodeId) -> list[int]:
         """bfs_distances(self, origin), computed once per origin.

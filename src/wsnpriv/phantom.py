@@ -158,12 +158,11 @@ def random_walk(
     if cfg.mode is WalkMode.PURE:
         _walk(topology, path, cfg.hops, (), rng)
         return path
+    pos = topology.positions
     for _ in range(cfg.hops):
         cur = path[-1]
-        d_cur = topology.distance(cur, source)
-        farther = [
-            n for n in topology.adjacency[cur] if topology.distance(n, source) > d_cur
-        ]
+        d_cur = math.dist(pos[cur], pos[source])
+        farther = [n for n in topology.adjacency[cur] if math.dist(pos[n], pos[source]) > d_cur]
         if farther:
             path.append(rng.choice(farther))
         else:

@@ -39,7 +39,6 @@ __all__ = [
     "gen_shares",
     "node_aggregate",
     "solve_aggregate",
-    "recover_pair_sum",
     "SppdaCluster",
     "run_sppda",
     "run_cpda",
@@ -80,7 +79,7 @@ def _is_prime(n: int) -> bool:
 
 class PrimeField:
     """The prime modulus p of the Layer-2 arithmetic, checked prime once per
-    distinct p.  Callers reduce with `% p` inline; only inversion lives here."""
+    distinct p.  Callers reduce with `% p` and invert with pow(a, -1, p)."""
 
     def __init__(self, modulus: int = DEFAULT_MODULUS):
         if modulus >= MODULUS_BOUND:
@@ -88,11 +87,6 @@ class PrimeField:
         if not _is_prime(modulus):
             raise ValueError(f"modulus: {modulus} is not prime")
         self.p = modulus
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, -1, self.p)  # extended Euclid: about 5x Fermat's a**(p-2)
 
     def __repr__(self):
         return f"PrimeField({self.p})"
@@ -124,7 +118,7 @@ class SeedAssignment:
                 f"modulus: GF({field.p}) has fewer than {len(participants)} nonzero seeds")
         seeds: list[int] = []
         while len(seeds) < len(participants):
-            s = 1 + rng.below(field.p - 1)
+            s = 1 + rng.randrange(field.p - 1)
             if s not in seeds:
                 seeds.append(s)
         return cls(participants=participants, seeds=tuple(seeds), field=field)
@@ -181,12 +175,8 @@ def solve_aggregate(seeds: SeedAssignment, sums: Sequence[int]) -> int:
             raise ZeroDivisionError("duplicate seeds make the system singular")
         acc_num = (acc_num * den + sums[i] * num % p * acc_den) % p
         acc_den = acc_den * den % p
-    return acc_num * seeds.field.inv(acc_den) % p
-
-
-def recover_pair_sum(total: int, z: int, field: PrimeField) -> int:
-    """x + y = D - z; the aggregator subtracts its own (dummy) value."""
-    return (total - z) % field.p
+    # A product of non-zero dens mod prime p, so acc_den is non-zero too.
+    return acc_num * pow(acc_den, -1, p) % p
 
 
 @dataclass
@@ -302,7 +292,7 @@ class SppdaCluster:
         p = f.p
         shares = []
         for who, v in zip(_PARTICIPANTS, (z, x, y)):
-            draw = rng.stream(f"coeffs:{who}").below
+            draw = rng.stream(f"coeffs:{who}").randrange
             shares.append(gen_shares(v, [draw(p), draw(p)], seeds))
         # Each node keeps the share at its own seed and sums it with the
         # shares it decrypts off the managed channels.
@@ -324,7 +314,7 @@ class SppdaCluster:
             for who, v in zip(_PARTICIPANTS[1:], sums[1:])]
 
         total = solve_aggregate(seeds, received)
-        result = AggregationResult(total=total, pair_sum=recover_pair_sum(total, z, f))
+        result = AggregationResult(total=total, pair_sum=(total - z) % p)
         return result, RoundTranscript(seeds, frames, sums, result)
 
 
@@ -353,5 +343,5 @@ def run_cpda(
     coeffs = rng.stream("coeffs")
     # Every participant evaluates its own degree-(n-1) mask at every seed
     # (n^2 evaluations): that share traffic is the cost this baseline models.
-    shares = [gen_shares(v, [coeffs.below(f.p) for _ in range(n - 1)], seeds) for v in values]
+    shares = [gen_shares(v, [coeffs.randrange(f.p) for _ in range(n - 1)], seeds) for v in values]
     return solve_aggregate(seeds, [node_aggregate(col, f) for col in zip(*shares)])

@@ -7,8 +7,6 @@ trials never share state.
 
 A SimRng is seeded straight through the C generator's seed(), with the int
 that random.Random(seed) would pass it, so its state equals that Random's.
-below(n) makes exactly the draws of randrange(n) without its argument
-handling; the Layer-2 coefficient and seed draws go through it.
 """
 
 from __future__ import annotations
@@ -41,18 +39,6 @@ class SimRng(random.Random):
         # seeding; call that directly.
         super(random.Random, self).seed(_derive_seed(self.master_seed, stream_label))
         self.gauss_next = None
-
-    def below(self, n: int) -> int:
-        """A uniform int in [0, n), drawn exactly as randrange(n) draws it:
-        n.bit_length() bits, redrawn while the value is >= n."""
-        if n < 1:
-            raise ValueError(f"below: n must be >= 1, got {n}")
-        getrandbits = self.getrandbits
-        k = n.bit_length()
-        r = getrandbits(k)
-        while r >= n:
-            r = getrandbits(k)
-        return r
 
     def stream(self, label: str | int) -> "SimRng":
         """Derive an independent child stream; does not advance this one."""

@@ -80,11 +80,17 @@ def test_directed_walk_monotone_on_line():
 def choice_walk(topo, source, hops, rng, directed=False):
     """Reference walk drawing with rng.choice: a directed step picks from the
     neighbours farther from the source, when there are any, else as pure."""
+    sx, sy = topo.positions[source]
+
+    def away(n):
+        x, y = topo.positions[n]
+        return math.hypot(x - sx, y - sy)
+
     path, prev = [source], None
     for _ in range(hops):
         nbrs = topo.adjacency[path[-1]]
-        d = topo.distance(path[-1], source)
-        farther = [n for n in nbrs if topo.distance(n, source) > d] if directed else []
+        d = away(path[-1])
+        farther = [n for n in nbrs if away(n) > d] if directed else []
         nxt = rng.choice(farther or [n for n in nbrs if n != prev] or list(nbrs))
         prev = path[-1]
         path.append(nxt)

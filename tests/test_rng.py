@@ -24,16 +24,6 @@ def test_state_equals_random_seeded_with_the_derived_int(seed, label):
     assert rng.stream("x").getstate() == random.Random(_derive_seed(seed, f"{label}/x")).getstate()
 
 
-@pytest.mark.parametrize("sizes", [range(1, 301), [2**31 - 1] * 50, [(1 << 99) + 12345] * 50],
-                         ids=["1..300", "2^31-1", "100-bit"])
-def test_below_draws_exactly_as_randrange(sizes):
-    rng, oracle = twins(13, "below")
-    for n in sizes:
-        for _ in range(3):
-            assert rng.below(n) == oracle.randrange(n)
-            assert rng.getstate() == oracle.getstate()
-
-
 @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy,
                                        lambda rng: pickle.loads(pickle.dumps(rng))],
                          ids=["copy", "deepcopy", "pickle"])
@@ -47,28 +37,6 @@ def test_copies_resume_the_stream_and_leave_the_original(duplicate):
     assert repr(twin) == repr(rng) and twin.getstate() == position
     assert [twin.getrandbits(31) for _ in range(4)] == [rng.getrandbits(31) for _ in range(4)]
     assert twin.stream("c").getstate() == rng.stream("c").getstate()
-
-
-class CountingRng(SimRng):
-    """Counts draws, and stops the endless loop below(0) would run unguarded:
-    getrandbits(0) is always 0, which is never < 0."""
-
-    draws = 0
-
-    def getrandbits(self, k):
-        self.draws += 1
-        if self.draws > 100:
-            raise RuntimeError("runaway draw loop")
-        return super().getrandbits(k)
-
-
-@pytest.mark.parametrize("n", [0, -1])
-def test_below_rejects_an_empty_range_without_drawing(n):
-    rng, oracle = CountingRng(5, "empty"), random.Random(_derive_seed(5, "empty"))
-    with pytest.raises(ValueError, match=r"^below: n must be >= 1"):
-        rng.below(n)
-    assert rng.draws == 0
-    assert rng.getstate() == oracle.getstate()
 
 
 def test_permute_bank_matches_random_shuffle_every_size():
