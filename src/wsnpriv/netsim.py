@@ -6,13 +6,17 @@ plus one or more source nodes.  Every experiment runs on a build_grid
 lattice, which refuses a disconnected field; a Topology built directly takes
 any adjacency.  A broadcast is heard by every neighbour of its sender.
 Hop distances on a range-1 lattice are |dx| + |dy| in closed form; every
-other field runs bfs_distances.
+other field runs bfs_distances.  A grid shape's positions, adjacency and
+connectivity verdict are built once per process, in a bounded LRU
+(~160-170 B per node at range 1); hop distances and walk-step rows stay per
+Topology.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "NodeId",
@@ -27,6 +31,7 @@ NodeId = int
 GRID_MAX_NODES = 10**6  # a larger lattice fails as bad input, not as a MemoryError
 # The most node pairs a grid may hold in touching cells of side r * (1 + 1e-9).
 PAIR_TESTS_MAX = 10**8  # 1000x1000 at range 1 holds 4e6
+LATTICE_CACHE_SIZE = 32  # grid shapes kept by build_grid: 32 of 30x30 at range 1 hold ~4.9 MB
 
 
 class DisconnectedGraphError(ValueError):
@@ -214,6 +219,26 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
     return path
 
 
+@lru_cache(maxsize=LATTICE_CACHE_SIZE)
+def _lattice(width: int, height: int, radio_range: float) -> tuple:
+    """(positions, adjacency, width at range 1 else None) of a connected grid.
+
+    Range 1 is 1 <= r*r < 2 in _grid_adjacency's float test (4 neighbours
+    per node): always connected, and distances_from needs no BFS there.
+    A refusal is never cached, so it raises again on every call.
+    """
+    adjacency = _grid_adjacency(width, height, radio_range)
+    xs = list(map(float, range(width)))  # one float object per coordinate
+    positions = tuple([(x, y) for y in map(float, range(height)) for x in xs])
+    lattice = width if 1.0 <= radio_range * radio_range < 2.0 else None
+    if lattice is None and -1 in bfs_distances(Topology(positions, adjacency, 0, ()), 0):
+        n = len(positions)
+        raise DisconnectedGraphError(
+            f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
+        )
+    return positions, adjacency, lattice
+
+
 def build_grid(
     width: int,
     height: int,
@@ -226,8 +251,12 @@ def build_grid(
     Nodes within radio_range are linked by id offset, a run of equally
     placed nodes at a time; a range linking too many node pairs is refused
     first (_grid_adjacency).  Positions share one float object per coordinate.
-    At range 1 (1 <= r*r < 2 in _grid_adjacency's float test: 4 neighbours
-    per node) it records the width, so distances_from needs no BFS.
+    At range 1 it records the width, so distances_from needs no BFS.
+
+    A shape's positions, adjacency and connectivity verdict are built once
+    per process (_lattice, a bounded LRU at ~160-170 B per node at range 1).
+    Each call returns a new Topology with its own roles and memo, so hop
+    distances and walk-step rows stay per Topology.
 
     Default roles: sink at node 0 (one corner), single source at the
     opposite corner.
@@ -239,20 +268,15 @@ def build_grid(
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
     if not radio_range >= 1e-9:  # also NaN; far smaller ranges overflow the cell count
         raise ValueError("radio_range: must be >= 1e-9")
-    adjacency = _grid_adjacency(width, height, radio_range)
-    xs = list(map(float, range(width)))  # one float object per coordinate
+    positions, adjacency, lattice = _lattice(width, height, radio_range)
     topology = Topology(
-        positions=tuple([(x, y) for y in map(float, range(height)) for x in xs]),
+        positions=positions,
         adjacency=adjacency,
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),
     )
-    if 1.0 <= radio_range * radio_range < 2.0:
-        topology._memo["lattice"] = width
-    if -1 in topology.distances_from(0):
-        raise DisconnectedGraphError(
-            f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
-        )
+    if lattice is not None:
+        topology._memo["lattice"] = lattice
     if not 0 <= topology.sink < n:
         raise ValueError(f"sink: node {topology.sink} outside [0, {n})")
     for s in topology.sources:

@@ -21,6 +21,16 @@ from wsnpriv.rng import SimRng
 from random_fields import all_pairs_adjacency, random_field
 
 
+@pytest.fixture
+def fresh_lattices():
+    """An empty shape cache before and after a test that patches netsim's
+    internals, so build_grid reruns its checks under the patch and no shape
+    built under it outlives the test."""
+    netsim._lattice.cache_clear()
+    yield
+    netsim._lattice.cache_clear()
+
+
 def lattice_neighbors(width, height, x, y, radio_range):
     """Independent oracle: enumerate all lattice points within range."""
     out = set()
@@ -165,6 +175,7 @@ def hash_pair_tests(positions, radio_range):
                for i, (ax, ay) in enumerate(cells) for bx, by in cells[i + 1:])
 
 
+@pytest.mark.usefixtures("fresh_lattices")
 @pytest.mark.parametrize("width,height,radio_range", [
     (9, 6, 1.5), (13, 4, 0.7), (1, 17, 2.5), (8, 8, 3.9), (7, 5, 1e300), (6, 6, math.inf),
 ])
@@ -267,6 +278,7 @@ def test_topology_memo_is_invisible_and_private():
                 assert topo.distances_from(o) == bfs_distances(topo, o), (width, height, radio_range, o)
 
 
+@pytest.mark.usefixtures("fresh_lattices")
 def test_only_range_one_lattices_skip_the_bfs(monkeypatch):
     field = random_field(40, 5.0, 1.6, SimRng(5))
 
@@ -282,3 +294,30 @@ def test_only_range_one_lattices_skip_the_bfs(monkeypatch):
         build_grid(30, 30, radio_range=1.5)
     with pytest.raises(AssertionError, match="bfs_distances called"):
         field.distances_from(1)
+
+
+# --- one shape's tables, shared across build_grid calls ---
+
+@pytest.mark.parametrize("radio_range", [1.0, 1.5])
+def test_grids_of_one_shape_share_tables_but_not_their_memo(radio_range):
+    a = build_grid(7, 5, radio_range, sink=0, sources=(34,))
+    b = build_grid(7, 5, radio_range, sink=17, sources=(3, 30))
+    assert a.positions is b.positions and a.adjacency is b.adjacency
+    assert a._memo is not b._memo
+    assert (a.sink, a.sources, b.sink, b.sources) == (0, (34,), 17, (3, 30))
+    # Rows and distances built on a are a's alone.
+    row, dist = a.step_row(10), a.distances_from(17)
+    assert ("bfs", 17) not in b._memo
+    assert b.step_table()[10] is None
+    assert b.distances_from(17) == dist and b.distances_from(17) is not dist
+    assert b.step_row(10) == row and b.step_row(10) is not row
+    assert netsim._lattice.cache_info().maxsize is not None  # a bounded LRU
+
+
+def test_grid_refusals_raise_on_every_call():
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError, match="^radio_range: field of 9 nodes"):
+            build_grid(3, 3, 0.5)
+        # 20,000 nodes in one cell: 2e8 node pairs, over the cap.
+        with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs over 100000000 node-pair"):
+            build_grid(200, 100, radio_range=1e300)

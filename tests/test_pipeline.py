@@ -4,6 +4,7 @@ import random
 import networkx as nx
 import pytest
 
+from wsnpriv import netsim
 from wsnpriv.netsim import bfs_distances, build_grid
 from wsnpriv.phantom import WalkConfig, WalkMode
 from wsnpriv.pipeline import (
@@ -265,6 +266,23 @@ def test_pipeline_deterministic():
         sort_keys=True,
     )
     assert doc1 != other
+
+
+@pytest.mark.parametrize("radio_range", [1.0, 1.5])
+def test_runs_on_one_shape_do_not_leak_through_shared_tables(radio_range):
+    # Two runs on one grid shape, with different sinks and sources, share
+    # the shape's tables; each must report as it does on a fresh cache.
+    configs = [
+        base_config(level=PrivacyLevel.FULL, radio_range=radio_range, sources=(22, 24),
+                    readings={22: 5, 24: 7}, receptor_length=4),
+        base_config(level=PrivacyLevel.ANONYMITY_ONLY, radio_range=radio_range, sink=12,
+                    sources=(0, 4, 20), readings={0: 1, 4: 2, 20: 3},
+                    walk=WalkConfig(WalkMode.DIRECTED, 3)),
+    ]
+    back_to_back = [run_pipeline(config).to_doc() for config in configs]
+    for config, doc in zip(configs, back_to_back):
+        netsim._lattice.cache_clear()
+        assert run_pipeline(config).to_doc() == doc
 
 
 def test_two_way_delivery_route():
