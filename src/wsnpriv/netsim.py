@@ -8,8 +8,9 @@ any adjacency.  A broadcast is heard by every neighbour of its sender.
 Hop distances on a range-1 lattice are |dx| + |dy| in closed form; every
 other field runs bfs_distances.  A grid shape's positions, adjacency and
 connectivity verdict are built once per process, in a bounded LRU
-(~160-170 B per node at range 1); hop distances and walk-step rows stay per
-Topology.
+(~160-170 B per node at range 1), with one walk-step table that every
+Topology of the shape fills and reads (~550 B per node once every row is
+built).  Hop distances stay per Topology.
 """
 
 from __future__ import annotations
@@ -31,19 +32,24 @@ NodeId = int
 GRID_MAX_NODES = 10**6  # a larger lattice fails as bad input, not as a MemoryError
 # The most node pairs a grid may hold in touching cells of side r * (1 + 1e-9).
 PAIR_TESTS_MAX = 10**8  # 1000x1000 at range 1 holds 4e6
-LATTICE_CACHE_SIZE = 32  # grid shapes kept by build_grid: 32 of 30x30 at range 1 hold ~4.9 MB
+# Grid shapes kept by build_grid: 32 of 30x30 at range 1 hold ~4.9 MB, and
+# ~16 MB more once every step row of every shape is built.
+LATTICE_CACHE_SIZE = 32
 
 
 class DisconnectedGraphError(ValueError):
     """Raised for a disconnected field, or a destination no path reaches."""
 
 
-# One walk step's draw: k random bits index a slot tuple of 2**k entries
-# holding the candidates, then None for each value Random.choice rejects.
-# Random.choice(seq) draws k = len(seq).bit_length() bits and redraws while
-# they index past the end; phantom's walk repeats those exact calls, so a
-# walk consumes its stream as a choice()-based walk would.
-StepDraw = tuple[int, tuple[NodeId | None, ...]]
+# A node's walk steps, (k, {prev: slots}): k random bits index a slots tuple
+# of 2**k entries holding the candidates, then None for each value
+# Random.choice rejects; every prev leaves as many candidates, so one k
+# serves them all.  Random.choice(seq) draws k = len(seq).bit_length() bits
+# and redraws while they index past the end; phantom's walk repeats those
+# exact calls, so a walk consumes its stream as a choice()-based walk would.
+# Every build_grid Topology of one shape reads one table of these rows (~550
+# B per node at range 1 once built); hop distances stay per Topology.
+StepDraw = tuple[int, dict[NodeId, tuple[NodeId | None, ...]]]
 
 
 @dataclass(frozen=True)
@@ -83,13 +89,12 @@ class Topology:
             self._memo[key] = dist
         return dist
 
-    def step_row(self, cur: NodeId) -> dict[NodeId | None, StepDraw]:
+    def step_row(self, cur: NodeId) -> StepDraw:
         """Non-backtracking walk steps out of `cur`, built on first use.
 
-        step_row(cur)[prev] is the draw over cur's neighbours other than
-        prev (all of them when prev is the only one; prev is None at a
-        walk's start).  Empty for a node without neighbours.  Every prev
-        leaves as many candidates, so one (k, pad) serves them all.
+        With (k, slots) = step_row(cur), slots[prev] is the draw over cur's
+        neighbours other than prev (all of them when prev is the only one).
+        slots is empty for a node without neighbours.
         """
         rows = self.step_table()
         row = rows[cur]
@@ -98,19 +103,18 @@ class Topology:
             m = max(len(nbrs) - 1, 1)
             k = m.bit_length()
             pad = (None,) * ((1 << k) - m)
-            row = rows[cur] = {}
-            for i, prev in enumerate(nbrs):
-                row[prev] = k, (nbrs[:i] + nbrs[i + 1:] or nbrs) + pad
-            if nbrs:
-                k = len(nbrs).bit_length()
-                row[None] = k, nbrs + (None,) * ((1 << k) - len(nbrs))
+            row = rows[cur] = k, {
+                prev: (nbrs[:i] + nbrs[i + 1:] or nbrs) + pad for i, prev in enumerate(nbrs)
+            }
         return row
 
-    def step_table(self) -> list[dict[NodeId | None, StepDraw] | None]:
+    def step_table(self) -> list[StepDraw | None]:
         """The step_row of every node, None where not built yet.
 
         For loops that index rows directly instead of calling step_row on
-        every step; only rows a walk visits are ever built.
+        every step; only rows a walk visits are ever built.  Every
+        build_grid Topology of one shape shares one table; a Topology
+        built directly has its own.
         """
         rows = self._memo.get("steps")
         if rows is None:
@@ -221,7 +225,8 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _lattice(width: int, height: int, radio_range: float) -> tuple:
-    """(positions, adjacency, width at range 1 else None) of a connected grid.
+    """(positions, adjacency, width at range 1 else None, step table) of a
+    connected grid; the step table starts empty and fills as walks visit it.
 
     Range 1 is 1 <= r*r < 2 in _grid_adjacency's float test (4 neighbours
     per node): always connected, and distances_from needs no BFS there.
@@ -236,7 +241,7 @@ def _lattice(width: int, height: int, radio_range: float) -> tuple:
         raise DisconnectedGraphError(
             f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
         )
-    return positions, adjacency, lattice
+    return positions, adjacency, lattice, [None] * len(positions)
 
 
 def build_grid(
@@ -254,9 +259,10 @@ def build_grid(
     At range 1 it records the width, so distances_from needs no BFS.
 
     A shape's positions, adjacency and connectivity verdict are built once
-    per process (_lattice, a bounded LRU at ~160-170 B per node at range 1).
-    Each call returns a new Topology with its own roles and memo, so hop
-    distances and walk-step rows stay per Topology.
+    per process (_lattice, a bounded LRU at ~160-170 B per node at range 1),
+    and so is its step table: every Topology of the shape fills and reads
+    one (~550 B per node once every row is built).  Each call returns a new
+    Topology with its own roles and memo, so hop distances stay per Topology.
 
     Default roles: sink at node 0 (one corner), single source at the
     opposite corner.
@@ -268,13 +274,14 @@ def build_grid(
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
     if not radio_range >= 1e-9:  # also NaN; far smaller ranges overflow the cell count
         raise ValueError("radio_range: must be >= 1e-9")
-    positions, adjacency, lattice = _lattice(width, height, radio_range)
+    positions, adjacency, lattice, steps = _lattice(width, height, radio_range)
     topology = Topology(
         positions=positions,
         adjacency=adjacency,
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),
     )
+    topology._memo["steps"] = steps
     if lattice is not None:
         topology._memo["lattice"] = lattice
     if not 0 <= topology.sink < n:

@@ -119,19 +119,28 @@ def _walk(
 ) -> bool:
     """Extend `route` by up to `steps` pure steps; True if it ends in `stop`.
 
-    Each step draws from step_row(cur)[prev] as choice() would, prev being
-    route[-2] (None on a one-node route).  route[-1] must have neighbours.
+    A one-node route's first step is choice(adjacency[cur]).  Every later
+    step draws from step_row(cur)[1][prev] as choice() would, prev being
+    route[-2]; build_grid topologies of one shape share those rows.
+    route[-1] must have neighbours.
     """
     rows = topology.step_table()
     getrandbits = rng.getrandbits
     append = route.append
-    cur = route[-1]
-    prev = route[-2] if len(route) > 1 else None
+    if len(route) == 1:  # no prev: the first step may take any neighbour
+        if steps < 1:
+            return False
+        append(rng.choice(topology.adjacency[route[0]]))
+        if route[-1] in stop:
+            return True
+        steps -= 1
+    prev, cur = route[-2:]
     for _ in repeat(None, steps):
         row = rows[cur]
         if row is None:
             row = topology.step_row(cur)
-        k, slots = row[prev]
+        k, by_prev = row
+        slots = by_prev[prev]
         nxt = slots[getrandbits(k)]
         while nxt is None:
             nxt = slots[getrandbits(k)]

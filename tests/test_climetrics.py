@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnpriv import netsim
 from wsnpriv.cli import main, run_scenarios
 from wsnpriv.climetrics import (
     SPPDA_DIST,
@@ -170,6 +171,24 @@ def test_montecarlo_csv_deterministic():
     assert csv1 == csv2
     assert csv1.splitlines()[0].startswith("trial,strategy,walk_hops")
     assert len(csv1.splitlines()) == 1 + 2 * 5
+
+
+def test_montecarlo_rows_do_not_depend_on_a_shape_an_earlier_campaign_walked():
+    # build_grid shares one step table per shape across calls: a campaign on
+    # a table another campaign filled must emit what it emits on an empty one.
+    later = HuntCampaign(
+        grids=((7, 6),), strategies=("twoway:3", "phantom:4"), trials=4,
+        message_budget=30, master_seed=5,
+    )
+    netsim._lattice.cache_clear()
+    montecarlo_hunt(HuntCampaign(
+        grids=((7, 6),), strategies=("phantom:6",), trials=3,
+        message_budget=30, master_seed=11,
+    ))
+    assert any(row is not None for row in build_grid(7, 6).step_table())
+    on_filled_table = montecarlo_hunt(later)
+    netsim._lattice.cache_clear()
+    assert montecarlo_hunt(later) == on_filled_table
 
 
 def test_montecarlo_quantile_ordering():

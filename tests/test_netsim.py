@@ -233,6 +233,7 @@ def test_table_draw_matches_random_choice(seed, leaves, draws):
     assert table_rng.getstate() == choice_rng.getstate()
 
 
+@pytest.mark.usefixtures("fresh_lattices")
 def test_step_table_is_the_non_backtracking_rule():
     field = random_field(60, 10.0, 2.5, SimRng(4))
     # build_grid(1, 1) and (1, 4) have nodes of degree 0 and 1.
@@ -242,8 +243,9 @@ def test_step_table_is_the_non_backtracking_rule():
         for cur, nbrs in enumerate(topo.adjacency):
             row = topo.step_row(cur)
             assert row is topo.step_table()[cur] is topo.step_row(cur)
-            assert set(row) == ({None, *nbrs} if nbrs else set())
-            for prev, (k, slots) in row.items():
+            k, by_prev = row
+            assert set(by_prev) == set(nbrs)  # a walk's first step has no row
+            for prev, slots in by_prev.items():
                 candidates = tuple(n for n in slots if n is not None)
                 assert candidates == (tuple(n for n in nbrs if n != prev) or nbrs)
                 assert k == len(candidates).bit_length() and len(slots) == 2**k
@@ -259,11 +261,12 @@ def test_topology_memo_is_invisible_and_private():
     a.step_row(0)
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert len({a, b}) == 1
-    # b filled nothing from a's memo: its tables are its own objects.
+    # b filled nothing from a's memo: its distances are its own objects,
+    # while the shape's step rows are one table that both read.
     assert b.distances_from(9) == a.distances_from(9)
     assert b.distances_from(9) is not a.distances_from(9)
-    assert b.step_table() is not a.step_table()
-    assert b.step_row(0) == a.step_row(0) and b.step_row(0) is not a.step_row(0)
+    assert b._memo is not a._memo
+    assert b.step_table() is a.step_table() and b.step_row(0) is a.step_row(0)
     # A different field with the same node count gets its own distances.
     c = build_grid(8, 8, radio_range=1.5)
     assert c.distances_from(0) != a.distances_from(0)
@@ -305,13 +308,24 @@ def test_grids_of_one_shape_share_tables_but_not_their_memo(radio_range):
     assert a.positions is b.positions and a.adjacency is b.adjacency
     assert a._memo is not b._memo
     assert (a.sink, a.sources, b.sink, b.sources) == (0, (34,), 17, (3, 30))
-    # Rows and distances built on a are a's alone.
+    # Distances built on a are a's alone; a step row built on a is b's too.
     row, dist = a.step_row(10), a.distances_from(17)
     assert ("bfs", 17) not in b._memo
-    assert b.step_table()[10] is None
+    assert b.step_table() is a.step_table() and b.step_table()[10] is row
     assert b.distances_from(17) == dist and b.distances_from(17) is not dist
-    assert b.step_row(10) == row and b.step_row(10) is not row
+    assert b.step_row(10) is row
     assert netsim._lattice.cache_info().maxsize is not None  # a bounded LRU
+
+
+def test_topologies_built_directly_keep_their_own_step_tables():
+    grid = build_grid(4, 3)
+    a = Topology(grid.positions, grid.adjacency, 0, (11,))
+    b = Topology(grid.positions, grid.adjacency, 0, (11,))
+    assert a == b
+    assert a.step_table() is not b.step_table() and a.step_table() is not grid.step_table()
+    row = a.step_row(5)
+    assert b.step_table()[5] is None
+    assert b.step_row(5) == row and b.step_row(5) is not row
 
 
 def test_grid_refusals_raise_on_every_call():

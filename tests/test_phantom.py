@@ -50,6 +50,32 @@ def test_walk_from_a_node_without_neighbours_stays_and_draws_nothing(mode):
     assert rng.getstate() == state
 
 
+def test_walk_first_step_draws_as_choice_over_the_adjacency():
+    # A one-node route's first step has no prev: it draws from the whole
+    # adjacency, consuming the stream as Random.choice does, at degrees 1-8.
+    fields = (build_grid(1, 4), build_grid(5, 4), build_grid(5, 4, radio_range=1.5),
+              random_field(60, 10.0, 2.5, SimRng(4)))
+    degrees = set()
+    for topo in fields:
+        for cur, nbrs in enumerate(topo.adjacency):
+            degrees.add(len(nbrs))
+            for seed in range(8):
+                a, b = SimRng(seed, "first-step"), SimRng(seed, "first-step")
+                route = [cur]
+                assert phantom._walk(topo, route, 1, (), a) is False
+                assert route == [cur, b.choice(nbrs)]
+                assert a.getstate() == b.getstate()
+                # A first step into `stop` ends the walk there.
+                route = [cur]
+                assert phantom._walk(topo, route, 5, set(nbrs), a) is True
+                assert route == [cur, b.choice(nbrs)]
+                # A 0-step walk draws nothing.
+                state = a.getstate()
+                assert phantom._walk(topo, [cur], 0, (), a) is False
+                assert a.getstate() == b.getstate() == state
+    assert degrees >= set(range(1, 9))
+
+
 def test_walk_structure_many_seeds():
     topo = build_grid(5, 5)
     for seed in range(50):
