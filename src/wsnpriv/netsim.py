@@ -6,11 +6,11 @@ plus one or more source nodes.  Every experiment runs on a build_grid
 lattice, which refuses a disconnected field; a Topology built directly takes
 any adjacency.  A broadcast is heard by every neighbour of its sender.
 Hop distances on a range-1 lattice are |dx| + |dy| in closed form; every
-other field runs bfs_distances.  A grid shape's positions, adjacency and
-connectivity verdict are built once per process, in a bounded LRU
-(~160-170 B per node at range 1), with one walk-step table that every
-Topology of the shape fills and reads (~550 B per node once every row is
-built).  Hop distances stay per Topology.
+other field runs bfs_distances.  A grid shape's positions and adjacency
+are built once per process, in a bounded LRU (~160-170 B per node at range
+1), with one walk-step table that every build_grid Topology of the shape
+fills and reads (~550 B per node once every row is built).  Hop distances
+stay per Topology.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class DisconnectedGraphError(ValueError):
 # serves them all.  Random.choice(seq) draws k = len(seq).bit_length() bits
 # and redraws while they index past the end; phantom's walk repeats those
 # exact calls, so a walk consumes its stream as a choice()-based walk would.
-# Every build_grid Topology of one shape reads one table of these rows (~550
-# B per node at range 1 once built); hop distances stay per Topology.
 StepDraw = tuple[int, dict[NodeId, tuple[NodeId | None, ...]]]
 
 
@@ -112,9 +110,8 @@ class Topology:
         """The step_row of every node, None where not built yet.
 
         For loops that index rows directly instead of calling step_row on
-        every step; only rows a walk visits are ever built.  Every
-        build_grid Topology of one shape shares one table; a Topology
-        built directly has its own.
+        every step; only rows a walk visits are ever built.  A Topology
+        built directly has its own table.
         """
         rows = self._memo.get("steps")
         if rows is None:
@@ -128,12 +125,12 @@ def _grid_adjacency(
     """Adjacency of the width x height unit lattice, linked by offset.
 
     A node links to the offsets (dx, dy) on the lattice with float(dx)**2 +
-    float(dy)**2 <= r**2; rows are built a run of nodes at a time, from
-    slices of one id list.  Before any row is built, a range is refused if
-    over PAIR_TESTS_MAX node pairs lie in touching cells (equal or adjacent
-    in both axes) of side r * (1 + 1e-9).  A cell holds (lattice columns in
-    its x span) x (lattice rows in its y span) nodes, so the count comes
-    from per-axis sums.
+    float(dy)**2 <= r**2; rows are built a lattice row at a time, from
+    slices of one padded id list.  Before any row is built, a range is
+    refused if over PAIR_TESTS_MAX node pairs lie in touching cells (equal
+    or adjacent in both axes) of side r * (1 + 1e-9).  A cell holds (lattice
+    columns in its x span) x (lattice rows in its y span) nodes, so the
+    count comes from per-axis sums.
     """
     n = width * height
     if n * (n - 1) // 2 > PAIR_TESTS_MAX:  # fewer pairs in all than the cap: nothing to count
@@ -163,35 +160,25 @@ def _grid_adjacency(
     tall, side = len(reach) - 1, reach[0]
     if not (tall or side):  # a lone node, or a range short of the lattice pitch
         return ((),) * (width * height)
-    # A run of a row's nodes has equal room (capped at the reach) to each
-    # edge, so its members share one list of id offsets, and the ids at one
-    # offset from the run are a slice of ids.  Rows with equal room above
-    # and below share their runs.
-    cuts = sorted({*range(side + 1), *range(width - side, width + 1)})
-    ids = list(range(width * height))  # one int object per node id in every row
-    runs: dict[tuple[int, int], list[tuple[int, int, list[int]]]] = {}
+    # Each lattice row padded with -1 to the reach on both sides, and tall
+    # rows of -1 above and below, in one list holding one int object per
+    # node id: a whole row's neighbours at one stencil offset are one slice.
+    # The offsets ascend (|dx| <= side < padded / 2), so every row is sorted.
+    padded = width + 2 * side
+    ids = [-1] * (tall * padded)
+    for y in range(height):
+        ids += [-1] * side
+        ids += range(y * width, y * width + width)
+        ids += [-1] * side
+    ids += [-1] * (tall * padded)
+    offsets = [dy * padded + dx for dy in range(-tall, tall + 1)
+               for dx in range(-reach[abs(dy)], reach[abs(dy)] + 1) if dy or dx]
     rows: list[tuple[NodeId, ...]] = []
     for y in range(height):
-        room = min(y, tall), min(height - 1 - y, tall)
-        if room not in runs:
-            runs[room] = [(a, b, _offsets(width, reach, a, room)) for a, b in zip(cuts, cuts[1:])]
-        for a, b, offsets in runs[room]:
-            start, stop = y * width + a, y * width + b
-            if stop - start > 1:
-                rows += zip(*[ids[start + d:stop + d] for d in offsets])
-            else:  # one slice per offset costs more than one lookup
-                rows.append(tuple([ids[start + d] for d in offsets]))
+        start = (y + tall) * padded + side
+        for row in zip(*[ids[start + d:start + d + width] for d in offsets]):
+            rows.append(row if -1 not in row else tuple([j for j in row if j >= 0]))
     return tuple(rows)
-
-
-def _offsets(width: int, reach: list[int], x: int, room: tuple[int, int]) -> list[int]:
-    """Sorted id offsets in range of column x, with room[0] rows below and room[1] above."""
-    offsets: list[int] = []
-    for dy in range(-room[0], room[1] + 1):
-        r = reach[abs(dy)]
-        offsets += range(dy * width - min(x, r), dy * width + min(width - 1 - x, r) + 1)
-    offsets.remove(0)
-    return offsets
 
 
 def bfs_distances(topology: Topology, origin: NodeId) -> list[int]:
@@ -213,7 +200,8 @@ def bfs_distances(topology: Topology, origin: NodeId) -> list[int]:
 def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> list[NodeId]:
     """A shortest path origin -> destination, read off the memoized hop
     distances from the destination (distances_from): each hop goes to the
-    lowest-id neighbour one hop nearer."""
+    lowest-id neighbour one hop nearer.  No caller in the package: kept
+    while benchmarks/tracer.py traces it, as test_every_traced_name_resolves checks."""
     dist = topology.distances_from(destination)
     if dist[origin] < 0:
         raise DisconnectedGraphError(f"no path from {origin} to {destination}")
@@ -225,23 +213,28 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _lattice(width: int, height: int, radio_range: float) -> tuple:
-    """(positions, adjacency, width at range 1 else None, step table) of a
-    connected grid; the step table starts empty and fills as walks visit it.
+    """(positions, adjacency, memo entries) of a connected grid.  The memo
+    entries are an empty step table, which fills as walks visit it, and at
+    range 1 the width.
 
-    Range 1 is 1 <= r*r < 2 in _grid_adjacency's float test (4 neighbours
-    per node): always connected, and distances_from needs no BFS there.
-    A refusal is never cached, so it raises again on every call.
+    _grid_adjacency's float test links pitch-1 neighbours iff r*r >= 1, and
+    those links alone connect the lattice; below that no node has a link.
+    Range 1 is 1 <= r*r < 2 (4 neighbours per node), where distances_from
+    needs no BFS.  A refusal is never cached, so it raises again on every call.
     """
     adjacency = _grid_adjacency(width, height, radio_range)
-    xs = list(map(float, range(width)))  # one float object per coordinate
-    positions = tuple([(x, y) for y in map(float, range(height)) for x in xs])
-    lattice = width if 1.0 <= radio_range * radio_range < 2.0 else None
-    if lattice is None and -1 in bfs_distances(Topology(positions, adjacency, 0, ()), 0):
-        n = len(positions)
+    n = width * height
+    r2 = radio_range * radio_range
+    if n > 1 and r2 < 1.0:
         raise DisconnectedGraphError(
             f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
         )
-    return positions, adjacency, lattice, [None] * len(positions)
+    xs = list(map(float, range(width)))  # one float object per coordinate
+    positions = tuple([(x, y) for y in map(float, range(height)) for x in xs])
+    memo = {"steps": [None] * n}
+    if 1.0 <= r2 < 2.0:
+        memo["lattice"] = width
+    return positions, adjacency, memo
 
 
 def build_grid(
@@ -253,16 +246,12 @@ def build_grid(
 ) -> Topology:
     """width x height unit lattice.  Node id = y * width + x.
 
-    Nodes within radio_range are linked by id offset, a run of equally
-    placed nodes at a time; a range linking too many node pairs is refused
-    first (_grid_adjacency).  Positions share one float object per coordinate.
-    At range 1 it records the width, so distances_from needs no BFS.
-
-    A shape's positions, adjacency and connectivity verdict are built once
-    per process (_lattice, a bounded LRU at ~160-170 B per node at range 1),
-    and so is its step table: every Topology of the shape fills and reads
-    one (~550 B per node once every row is built).  Each call returns a new
-    Topology with its own roles and memo, so hop distances stay per Topology.
+    Nodes within radio_range are linked by id offset, a lattice row at a
+    time; a range linking too many node pairs is refused first
+    (_grid_adjacency), then a field of more than one node short of range 1.
+    Positions share one float object per coordinate.  At range 1 it records
+    the width, so distances_from needs no BFS.  Each call returns a new
+    Topology with its own roles and memo over its shape's shared tables.
 
     Default roles: sink at node 0 (one corner), single source at the
     opposite corner.
@@ -274,16 +263,14 @@ def build_grid(
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
     if not radio_range >= 1e-9:  # also NaN; far smaller ranges overflow the cell count
         raise ValueError("radio_range: must be >= 1e-9")
-    positions, adjacency, lattice, steps = _lattice(width, height, radio_range)
+    positions, adjacency, memo = _lattice(width, height, radio_range)
     topology = Topology(
         positions=positions,
         adjacency=adjacency,
         sink=0 if sink is None else sink,
         sources=(n - 1,) if sources is None else tuple(sources),
     )
-    topology._memo["steps"] = steps
-    if lattice is not None:
-        topology._memo["lattice"] = lattice
+    topology._memo.update(memo)
     if not 0 <= topology.sink < n:
         raise ValueError(f"sink: node {topology.sink} outside [0, {n})")
     for s in topology.sources:

@@ -54,3 +54,13 @@ def test_golden_matrix_file_list_collects():
     collected = proc.stdout.splitlines()
     for file in files:
         assert any(line.startswith(file.partition("::")[0] + "::") for line in collected), file
+
+
+def test_ci_installs_exactly_the_test_extra():
+    # A regex, not tomllib, so this runs on 3.10 as well.
+    extra = re.search(r"(?m)^test\s*=\s*\[([^\]]*)\]", (ROOT / "pyproject.toml").read_text())
+    packages = sorted(re.findall(r'"([^"]+)"', extra.group(1)))
+    installs = [run.split()[4:] for run in run_lines() if run.startswith("python -m pip install ")]
+    assert installs and packages
+    for named in installs:
+        assert sorted(named) == packages, named

@@ -91,7 +91,9 @@ STENCIL_RANGES = [0.3, 0.5, 1.0, 1 + 1e-9, math.sqrt(2), 1.5, 2.5, 7.3, 1e18, 1e
 
 def test_grid_stencil_matches_all_pairs():
     # Lattices wider and taller than 2 * reach + 1 (15 at range 7.3) have
-    # interior runs as well as edge runs at every finite range up to 7.3.
+    # nodes no padding reaches as well as edge nodes at every finite range
+    # up to 7.3.  build_grid refuses exactly the fields the oracle's graph
+    # leaves disconnected.
     shapes = [(w, h, r) for w in range(1, 13) for h in range(1, 13) for r in STENCIL_RANGES]
     shapes += [(w, h, r) for w, h in ((17, 3), (3, 17), (16, 16), (20, 20))
                for r in STENCIL_RANGES if r <= 7.3]
@@ -99,8 +101,14 @@ def test_grid_stencil_matches_all_pairs():
         positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
         expected = all_pairs_adjacency(positions, radio_range)
         assert _grid_adjacency(width, height, radio_range) == expected
-        if radio_range >= 1:  # the builder refuses a disconnected field
+        graph = nx.Graph()
+        graph.add_nodes_from(range(len(positions)))
+        graph.add_edges_from((a, b) for a, nbrs in enumerate(expected) for b in nbrs)
+        if nx.is_connected(graph):
             assert build_grid(width, height, radio_range).adjacency == expected
+        else:
+            with pytest.raises(DisconnectedGraphError, match="^radio_range: field of "):
+                build_grid(width, height, radio_range)
 
 
 def test_infinite_range_grid_is_complete():
@@ -110,9 +118,10 @@ def test_infinite_range_grid_is_complete():
     )
 
 
-@pytest.mark.parametrize("radio_range", [1.0, 2.5])
+@pytest.mark.parametrize("radio_range", [1.0, 2.5, 7.3])
 def test_grid_rows_share_one_int_per_node(radio_range):
     # Identity lets list.index, `in` and dict lookups on walks skip __eq__.
+    # At 7.3 padding shows on every row and column, so rows are filtered.
     topo = build_grid(30, 30, radio_range)
     first = {}
     for row in topo.adjacency:
@@ -293,8 +302,11 @@ def test_only_range_one_lattices_skip_the_bfs(monkeypatch):
     for o in range(lattice.node_count):
         y, x = divmod(o, 30)
         assert lattice.distances_from(o)[-1] == (29 - x) + (29 - y)
+    # Connectivity is a range rule, so no build runs a BFS; off range 1
+    # distances_from still does.
+    wide = build_grid(30, 30, radio_range=1.5)
     with pytest.raises(AssertionError, match="bfs_distances called"):
-        build_grid(30, 30, radio_range=1.5)
+        wide.distances_from(0)
     with pytest.raises(AssertionError, match="bfs_distances called"):
         field.distances_from(1)
 
