@@ -13,7 +13,6 @@ import contextlib
 import csv
 import enum
 import io
-import itertools
 import json
 import pathlib
 import statistics
@@ -25,7 +24,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 from .netsim import NodeId, build_grid
 from .phantom import TwoWay, WalkConfig, WalkMode, hunt
 from .pipeline import PipelineConfig, PrivacyLevel
-from .ppda import PrimeField, SppdaCluster, run_cpda
+from .ppda import SppdaCluster
 from .rng import SimRng
 
 __all__ = [
@@ -177,46 +176,34 @@ def _timed_rows(rows: list[tuple[str, int, typing.Callable[[], None]]],
             for (scheme, size, _), row in zip(rows, samples)]
 
 
-def _pairs_round(pairs: int, master_seed: int, field_: PrimeField):
-    """One warm round over `pairs` clusters set up from the bench/pairs streams."""
-    rng = SimRng(master_seed, f"bench/pairs:{pairs}")
-    clusters = [SppdaCluster(rng.stream(f"setup:{i}"), field_=field_) for i in range(pairs)]
+def _warm_rounds(clusters: int, n: int, master_seed: int):
+    """One warm round over `clusters` n-party clusters set up from the
+    bench/rounds:<clusters>x<n> streams."""
+    rng = SimRng(master_seed, f"bench/rounds:{clusters}x{n}")
+    built = [SppdaCluster(rng.stream(f"setup:{i}"), node_ids=tuple(range(n)))
+             for i in range(clusters)]
     vals = rng.stream("values")
 
     def all_rounds():
-        for c in clusters:  # fresh x, y, z per cluster
-            c.run_round(*(vals.randrange(field_.p) for _ in range(3)))
+        for c in built:  # fresh values per cluster
+            c.run_round(*(vals.randrange(c.field.p) for _ in range(n)))
     return all_rounds
-
-
-def _cpda_round(n: int, master_seed: int, field_: PrimeField):
-    """One run_cpda over n fresh values from the bench/cpda stream of size n."""
-    rng_n = SimRng(master_seed, f"bench/cpda:{n}")
-    vals = rng_n.stream("values")
-    counter = itertools.count(1)
-
-    def one_round():
-        run_cpda([vals.randrange(field_.p) for _ in range(n)],
-                 rng_n.stream(f"r:{next(counter)}"), field_)
-    return one_round
 
 
 def bench_aggregation(
     sizes: Sequence[int], repetitions: int, master_seed: int = 1
 ) -> list[TimingRow]:
-    """Median per-aggregation cost: fixed-3 scheme plus the n-party baseline.
-
-    The fixed-3 row is bench_pipeline_pairs' one-cluster row: one warm
-    round.  All rows are timed together, interleaved."""
+    """Median cost of one warm round: the fixed-3 scheme, then CPDA at each
+    size, each an SppdaCluster of that size set up beforehand, so both send
+    their sealed frames.  All rows are timed together, interleaved."""
     if repetitions < 30:
         raise ValueError("repetitions: must be >= 30 for stable medians")
     for n in sizes:
         if n not in CLUSTER_SIZES:
             raise ValueError(
                 f"sizes: cluster sizes must lie in [{CLUSTER_SIZES[0]}, {CLUSTER_SIZES[-1]}]")
-    field_ = PrimeField()
-    rows = [("sppda", 3, _pairs_round(1, master_seed, field_))]
-    rows += [("cpda", n, _cpda_round(n, master_seed, field_)) for n in sizes]
+    rows = [("sppda", 3, _warm_rounds(1, 3, master_seed))]
+    rows += [("cpda", n, _warm_rounds(1, n, master_seed)) for n in sizes]
     return _timed_rows(rows, repetitions)
 
 
@@ -224,8 +211,7 @@ def bench_pipeline_pairs(
     pair_counts: list[int], repetitions: int, master_seed: int = 1
 ) -> list[TimingRow]:
     """Total fixed-3 aggregation cost over S clusters; contract is linear growth."""
-    field_ = PrimeField()
-    rows = [("sppda-pipeline", pairs, _pairs_round(pairs, master_seed, field_))
+    rows = [("sppda-pipeline", pairs, _warm_rounds(pairs, 3, master_seed))
             for pairs in pair_counts]
     return _timed_rows(rows, repetitions)
 

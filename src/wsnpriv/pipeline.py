@@ -195,9 +195,9 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
                 node_ids=(cluster.af, cluster.s1, cluster.s2),
             )
             result, transcript = sppda.run_round(
-                x=config.readings[cluster.s1],
-                y=config.readings[cluster.s2],
-                z=config.aggregator_dummy,
+                config.readings[cluster.s1],
+                config.readings[cluster.s2],
+                config.aggregator_dummy,
             )
             report.transcripts.append(transcript)
             # The aggregate leaves from the AF; the gateway records x + y only.

@@ -5,8 +5,8 @@ v + R1*s + R2*s^2 evaluated at per-participant seeds s, over a prime field.
 Summing everyone's share at one seed gives F(s) = D + (sum R1)*s +
 (sum R2)*s^2 with D the sum of all private values, so the aggregator
 recovers D exactly by interpolating the F values at the distinct seeds and
-reading off F(0).  The n-party generalization (degree n-1 masks, n seeds)
-serves as the cluster-based baseline to compare against.
+reading off F(0).  n parties with degree-(n-1) masks make CPDA; `bench` times
+it as warm SppdaCluster rounds, and run_cpda is criterion 1's algebra-only baseline.
 
 All arithmetic is exact; there are no tolerances anywhere in this module.
 """
@@ -126,8 +126,8 @@ class SeedAssignment:
 
 @dataclass(frozen=True)
 class AggregationResult:
-    total: int      # D = x + y + z
-    pair_sum: int   # x + y = D - z
+    total: int      # D, the sum of every participant's value
+    pair_sum: int   # the sources' sum, D - z (x + y at n = 3)
 
 
 def gen_shares(value: int, coeffs: Sequence[int], seeds: SeedAssignment) -> list[int]:
@@ -221,16 +221,14 @@ class RoundTranscript:
         }
 
 
-_PARTICIPANTS = ("A", "S1", "S2")
-
-
 class SppdaCluster:
-    """One (S1, S2, AF) cluster with its key infrastructure set up once.
+    """An (AF, S1, ..., S_{n-1}) cluster, n >= 3, its keys set up once.
 
     The aggregator node doubles as the AF.  run_round executes the full
-    three-party exchange for one set of values: seeds broadcast, shares
-    generated and delivered over the key-managed channels (S1<->S2 via the
+    n-party exchange for one set of values: seeds broadcast, shares
+    delivered over the key-managed channels (source to source via the
     sealed SS relay), per-node sums returned sealed, aggregator solves.
+    n = 3 is the paper's scheme; `bench` times larger n as CPDA.
     """
 
     def __init__(
@@ -239,31 +237,35 @@ class SppdaCluster:
         field_: PrimeField | None = None,
         pool_size: int = 256,
         af_bank: int = 128,
-        node_ids: tuple[int, int, int] = (0, 1, 2),  # (AF, S1, S2)
+        node_ids: tuple[int, ...] = (0, 1, 2),  # (AF, S1, ..., S_{n-1})
         cipher: StreamMacCipher = DEFAULT_CIPHER,
     ):
+        if len(node_ids) < 3:
+            raise ValueError(f"node_ids: need the AF and at least 2 sources, got {list(node_ids)}")
         if len(set(node_ids)) != len(node_ids):
             raise ValueError(f"node_ids: duplicate node ids in {list(node_ids)}")
         self.field = field_ or PrimeField()
         self.cipher = cipher
         self.rng = rng
-        af_id, s1_id, s2_id = node_ids
         setup = rng.stream("keymgmt")
         pool = generate_pool(pool_size, af_bank, setup.stream("pool"))
-        self.af = AggregatorNode(node_id=af_id, bank_af=pool.bank_af)
-        self.s1 = SourceNode(node_id=s1_id, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
-        self.s2 = SourceNode(node_id=s2_id, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
-        register_pair(self.s1, self.af, setup.stream("pair-s1"))
-        register_pair(self.s2, self.af, setup.stream("pair-s2"))
-        establish_ss_channel(self.s1, self.s2, self.af, setup.stream("ss"), cipher)
-        self._nodes = {"A": self.af, "S1": self.s1, "S2": self.s2}
+        self.af = AggregatorNode(node_id=node_ids[0], bank_af=pool.bank_af)
+        self.sources = tuple(SourceNode(node_id=i, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
+                             for i in node_ids[1:])
+        self._nodes = {"A": self.af, **{f"S{i}": s for i, s in enumerate(self.sources, 1)}}
+        for i, source in enumerate(self.sources, 1):
+            register_pair(source, self.af, setup.stream(f"pair-s{i}"))
+        ss = setup.stream("ss")  # one stream for every pair S_i, S_j (i < j), in turn
+        for i, s in enumerate(self.sources):
+            for peer in self.sources[i + 1:]:
+                establish_ss_channel(s, peer, self.af, ss, cipher)
         self._round = 0
 
     def _send(self, kind: str, sender: str, receiver: str, value: int, rng: SimRng,
               frames: list[FrameRecord], fields: dict) -> int:
         """Carry a field element over the sender's link to the receiver and log
         its frame; returns what the receiver decrypts if a decimal in [0, p).
-        S1<->S2 frames are keyed in the SS bank, which the relaying AF cannot open."""
+        Frames between sources are keyed in the SS bank, which the relay AF cannot open."""
         src, dst = self._nodes[sender], self._nodes[receiver]
         a, b = src.node_id, dst.node_id
         if "A" in (sender, receiver):
@@ -278,28 +280,34 @@ class SppdaCluster:
             raise ProtocolError(f"payload {opened[:32]!r} is not an element of GF({self.field.p})")
         return got
 
-    def run_round(self, x: int, y: int, z: int) -> tuple[AggregationResult, RoundTranscript]:
+    def run_round(self, *values: int) -> tuple[AggregationResult, RoundTranscript]:
+        """One round over the sources' readings, then the AF's own value z."""
+        names = tuple(self._nodes)
+        if len(values) != len(names):
+            raise ValueError(f"values: need {len(names)}, the sources' then the AF's, "
+                             f"got {len(values)}")
+        *readings, z = values
         self._round += 1
         rng = self.rng.stream(f"round:{self._round}")
         f = self.field
 
         # Aggregator broadcasts distinct nonzero seeds (plaintext).
-        seeds = SeedAssignment.draw(_PARTICIPANTS, f, rng.stream("seeds"))
+        seeds = SeedAssignment.draw(names, f, rng.stream("seeds"))
         frames = [FrameRecord(kind="seed-broadcast", sender="A", receiver="*",
                               plaintext_fields={"seeds": list(seeds.seeds)})]
 
-        # Each participant masks its value (A: z, S1: x, S2: y) with r1, r2.
+        # Each participant masks its value with n - 1 coefficients r1, r2, ...
         p = f.p
         shares = []
-        for who, v in zip(_PARTICIPANTS, (z, x, y)):
+        for who, v in zip(names, (z, *readings)):
             draw = rng.stream(f"coeffs:{who}").randrange
-            shares.append(gen_shares(v, [draw(p), draw(p)], seeds))
+            shares.append(gen_shares(v, [draw(p) for _ in names[1:]], seeds))
         # Each node keeps the share at its own seed and sums it with the
         # shares it decrypts off the managed channels.
         chan = rng.stream("channels")
-        held: list[list[int]] = [[] for _ in _PARTICIPANTS]
-        for i, producer in enumerate(_PARTICIPANTS):
-            for j, target in enumerate(_PARTICIPANTS):
+        held: list[list[int]] = [[] for _ in names]
+        for i, producer in enumerate(names):
+            for j, target in enumerate(names):
                 share = shares[i][j]
                 if j != i:
                     share = self._send("share", producer, target, share, chan, frames,
@@ -307,11 +315,11 @@ class SppdaCluster:
                 held[j].append(share)
 
         sums = [node_aggregate(h, f) for h in held]
-        # S1 and S2 return their sums sealed; the aggregator solves from the
+        # The sources return their sums sealed; the aggregator solves from the
         # sums it decrypted plus its own.
         received = [sums[0]] + [
             self._send("node-sum", who, "A", v, chan, frames, {"participant": who})
-            for who, v in zip(_PARTICIPANTS[1:], sums[1:])]
+            for who, v in zip(names[1:], sums[1:])]
 
         total = solve_aggregate(seeds, received)
         result = AggregationResult(total=total, pair_sum=(total - z) % p)
@@ -332,8 +340,8 @@ def run_cpda(
 ) -> int:
     """n-party cluster baseline: degree-(n-1) masks, n x n solve.
 
-    Pure algebra (no key-managed channels); exists to benchmark the
-    quadratic share traffic and solve cost against the fixed-size scheme.
+    Pure algebra (no key-managed channels): criterion 1's baseline.  `bench`
+    times CPDA as warm n-party SppdaCluster rounds, whose frames are sealed.
     """
     n = len(values)
     if n < 3:

@@ -241,7 +241,7 @@ def test_criterion_8_key_management():
     assert run_pipeline(cfg).flows[0].delivered_value == 12
     cluster = SppdaCluster(SimRng(42, "pipeline").stream("cluster:0"))
     cluster.run_round(5, 7, 0)
-    assert cluster.af.held_keys().isdisjoint(set(cluster.s1.bank_ss))
+    assert cluster.af.held_keys().isdisjoint(set(cluster.sources[0].bank_ss))
     print("ACCEPTANCE 8 PASS: select/resolve exhaustive; 1000/1000 tampers caught; "
           "AF holds no SS keys")
 

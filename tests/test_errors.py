@@ -437,12 +437,17 @@ LIBRARY_ERRORS = [  # direct calls no CLI input reaches
     ("seeds", lambda: SeedAssignment(("A", "S1"), (1, 8), PrimeField(7))),
     ("sums", lambda: solve_aggregate(SEEDS, [1, 2])),
     ("values", lambda: run_cpda([1, 2], SimRng(1))),
+    # Once an anonymous unpacking error, and a bare TypeError from run_round.
+    ("node_ids", lambda: SppdaCluster(SimRng(1), node_ids=(0, 1))),
+    ("values", lambda: SppdaCluster(SimRng(1)).run_round(5, 7)),
+    ("values", lambda: SppdaCluster(SimRng(1)).run_round(5, 7, 3, 4)),
 ]
 
 
 @pytest.mark.parametrize("field, call", LIBRARY_ERRORS,
                          ids=["bank_empty", "seeds_count", "seeds_zero", "seeds_repeated",
-                              "sums_count", "values_too_few"])
+                              "sums_count", "values_too_few", "cluster_node_ids_too_few",
+                              "round_values_too_few", "round_values_too_many"])
 def test_library_errors_name_the_field(field, call):
     with pytest.raises(ValueError, match=f"^{field}: "):
         call()

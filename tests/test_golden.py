@@ -3,9 +3,12 @@
 Byte-determinism is checked against recorded bytes, not just "two runs
 match": a refactor or speed-up that changes any CLI file, hunt report,
 flood schedule, pipeline report or aggregation transcript, or that draws
-the random streams differently, fails here.
+the random streams differently, fails here.  The CLI files themselves are
+committed under golden/cli/ as well, so an output change shows in a diff
+row by row; the hunt, flood, pipeline and sppda groups are digests only.
 
-To re-record after an intended output change (say so in CHANGES.md):
+To re-record digests and documents after an intended output change (say so
+in CHANGES.md):
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -17,6 +20,7 @@ import json
 import pathlib
 import pkgutil
 import runpy
+import shutil
 import sys
 
 import pytest
@@ -38,6 +42,8 @@ from wsnpriv.rng import SimRng
 
 HERE = pathlib.Path(__file__).resolve().parent
 DIGESTS = HERE / "golden" / "digests.json"
+CLI_DOCS = HERE / "golden" / "cli"  # the files digest_cli writes, as <run>/<file>
+CLI_DOCS_CAP = 64 * 1024  # bytes over all of CLI_DOCS; larger outputs keep a digest only
 REFERENCE_SCENARIO = HERE.parent / "scenarios" / "reference_sppda.json"
 TRACER = HERE.parent / "benchmarks" / "tracer.py"
 README = HERE.parent / "README.md"
@@ -83,11 +89,18 @@ def _cli_files(out: pathlib.Path, runs) -> dict:
 
 
 def digest_cli(tmp: pathlib.Path) -> dict:
+    """Digests of the files the CLI runs write, keyed as CLI_DOCS lays them out."""
     files = {f"criterion-10/{k}": v
-             for k, v in _cli_files(tmp / "c10", CRITERION_10_ARGV).items()}
+             for k, v in _cli_files(tmp / "criterion-10", CRITERION_10_ARGV).items()}
     files.update({f"twoway/{k}": v
                   for k, v in _cli_files(tmp / "twoway", [TWOWAY_ARGV]).items()})
     return files
+
+
+def _documents(root: pathlib.Path) -> dict:
+    """Every file under root, {relative posix path: bytes}."""
+    return {f.relative_to(root).as_posix(): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
 
 
 def _hunt_log(topo, strategy, rng: SimRng, messages: int) -> list:
@@ -172,6 +185,13 @@ GROUPS = {
 def test_golden_digests(group, tmp_path):
     pinned = json.loads(DIGESTS.read_text())[group]
     assert GROUPS[group](tmp_path) == pinned
+    if group == "cli":  # and the bytes behind those digests, as committed
+        committed = _documents(CLI_DOCS)
+        assert sum(map(len, committed.values())) <= CLI_DOCS_CAP
+        assert committed.keys() == pinned.keys()
+        regenerated = _documents(tmp_path)
+        for name, data in committed.items():
+            assert regenerated[name] == data, f"{CLI_DOCS.name}/{name} differs"
 
 
 def test_every_traced_name_resolves():
@@ -220,6 +240,12 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         doc = {name: fn(pathlib.Path(tmp) / name) for name, fn in GROUPS.items()}
-    DIGESTS.parent.mkdir(exist_ok=True)
+        documents = _documents(pathlib.Path(tmp) / "cli")
+        size = sum(map(len, documents.values()))
+        if size > CLI_DOCS_CAP:
+            sys.exit(f"CLI documents total {size} bytes, over the {CLI_DOCS_CAP}-byte cap")
+        shutil.rmtree(CLI_DOCS, ignore_errors=True)
+        shutil.copytree(pathlib.Path(tmp) / "cli", CLI_DOCS)
     DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {sum(map(len, doc.values()))} digests to {DIGESTS}", file=sys.stderr)
+    print(f"wrote {sum(map(len, doc.values()))} digests to {DIGESTS} and "
+          f"{len(documents)} documents ({size} bytes) to {CLI_DOCS}", file=sys.stderr)

@@ -426,7 +426,7 @@ def test_source_link_only_to_its_af_and_ss_peers():
     # alike, the AF links only to its two sources and only in the AF bank,
     # and a node outside the cluster is no node's peer.
     cluster = SppdaCluster(SimRng(36, "links"), node_ids=(5, 8, 9))
-    nodes = (cluster.af, cluster.s1, cluster.s2)
+    nodes = (cluster.af, *cluster.sources)
     for src in nodes:
         for dst in nodes:
             if src is not dst:
@@ -435,7 +435,7 @@ def test_source_link_only_to_its_af_and_ss_peers():
             src.link(3, 3)
     assert set(cluster.af.links) == {(8, 5), (8, 8), (9, 5), (9, 9)}
     assert all(bank is cluster.af.bank_af for bank, _ in cluster.af.links.values())
-    assert cluster.af.held_keys().isdisjoint(cluster.s1.bank_ss)
+    assert cluster.af.held_keys().isdisjoint(cluster.sources[0].bank_ss)
 
 
 def test_identity_schedule_is_identity_order():

@@ -316,15 +316,28 @@ def test_values_outside_the_field_are_reduced(field_, data):
 
 
 def test_sppda_cluster_reuse_and_transcript():
-    cluster = SppdaCluster(SimRng(3))
-    result, transcript = cluster.run_round(100, 200, 50)
-    assert result.total == 350 and result.pair_sum == 300
-    kinds = [rec.kind for rec in transcript.frames]
-    assert kinds.count("share") == 6
-    assert kinds.count("node-sum") == 2
-    assert "seed-broadcast" in kinds
-    # Second round on the same key infrastructure.
-    assert cluster.run_round(1, 2, 3)[0].pair_sum == 3
+    # n-party rounds, n = 3..12: sources' readings 100, 200, ..., then the AF's 50.
+    for n in range(3, 13):
+        cluster = SppdaCluster(SimRng(3, f"n:{n}"), node_ids=tuple(range(20, 20 + n)))
+        readings = [100 * i for i in range(1, n)]
+        result, transcript = cluster.run_round(*readings, 50)
+        assert result.total == sum(readings) + 50 and result.pair_sum == sum(readings)
+        kinds = [rec.kind for rec in transcript.frames]
+        assert kinds.count("seed-broadcast") == 1
+        assert kinds.count("share") == n * (n - 1)
+        assert kinds.count("node-sum") == n - 1
+        assert len(kinds) == 1 + n * (n - 1) + (n - 1)
+        # Every source-to-source frame goes through the AF's relay, logged with
+        # its SS slot only, and the AF holds no SS-bank key.
+        relayed = [rec for rec in transcript.frames if "A" not in (rec.sender, rec.receiver)]
+        assert len(relayed) == (n - 1) * (n - 2)
+        for rec in relayed:
+            assert rec.plaintext_fields.keys() == {"ss_index", "relayed_by"}
+            assert rec.plaintext_fields["relayed_by"] == "A"
+        for source in cluster.sources:
+            assert cluster.af.held_keys().isdisjoint(source.bank_ss)
+        # Second round on the same key infrastructure.
+        assert cluster.run_round(*range(1, n + 1))[0].pair_sum == n * (n - 1) // 2
 
 
 def test_cpda_three_party_matches_sppda_case():
@@ -426,8 +439,15 @@ def test_seal_open_order_is_pinned():
         return frame
 
     cipher.log.clear()
-    establish_ss_channel(cluster.s1, cluster.s2, cluster.af, SimRng(26), cipher, tamper)
+    establish_ss_channel(*cluster.sources, cluster.af, SimRng(26), cipher, tamper)
     assert cipher.log == relay_ops(3, 5) + relay_ops(5, 3)
+
+    # With more sources, each pair (S_i, S_j), i < j, gets its channel in turn.
+    cipher.log.clear()
+    SppdaCluster(SimRng(27), node_ids=(7, 3, 5, 4), cipher=cipher)
+    pairs = ((3, 5), (3, 4), (5, 4))
+    assert cipher.log == [op for a, b in pairs for op in relay_ops(a, b) + relay_ops(b, a)
+                          if op[0] != "tamper"]
 
 
 def test_round_frame_bit_flip_is_authentication_error():
@@ -457,7 +477,7 @@ def test_co_source_cannot_recover_x():
     # (S1's node sum minus A's and S2's shares there), it holds three points
     # of S1's quadratic and interpolates x at 0.
     def trial_open(cluster, rec, aad):
-        for key in cluster.s2.bank_af:
+        for key in cluster.sources[1].bank_af:
             try:
                 return int(cluster.cipher.open(key, rec.frame.nonce, rec.frame.body, aad))
             except AuthenticationError:
@@ -470,12 +490,12 @@ def test_co_source_cannot_recover_x():
         cluster = SppdaCluster(SimRng(seed, "co-source"))
         _, transcript = cluster.run_round(x, y, z)
         frames = {(rec.kind, rec.sender, rec.receiver): rec for rec in transcript.frames}
-        s1, s2 = cluster.s1.node_id, cluster.s2.node_id
+        s1, s2 = (source.node_id for source in cluster.sources)
         at_a = trial_open(cluster, frames["share", "S1", "A"], f"share:{s1}->af".encode())
         a_at_s1 = trial_open(cluster, frames["share", "A", "S1"], f"share:af->{s1}".encode())
         sum_s1 = trial_open(cluster, frames["node-sum", "S1", "A"], f"node-sum:{s1}->af".encode())
         ss = frames["share", "S1", "S2"]
-        at_s2 = int(open_frame(*cluster.s2.link(s1, s2),
+        at_s2 = int(open_frame(*cluster.sources[1].link(s1, s2),
                                ss.plaintext_fields["ss_index"], ss.frame,
                                f"ss:{s1}->{s2}".encode(), cluster.cipher))
         # S2's own mask, drawn as run_round draws it.
@@ -497,38 +517,44 @@ def test_payload_outside_field_is_protocol_error(payload):
 
 
 def test_round_frames_replay_under_receiver_keys():
-    # Every sealed round frame opens under its receiver's own key state at
-    # the slot its plaintext fields announce, giving the share (or node sum)
-    # that receiver summed.  Shares are rebuilt from the round's streams.
-    cluster = SppdaCluster(SimRng(24))
-    _, transcript = cluster.run_round(5, 7, 3)
-    nodes = {"A": cluster.af, "S1": cluster.s1, "S2": cluster.s2}
-    round_rng = SimRng(24).stream("round:1")
-    names = transcript.seeds.participants
-    shares = {}
-    for who, v in (("A", 3), ("S1", 5), ("S2", 7)):
-        draw = round_rng.stream(f"coeffs:{who}").randrange
-        evaluated = gen_shares(v, [draw(P), draw(P)], transcript.seeds)
-        shares.update(((who, at), share) for at, share in zip(names, evaluated))
-    summed = dict(zip(names, transcript.sums))
-    held = {who: shares[(who, who)] for who in summed}
-    round_frames = [rec for rec in transcript.frames if rec.frame is not None]
-    assert len(round_frames) == 8
-    for rec in round_frames:
-        src, dst, fields = nodes[rec.sender], nodes[rec.receiver], rec.plaintext_fields
-        if "ss_index" in fields:
-            aad = f"ss:{src.node_id}->{dst.node_id}"
-            bank, slot = dst.bank_ss, fields["ss_index"]
-        else:
-            aad = (f"{rec.kind}:af->{dst.node_id}" if rec.sender == "A"
-                   else f"{rec.kind}:{src.node_id}->af")
-            bank, slot = dst.bank_af, fields["r_c"]
-        link_bank, ordering = dst.link(src.node_id, dst.node_id)
-        assert link_bank is bank
-        value = int(open_frame(bank, ordering, slot, rec.frame, aad.encode(), StreamMacCipher()))
-        if rec.kind == "share":
-            assert value == shares[(rec.sender, rec.receiver)]
-            held[rec.receiver] = (held[rec.receiver] + value) % P
-        else:
-            assert value == summed[rec.sender]
-    assert held == summed
+    # In n-party rounds, n = 3..12, every sealed round frame opens under its
+    # receiver's own key state at the slot its plaintext fields announce,
+    # giving the share (or node sum) that receiver summed.  Shares are rebuilt
+    # from the round's streams, n - 1 coefficients from each participant's.
+    for n in range(3, 13):
+        rng = SimRng(24, f"n:{n}")
+        cluster = SppdaCluster(rng, node_ids=tuple(range(n)))
+        readings = [5 + 2 * i for i in range(n - 1)]  # 5, 7 at n = 3; the AF's is 3
+        _, transcript = cluster.run_round(*readings, 3)
+        names = transcript.seeds.participants
+        assert names == ("A", *(f"S{i}" for i in range(1, n)))
+        nodes = dict(zip(names, (cluster.af, *cluster.sources)))
+        round_rng = rng.stream("round:1")
+        shares = {}
+        for who, v in zip(names, (3, *readings)):
+            draw = round_rng.stream(f"coeffs:{who}").randrange
+            evaluated = gen_shares(v, [draw(P) for _ in range(n - 1)], transcript.seeds)
+            shares.update(((who, at), share) for at, share in zip(names, evaluated))
+        summed = dict(zip(names, transcript.sums))
+        held = {who: shares[(who, who)] for who in summed}
+        round_frames = [rec for rec in transcript.frames if rec.frame is not None]
+        assert len(round_frames) == n * (n - 1) + (n - 1)
+        for rec in round_frames:
+            src, dst, fields = nodes[rec.sender], nodes[rec.receiver], rec.plaintext_fields
+            if "ss_index" in fields:
+                aad = f"ss:{src.node_id}->{dst.node_id}"
+                bank, slot = dst.bank_ss, fields["ss_index"]
+            else:
+                aad = (f"{rec.kind}:af->{dst.node_id}" if rec.sender == "A"
+                       else f"{rec.kind}:{src.node_id}->af")
+                bank, slot = dst.bank_af, fields["r_c"]
+            link_bank, ordering = dst.link(src.node_id, dst.node_id)
+            assert link_bank is bank
+            value = int(open_frame(bank, ordering, slot, rec.frame, aad.encode(),
+                                   StreamMacCipher()))
+            if rec.kind == "share":
+                assert value == shares[(rec.sender, rec.receiver)]
+                held[rec.receiver] = (held[rec.receiver] + value) % P
+            else:
+                assert value == summed[rec.sender]
+        assert held == summed
