@@ -76,6 +76,12 @@ def _write(path: pathlib.Path, text: str) -> bytes:
     return data
 
 
+def _say(line: str) -> None:
+    """Print a line; what stdout cannot encode prints escaped, as zon\\xe9."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(line.encode(encoding, "backslashreplace").decode(encoding))
+
+
 _SCALARS = {  # json's text for each scalar type
     str: json.encoder.encode_basestring_ascii,
     int: int.__repr__,
@@ -175,7 +181,7 @@ def cmd_plan_zone(args) -> int:
     plan = min_zone_nodes(args.pr, args.hops)
     row = {"p_r": plan.p_r, "hops": plan.hops, "n_min": plan.n_min, "k": plan.k}
     _finish(args, row, {"plan_zone.csv": rows_to_csv([row], list(row))})
-    print(f"zone plan: N_min={plan.n_min} (K={plan.k}) for P_r={plan.p_r}, H={plan.hops}")
+    _say(f"zone plan: N_min={plan.n_min} (K={plan.k}) for P_r={plan.p_r}, H={plan.hops}")
     return 0
 
 
@@ -191,8 +197,8 @@ def cmd_simulate_hunt(args) -> int:
     cells = [{k: v for k, v in cell.items() if k != "trial_rows"} for cell in summary]
     _finish(args, {"cells": cells}, {"hunt_trials.csv": hunt_rows_to_csv(summary)})
     for cell in cells:
-        print(f"{cell['strategy']}: median safety {cell['median_safety']} "
-              f"(capture rate {cell['capture_rate']:.2f})")
+        _say(f"{cell['strategy']}: median safety {cell['median_safety']} "
+             f"(capture rate {cell['capture_rate']:.2f})")
     return 0
 
 
@@ -200,7 +206,7 @@ def cmd_aggregate(args) -> int:
     field_ = PrimeField(args.modulus)
     result = run_sppda(args.x, args.y, args.z, SimRng(args.seed, "aggregate"), field_)
     _finish(args, {"total": result.total, "pair_sum": result.pair_sum}, {})
-    print(f"pair_sum = {result.pair_sum} (D = {result.total} mod {args.modulus})")
+    _say(f"pair_sum = {result.pair_sum} (D = {result.total} mod {args.modulus})")
     return 0
 
 
@@ -220,7 +226,7 @@ def cmd_bench(args) -> int:
     columns = ["scheme", "cluster_size", "median_ns", "repetitions"]
     _finish(args, {"rows": docs}, {"bench.csv": rows_to_csv(docs, columns)})
     for d in docs:
-        print(f"{d['scheme']} n={d['cluster_size']}: {d['median_ns']} ns median")
+        _say(f"{d['scheme']} n={d['cluster_size']}: {d['median_ns']} ns median")
     return 0
 
 
@@ -233,7 +239,7 @@ def cmd_disclosure_curve(args) -> int:
     rows = disclosure_curve(b_grid, schemes)
     csv_text = rows_to_csv(rows, ["scheme", "model", "b", "p_disclose"])
     out = _finish(args, {"points": len(rows)}, {"disclosure_curve.csv": csv_text})
-    print(f"wrote {len(rows)} curve points to {out / 'disclosure_curve.csv'}")
+    _say(f"wrote {len(rows)} curve points to {out / 'disclosure_curve.csv'}")
     return 0
 
 
@@ -248,15 +254,9 @@ def cmd_run_pipeline(args) -> int:
     _finish(args, {"flows": len(report["flows"])},
             {"pipeline_report.json": _json(report)}, config=doc)
     for fl in report["flows"]:
-        print(f"flow from node {fl['origin']}: gateway recorded {fl['delivered_value']} "
-              f"({fl['route_hops']} hops, {fl['transmissions']} transmissions)")
+        _say(f"flow from node {fl['origin']}: gateway recorded {fl['delivered_value']} "
+             f"({fl['route_hops']} hops, {fl['transmissions']} transmissions)")
     return 0
-
-
-def _say(line: str) -> None:
-    """Print a line; what stdout cannot encode prints escaped, as zon\\xe9."""
-    encoding = sys.stdout.encoding or "utf-8"
-    print(line.encode(encoding, "backslashreplace").decode(encoding))
 
 
 def run_scenarios(path: str, out_dir: str | None) -> int:

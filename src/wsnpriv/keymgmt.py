@@ -54,7 +54,6 @@ __all__ = [
     "AuthenticationError",
     "KeyIndexRangeError",
     "ProtocolError",
-    "KeyPool",
     "SealedFrame",
     "StreamMacCipher",
     "KeyNode",
@@ -86,12 +85,6 @@ class KeyIndexRangeError(IndexError):
 
 class ProtocolError(RuntimeError):
     """A required protocol message is missing or malformed."""
-
-
-@dataclass(frozen=True)
-class KeyPool:
-    bank_af: tuple[bytes, ...]
-    bank_ss: tuple[bytes, ...]
 
 
 class SealedFrame(NamedTuple):
@@ -179,8 +172,9 @@ def check_bank_split(pool_size: int, af_bank: int) -> None:
         raise ValueError(f"pool_size: SS bank (pool_size - af_bank) over {SS_BANK_MAX} keys")
 
 
-def generate_pool(total: int, af_count: int, rng: SimRng) -> KeyPool:
-    """total distinct random keys; first af_count form the AF bank."""
+def generate_pool(total: int, af_count: int,
+                  rng: SimRng) -> tuple[tuple[bytes, ...], tuple[bytes, ...]]:
+    """(bank_af, bank_ss): total distinct random keys, the first af_count the AF bank's."""
     check_bank_split(total, af_count)
     # One draw of total keys gives the bytes and generator state of total
     # draws of KEY_LEN; a repeated key is dropped and replaced by a fresh
@@ -189,7 +183,7 @@ def generate_pool(total: int, af_count: int, rng: SimRng) -> KeyPool:
     while len(unique) < total:
         unique.setdefault(rng.randbytes(KEY_LEN))
     keys = list(unique)
-    return KeyPool(bank_af=tuple(keys[:af_count]), bank_ss=tuple(keys[af_count:]))
+    return tuple(keys[:af_count]), tuple(keys[af_count:])
 
 
 def permute_bank_for_pair(bank_size: int, rng: SimRng) -> tuple[int, ...]:

@@ -2,15 +2,15 @@
 
 Nodes live at 2-D positions; build_grid links two nodes iff their Euclidean
 distance is within its radio range.  One designated sink (the home gateway)
-plus one or more source nodes.  Every experiment runs on a build_grid
-lattice, which refuses a disconnected field; a Topology built directly takes
-any adjacency.  A broadcast is heard by every neighbour of its sender.
-Hop distances on a range-1 lattice are |dx| + |dy| in closed form; every
-other field runs bfs_distances.  A grid shape's positions and adjacency
-are built once per process, in a bounded LRU (~160-170 B per node at range
-1), with one walk-step table that every build_grid Topology of the shape
-fills and reads (~550 B per node once every row is built).  Hop distances
-stay per Topology.
+plus one or more source nodes.  A broadcast is heard by every neighbour of
+its sender.  Every experiment runs on a build_grid lattice, which refuses a
+disconnected field; a Topology built directly takes any adjacency, but has
+hop distances only if connected.  They are |dx| + |dy| on a range-1
+lattice, bfs_distances on any other field, and per Topology.  A grid
+shape's positions and adjacency are built once per process, in a bounded
+LRU (~160-170 B per node at range 1), with one walk-step table that every
+build_grid Topology of the shape fills and reads (~550 B per node once
+every row is built).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ LATTICE_CACHE_SIZE = 32
 
 
 class DisconnectedGraphError(ValueError):
-    """Raised for a disconnected field, or a destination no path reaches."""
+    """Raised for a disconnected field."""
 
 
 # A node's walk steps, (k, {prev: slots}): k random bits index a slots tuple
@@ -68,8 +68,9 @@ class Topology:
         """bfs_distances(self, origin), computed once per origin.
 
         On a range-1 build_grid lattice (its width in the memo) the list is
-        |dx| + |dy|, two ranges per row; any other field runs the BFS.  The
-        list is shared by every caller and must not be mutated.
+        |dx| + |dy|, two ranges per row; any other field runs the BFS and
+        raises DisconnectedGraphError if a node is unreached.  The list is
+        shared by every caller and must not be mutated.
         """
         key = ("bfs", origin)
         dist = self._memo.get(key)
@@ -77,6 +78,9 @@ class Topology:
             width = self._memo.get("lattice")
             if width is None:
                 dist = bfs_distances(self, origin)
+                if -1 in dist:
+                    raise DisconnectedGraphError(
+                        f"adjacency: no path from node {origin} to node {dist.index(-1)}")
             else:
                 oy, ox = divmod(origin, width)
                 dist = []
@@ -203,8 +207,6 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
     lowest-id neighbour one hop nearer.  No caller in the package: kept
     while benchmarks/tracer.py traces it, as test_every_traced_name_resolves checks."""
     dist = topology.distances_from(destination)
-    if dist[origin] < 0:
-        raise DisconnectedGraphError(f"no path from {origin} to {destination}")
     path = [origin]
     for d in range(dist[origin] - 1, -1, -1):
         path.append(next(v for v in topology.adjacency[path[-1]] if dist[v] == d))

@@ -171,11 +171,9 @@ def solve_aggregate(seeds: SeedAssignment, sums: Sequence[int]) -> int:
                 num *= xj
                 den *= xj - xi
         den %= p
-        if den == 0:
-            raise ZeroDivisionError("duplicate seeds make the system singular")
         acc_num = (acc_num * den + sums[i] * num % p * acc_den) % p
         acc_den = acc_den * den % p
-    # A product of non-zero dens mod prime p, so acc_den is non-zero too.
+    # SeedAssignment checked the seeds distinct mod prime p, so every den and acc_den is nonzero.
     return acc_num * pow(acc_den, -1, p) % p
 
 
@@ -248,9 +246,9 @@ class SppdaCluster:
         self.cipher = cipher
         self.rng = rng
         setup = rng.stream("keymgmt")
-        pool = generate_pool(pool_size, af_bank, setup.stream("pool"))
-        self.af = AggregatorNode(node_id=node_ids[0], bank_af=pool.bank_af)
-        self.sources = tuple(SourceNode(node_id=i, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
+        bank_af, bank_ss = generate_pool(pool_size, af_bank, setup.stream("pool"))
+        self.af = AggregatorNode(node_id=node_ids[0], bank_af=bank_af)
+        self.sources = tuple(SourceNode(node_id=i, bank_af=bank_af, bank_ss=bank_ss)
                              for i in node_ids[1:])
         self._nodes = {"A": self.af, **{f"S{i}": s for i, s in enumerate(self.sources, 1)}}
         for i, source in enumerate(self.sources, 1):

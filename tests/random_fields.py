@@ -2,10 +2,10 @@
 
 Every command builds a grid lattice; these fields give tests uneven degrees
 and ties that a lattice lacks.  Each is a plain Topology, linked by testing
-every node pair.
+every node pair.  linked_field builds a small field by hand, link by link.
 """
 
-from wsnpriv.netsim import Topology
+from wsnpriv.netsim import Topology, bfs_distances
 
 PLACEMENT_ATTEMPTS = 50
 
@@ -33,7 +33,13 @@ def random_field(node_count, area_side, radio_range, rng, sources=None):
             sink=0,
             sources=(node_count - 1,) if sources is None else tuple(sources),
         )
-        if -1 not in field.distances_from(0):
+        if -1 not in bfs_distances(field, 0):
             return field
     raise AssertionError(f"no connected placement of {node_count} nodes "
                          f"in {PLACEMENT_ATTEMPTS} attempts")
+
+
+def linked_field(adjacency, sink, sources):
+    """A hand-built field: node i at (i, 0), linked as `adjacency` lists."""
+    return Topology(positions=tuple((float(i), 0.0) for i in range(len(adjacency))),
+                    adjacency=tuple(map(tuple, adjacency)), sink=sink, sources=tuple(sources))

@@ -186,10 +186,10 @@ def test_criterion_7_disclosure_model():
 
 def test_criterion_8_key_management():
     cipher = StreamMacCipher()
-    pool = generate_pool(32, 16, SimRng(1, "acc8/pool"))
-    agg = AggregatorNode(node_id=0, bank_af=pool.bank_af)
-    s1 = SourceNode(node_id=1, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
-    s2 = SourceNode(node_id=2, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
+    bank_af, bank_ss = generate_pool(32, 16, SimRng(1, "acc8/pool"))
+    agg = AggregatorNode(node_id=0, bank_af=bank_af)
+    s1 = SourceNode(node_id=1, bank_af=bank_af, bank_ss=bank_ss)
+    s2 = SourceNode(node_id=2, bank_af=bank_af, bank_ss=bank_ss)
     register_pair(s1, agg, SimRng(1, "acc8/p1"))
     register_pair(s2, agg, SimRng(1, "acc8/p2"))
 
@@ -205,7 +205,7 @@ def test_criterion_8_key_management():
         def randbytes(self, n):
             return bytes(n)
 
-    for r_c in range(1, len(pool.bank_af) + 1):
+    for r_c in range(1, len(bank_af) + 1):
         slot, frame = seal_frame(*s1.link(0, 0), 1, 0, b"up", b"acc8",
                                  AnnounceSlot(r_c), cipher)
         assert slot == r_c

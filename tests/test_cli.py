@@ -307,6 +307,17 @@ def test_ascii_locale_prints_a_bad_input_error_escaped(tmp_path):
     assert proc.stderr == b""
 
 
+def test_report_line_prints_an_unencodable_out_dir_escaped(tmp_path):
+    # A command's own report line names an output directory stdout cannot
+    # encode: it prints escaped after both files are written, with status 0.
+    out = tmp_path / "r\u00e9sultats"
+    proc = run_process(out, "disclosure-curve", "--b-grid", "0:1:0.5", PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    assert b"r\\xe9sultats" in proc.stdout and proc.stderr == b""
+    assert sorted(p.name for p in out.iterdir()) == [
+        "disclosure-curve.summary.json", "disclosure_curve.csv"]
+
+
 # Inputs that once ran for hours or without end: a linear N_min search, range
 # specs expanded before their bounds were checked, a radio range that put a
 # whole field in one hash cell, a 10^9-hop phantom walk.

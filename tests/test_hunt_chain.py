@@ -165,3 +165,47 @@ def test_directed_walk_from_a_corner_is_caught_sooner_than_the_pure_walk(cell):
     means = [exact_moments(capture_cdf(topo, WalkConfig(mode, hops), budget), budget)[1]
              for mode in WalkMode]
     assert [round(float(mean), 3) for mean in means] == list(CORNER_MEANS[cell])
+
+
+SYMMETRY_CELLS = {  # name: (width, height, source (x, y), sink (x, y)), fixed before the first run
+    "7x7": (7, 7, (0, 0), (6, 6)),
+    "8x6": (8, 6, (0, 0), (7, 5)),
+}
+SYMMETRY_HOPS, SYMMETRY_BUDGET = 3, 60
+
+
+def lattice_symmetries(width, height):
+    """Every map of the width x height lattice onto itself, identity first:
+    the four flips, and on a square each of them after the transpose too."""
+    flips = [lambda x, y, fx=fx, fy=fy: (width - 1 - x if fx else x, height - 1 - y if fy else y)
+             for fx in (False, True) for fy in (False, True)]
+    if width == height:
+        flips += [lambda x, y, f=f: f(y, x) for f in flips]
+    return flips
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the hunter breaks a tie between neighbours that forward at one tick by the "
+    "lowest node id, so a placement and its mirror image are caught at different "
+    "rates; a uniform tie-break changes the hunt output digests"))
+def test_capture_distribution_does_not_depend_on_node_numbering():
+    # A lattice symmetry maps the field onto itself, and the hunt model has
+    # no node order, so a placement and its image must have one exact
+    # capture CDF.  Every cell, mode and symmetry is checked before the
+    # assertion, so its message lists all the disagreements.
+    disagree = []
+    for name, (width, height, source, sink) in SYMMETRY_CELLS.items():
+        symmetries = lattice_symmetries(width, height)
+        assert len(symmetries) == (8 if width == height else 4)
+        for mode in WalkMode:
+            cfg, cdfs = WalkConfig(mode, SYMMETRY_HOPS), []
+            for g in symmetries:
+                (sx, sy), (tx, ty) = g(*source), g(*sink)
+                topo = build_grid(width, height, sink=ty * width + tx, sources=(sy * width + sx,))
+                cdfs.append(capture_cdf(topo, cfg, SYMMETRY_BUDGET))
+            for i, cdf in enumerate(cdfs[1:], 1):
+                if cdf != cdfs[0]:
+                    means = [float(exact_moments(c, SYMMETRY_BUDGET)[1]) for c in (cdfs[0], cdf)]
+                    disagree.append(f"{name}/{mode.value}/symmetry {i}: E[min(T, B)] "
+                                    f"{means[0]:.3f} vs {means[1]:.3f}")
+    assert not disagree, "\n".join(disagree)

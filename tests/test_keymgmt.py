@@ -33,27 +33,27 @@ CIPHER = StreamMacCipher()
 
 
 def make_trio(seed=1, total=32, af=16):
-    pool = generate_pool(total, af, SimRng(seed, "pool"))
-    agg = AggregatorNode(node_id=0, bank_af=pool.bank_af)
-    s1 = SourceNode(node_id=1, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
-    s2 = SourceNode(node_id=2, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
+    bank_af, bank_ss = generate_pool(total, af, SimRng(seed, "pool"))
+    agg = AggregatorNode(node_id=0, bank_af=bank_af)
+    s1 = SourceNode(node_id=1, bank_af=bank_af, bank_ss=bank_ss)
+    s2 = SourceNode(node_id=2, bank_af=bank_af, bank_ss=bank_ss)
     register_pair(s1, agg, SimRng(seed, "p1"))
     register_pair(s2, agg, SimRng(seed, "p2"))
-    return pool, agg, s1, s2
+    return (bank_af, bank_ss), agg, s1, s2
 
 
 # --- pool ---
 
 def test_minimal_pool():
-    pool = generate_pool(2, 1, SimRng(1))
-    assert len(pool.bank_af) == 1 and len(pool.bank_ss) == 1
-    assert pool.bank_af[0] != pool.bank_ss[0]
+    bank_af, bank_ss = generate_pool(2, 1, SimRng(1))
+    assert len(bank_af) == 1 and len(bank_ss) == 1
+    assert bank_af[0] != bank_ss[0]
 
 
 def test_pool_split_and_uniqueness():
-    pool = generate_pool(256, 128, SimRng(2))
-    assert len(pool.bank_af) == len(pool.bank_ss) == 128
-    assert len(set(pool.bank_af + pool.bank_ss)) == 256
+    bank_af, bank_ss = generate_pool(256, 128, SimRng(2))
+    assert len(bank_af) == len(bank_ss) == 128
+    assert len(set(bank_af + bank_ss)) == 256
 
 
 def test_pool_deterministic():
@@ -89,8 +89,8 @@ class ScriptedBytes:
 def test_pool_matches_one_key_loop(seed, total, data):
     af = data.draw(st.integers(1, total - 1))
     rng, twin = SimRng(seed, "pool"), SimRng(seed, "pool")
-    pool = generate_pool(total, af, rng)
-    assert list(pool.bank_af + pool.bank_ss) == reference_pool_keys(total, twin)
+    bank_af, bank_ss = generate_pool(total, af, rng)
+    assert list(bank_af + bank_ss) == reference_pool_keys(total, twin)
     assert rng.getstate() == twin.getstate()
 
 
@@ -98,8 +98,8 @@ def test_pool_duplicate_key_falls_back_to_one_key_draws():
     a, b, c, d = (bytes(range(i, i + KEY_LEN)) for i in range(4))
     script = a + b + a + b + c + a + d + b  # 2 repeats in the first 4, 1 after
     used, reference = ScriptedBytes(script), ScriptedBytes(script)
-    pool = generate_pool(4, 2, used)
-    assert list(pool.bank_af + pool.bank_ss) == reference_pool_keys(4, reference) == [a, b, c, d]
+    bank_af, bank_ss = generate_pool(4, 2, used)
+    assert list(bank_af + bank_ss) == reference_pool_keys(4, reference) == [a, b, c, d]
     assert used.pos == reference.pos == 7 * KEY_LEN
 
 
@@ -166,9 +166,9 @@ def test_select_resolve_round_trip_exhaustive():
 
 
 def test_select_uniformity():
-    pool = generate_pool(16, 8, SimRng(6))
-    agg = AggregatorNode(node_id=0, bank_af=pool.bank_af)
-    src = SourceNode(node_id=1, bank_af=pool.bank_af, bank_ss=pool.bank_ss)
+    bank_af, bank_ss = generate_pool(16, 8, SimRng(6))
+    agg = AggregatorNode(node_id=0, bank_af=bank_af)
+    src = SourceNode(node_id=1, bank_af=bank_af, bank_ss=bank_ss)
     register_pair(src, agg, SimRng(6, "p"))
     counts = [0] * 8
     n = 10_000
@@ -197,13 +197,13 @@ def test_eavesdropper_candidate_set_is_whole_bank():
     # A third source holding the same bank but not this pair's permutation
     # learns nothing from R_c beyond "one of the bank": every bank slot is a
     # possible target of some permutation, so its candidate set is the bank.
-    pool, _, s1, _ = make_trio()
+    (bank_af, _), _, s1, _ = make_trio()
     r_c = 3
     candidates = {
-        pool.bank_af[perm_image]
-        for perm_image in range(len(pool.bank_af))
+        bank_af[perm_image]
+        for perm_image in range(len(bank_af))
     }
-    assert len(candidates) == len(pool.bank_af)
+    assert len(candidates) == len(bank_af)
     assert s1.bank_af[s1.link(0, 0)[1][r_c - 1]] in candidates
 
 
@@ -384,9 +384,9 @@ def test_ss_setup_wire_sizes():
 
 
 def test_af_never_holds_ss_keys():
-    pool, agg, s1, s2 = make_trio()
+    (_, bank_ss), agg, s1, s2 = make_trio()
     establish_ss_channel(s1, s2, agg, SimRng(16), CIPHER)
-    assert agg.held_keys().isdisjoint(pool.bank_ss)
+    assert agg.held_keys().isdisjoint(bank_ss)
 
 
 # --- key links ---

@@ -18,7 +18,7 @@ from wsnpriv.netsim import (
 from wsnpriv.phantom import WalkConfig, random_walk
 from wsnpriv.rng import SimRng
 
-from random_fields import all_pairs_adjacency, random_field
+from random_fields import all_pairs_adjacency, linked_field, random_field
 
 
 @pytest.fixture
@@ -158,12 +158,29 @@ def test_shortest_path_endpoints_and_length():
                 for a, b in zip(path, path[1:]):
                     assert g.has_edge(a, b)
                     assert b == min(v for v in g[a] if hops_to[v] == hops_to[a] - 1)
-    # A hand-built field whose node 2 has no link.
+    # A hand-built field whose node 2 has no link has no hop distances, so
+    # no path either, even from node 1, which reaches the destination.
     split = Topology(positions=((0.0, 0.0), (1.0, 0.0), (5.0, 0.0)),
                      adjacency=((1,), (0,), ()), sink=0, sources=())
-    assert shortest_path(split, 1, 0) == [1, 0]
-    with pytest.raises(DisconnectedGraphError, match="^no path from 2 to 0$"):
-        shortest_path(split, 2, 0)
+    for origin in (1, 2):
+        with pytest.raises(DisconnectedGraphError,
+                           match="^adjacency: no path from node 0 to node 2$"):
+            shortest_path(split, origin, 0)
+
+
+def test_hop_distances_refuse_a_disconnected_field():
+    # A path 0-1-2-3 beside a pair 4-5.  bfs_distances, the reference,
+    # marks the pair unreached; distances_from refuses the field, and again
+    # on the next call, as it keeps no failed list.
+    field = linked_field([(1,), (0, 2), (1, 3), (2,), (5,), (4,)], 1, (0, 3))
+    assert bfs_distances(field, 0) == [0, 1, 2, 3, -1, -1]
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError,
+                           match="^adjacency: no path from node 0 to node 4$"):
+            field.distances_from(0)
+    with pytest.raises(DisconnectedGraphError,
+                       match="^adjacency: no path from node 4 to node 0$"):
+        field.distances_from(4)
 
 
 @pytest.mark.parametrize("radio_range", [0.0, -1.0, float("nan"), 1e-10])

@@ -6,7 +6,7 @@ import networkx as nx
 import pytest
 
 from wsnpriv import phantom
-from wsnpriv.netsim import build_grid
+from wsnpriv.netsim import DisconnectedGraphError, build_grid
 from wsnpriv.phantom import (
     NoRendezvousError,
     ReceptorPath,
@@ -23,7 +23,7 @@ from wsnpriv.phantom import (
 )
 from wsnpriv.rng import SimRng
 
-from random_fields import random_field
+from random_fields import linked_field, random_field
 
 
 def to_networkx(topo):
@@ -186,6 +186,17 @@ def test_flood_matches_bfs_oracle():
         # Each node's transmission tick equals its hop distance from origin.
         for u in senders:
             assert ticks[u] == (nx.shortest_path_length(g, origin, u), u)
+
+
+def test_routing_refuses_a_disconnected_field():
+    # Links 0-1 and 2-3, sink 0, source 3: no hop count joins the source to
+    # the sink, so a flood has no latency and the hunter no transmitter to
+    # move to, and both refuse the field.
+    field = linked_field([(1,), (0,), (3,), (2,)], 0, (3,))
+    with pytest.raises(DisconnectedGraphError, match="^adjacency: "):
+        flood(field, 3, 0)
+    with pytest.raises(DisconnectedGraphError, match="^adjacency: "):
+        hunt(field, WalkConfig(), 5, SimRng(1))
 
 
 # --- receptor / two-way ---

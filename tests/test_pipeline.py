@@ -5,7 +5,7 @@ import networkx as nx
 import pytest
 
 from wsnpriv import netsim
-from wsnpriv.netsim import bfs_distances, build_grid
+from wsnpriv.netsim import DisconnectedGraphError, bfs_distances, build_grid
 from wsnpriv.phantom import WalkConfig, WalkMode
 from wsnpriv.pipeline import (
     Cluster,
@@ -16,7 +16,7 @@ from wsnpriv.pipeline import (
 )
 from wsnpriv.rng import SimRng
 
-from random_fields import random_field
+from random_fields import linked_field, random_field
 
 
 def test_privacy_level_layers():
@@ -65,6 +65,15 @@ def test_pair_without_af_candidate_rejected():
         ValueError, match="^sources: no aggregator-forwarder candidate can reach both 1 and 2$"
     ):
         pair_sources((1, 2), topo)
+
+
+def test_pair_refuses_a_disconnected_field():
+    # On the path 0-1-2-3 with sink 1 the AF is node 2.  Beside a pair 4-5,
+    # whose hop counts from either source do not exist, the field is refused.
+    path = [(1,), (0, 2), (1, 3), (2,)]
+    assert pair_sources((0, 3), linked_field(path, 1, (0, 3))) == ([Cluster(0, 3, 2)], [])
+    with pytest.raises(DisconnectedGraphError, match="^adjacency: "):
+        pair_sources((0, 3), linked_field(path + [(5,), (4,)], 1, (0, 3)))
 
 
 def pair_sources_oracle(sources, topo):

@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -282,6 +284,48 @@ def test_aggregator_view_ambiguity():
         r1_prime = rng.randrange(P)
         r2_prime = (observed - x_prime - r1_prime * a) * pow(a * a, -1, P) % P
         assert oracle_share(x_prime, r1_prime, r2_prime, a) == observed
+
+
+# Views in GF(7) over every coefficient pair of two other parties (7^4 cases);
+# the seeds, z and the AF's own coefficients were fixed before the first run.
+SMALL = PrimeField(7)
+SMALL_SEEDS = SeedAssignment(("A", "S1", "S2"), (3, 5, 6), SMALL)
+PAIRS = list(itertools.product(range(7), repeat=2))  # every (r1, r2)
+SMALL_SHARES = {(v, c): gen_shares(v, c, SMALL_SEEDS) for v in range(7) for c in PAIRS}
+
+
+def af_view(x, y, z=4, own=(2, 1)):
+    """The AF's views as a multiset: the share each source sends it and each
+    source's node sum, over every coefficient pair of S1 and of S2."""
+    a = SMALL_SHARES[z, own]
+    view = Counter()
+    for c1, c2 in itertools.product(PAIRS, repeat=2):
+        s1, s2 = SMALL_SHARES[x, c1], SMALL_SHARES[y, c2]
+        view[s1[0], s2[0], node_aggregate((a[1], s1[1], s2[1]), SMALL),
+             node_aggregate((a[2], s1[2], s2[2]), SMALL)] += 1
+    return view
+
+
+def s1_view(y, z):
+    """S1's views as a multiset: the shares the AF and S2 send it, over every
+    coefficient pair of the AF and of S2."""
+    return Counter((SMALL_SHARES[z, ca][1], SMALL_SHARES[y, c2][1])
+                   for ca, c2 in itertools.product(PAIRS, repeat=2))
+
+
+def test_each_view_is_independent_of_what_its_holder_may_not_learn():
+    # The AF learns x + y and nothing more: every (x, y) of one sum gives it
+    # one multiset of views, and the 7 sums give 7 different ones.
+    by_sum = {}
+    for x, y in itertools.product(range(7), repeat=2):
+        by_sum.setdefault((x + y) % 7, []).append(af_view(x, y))
+    assert len(by_sum) == 7
+    for views in by_sum.values():
+        assert all(view == views[0] for view in views)
+    assert len({frozenset(views[0].items()) for views in by_sum.values()}) == 7
+    # S1 learns nothing of y or z.
+    first = s1_view(0, 0)
+    assert all(s1_view(y, z) == first for y, z in itertools.product(range(7), repeat=2))
 
 
 # --- full protocol ---
