@@ -8,9 +8,9 @@ disconnected field; a Topology built directly takes any adjacency, but has
 hop distances only if connected.  They are |dx| + |dy| on a range-1
 lattice, bfs_distances on any other field, and per Topology.  A grid
 shape's positions and adjacency are built once per process, in a bounded
-LRU (~160-170 B per node at range 1), with one walk-step table that every
-build_grid Topology of the shape fills and reads (~550 B per node once
-every row is built).
+LRU (~160-170 B per node at range 1), with one table of walk-step records,
+one per directed edge, that every build_grid Topology of the shape fills
+and reads (~670-690 B per node once every record is filled).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ GRID_MAX_NODES = 10**6  # a larger lattice fails as bad input, not as a MemoryEr
 # The most node pairs a grid may hold in touching cells of side r * (1 + 1e-9).
 PAIR_TESTS_MAX = 10**8  # 1000x1000 at range 1 holds 4e6
 # Grid shapes kept by build_grid: 32 of 30x30 at range 1 hold ~4.9 MB, and
-# ~16 MB more once every step row of every shape is built.
+# ~20 MB more once every step record of every shape is filled.
 LATTICE_CACHE_SIZE = 32
 
 
@@ -41,13 +41,15 @@ class DisconnectedGraphError(ValueError):
     """Raised for a disconnected field."""
 
 
-# A node's walk steps, (k, {prev: slots}): k random bits index a slots tuple
-# of 2**k entries holding the candidates, then None for each value
-# Random.choice rejects; every prev leaves as many candidates, so one k
-# serves them all.  Random.choice(seq) draws k = len(seq).bit_length() bits
-# and redraws while they index past the end; phantom's walk repeats those
-# exact calls, so a walk consumes its stream as a choice()-based walk would.
-StepDraw = tuple[int, dict[NodeId, tuple[NodeId | None, ...]]]
+# A directed edge's walk steps, [cur, k, slots, prev]: a walk that came from
+# prev to cur draws k random bits to index slots, a tuple of 2**k entries
+# holding the records of cur's edges to its neighbours other than prev (all
+# of them when prev is the only one), then None for each value Random.choice
+# rejects.  k depends on cur alone; slots is None until first needed.
+# Random.choice(seq) draws k = len(seq).bit_length() bits and redraws while
+# they index past the end; phantom's walk repeats those exact calls, so a
+# walk consumes its stream as a choice()-based walk would.
+StepRecord = list
 
 
 @dataclass(frozen=True)
@@ -91,31 +93,35 @@ class Topology:
             self._memo[key] = dist
         return dist
 
-    def step_row(self, cur: NodeId) -> StepDraw:
-        """Non-backtracking walk steps out of `cur`, built on first use.
+    def steps_from(self, node: NodeId) -> tuple[StepRecord, ...]:
+        """The step records of node's edges, in adjacency order, built on
+        first use with their slots unfilled."""
+        table = self.step_table()
+        out = table[node]
+        if out is None:
+            adjacency = self.adjacency
+            out = table[node] = tuple([
+                [nxt, max(len(adjacency[nxt]) - 1, 1).bit_length(), None, node]
+                for nxt in adjacency[node]
+            ])
+        return out
 
-        With (k, slots) = step_row(cur), slots[prev] is the draw over cur's
-        neighbours other than prev (all of them when prev is the only one).
-        slots is empty for a node without neighbours.
-        """
-        rows = self.step_table()
-        row = rows[cur]
-        if row is None:
-            nbrs = self.adjacency[cur]
-            m = max(len(nbrs) - 1, 1)
-            k = m.bit_length()
-            pad = (None,) * ((1 << k) - m)
-            row = rows[cur] = k, {
-                prev: (nbrs[:i] + nbrs[i + 1:] or nbrs) + pad for i, prev in enumerate(nbrs)
-            }
-        return row
+    def step_slots(self, record: StepRecord) -> tuple[StepRecord | None, ...]:
+        """record's slots, filled on first use: a non-backtracking step
+        draws among the records of the next edges."""
+        slots = record[2]
+        if slots is None:
+            cur, k, _, prev = record
+            out = self.steps_from(cur)
+            out = tuple([r for r in out if r[0] != prev]) or out
+            slots = record[2] = out + (None,) * ((1 << k) - len(out))
+        return slots
 
-    def step_table(self) -> list[StepDraw | None]:
-        """The step_row of every node, None where not built yet.
+    def step_table(self) -> list[tuple[StepRecord, ...] | None]:
+        """The steps_from of every node, None where not built yet.
 
-        For loops that index rows directly instead of calling step_row on
-        every step; only rows a walk visits are ever built.  A Topology
-        built directly has its own table.
+        Only records a walk reaches are ever built.  build_grid topologies
+        of one shape share one table; a Topology built directly has its own.
         """
         rows = self._memo.get("steps")
         if rows is None:

@@ -9,7 +9,9 @@ from one non-backtracking kernel, `_walk`.
 
 The adversary is a patient hunter.  It camps at a node, and for each
 delivered message relocates to the transmitter it heard earliest (lowest
-tick, then lowest node id), read off `Schedule.first_heard`.  It catches
+tick, then lowest node id), read off `Schedule.first_heard`; against
+two-way routing it listens while the walk runs instead (deliver_two_way's
+`listen`), which hears the same node at the same tick.  It catches
 the source when it reaches the source node at a moment the source is
 transmitting.  The safety period is the number of messages the source got
 out before that happens.
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Container, Iterable
+from collections.abc import Collection, Container, Iterable
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -119,35 +121,37 @@ def _walk(
 ) -> bool:
     """Extend `route` by up to `steps` pure steps; True if it ends in `stop`.
 
-    A one-node route's first step is choice(adjacency[cur]).  Every later
-    step draws from step_row(cur)[1][prev] as choice() would, prev being
-    route[-2]; build_grid topologies of one shape share those rows.
-    route[-1] must have neighbours.
+    A one-node route's first step is choice() over the records of
+    steps_from(cur), one per neighbour.  Every later step draws from the
+    slots of the record of the edge it came in on, as choice() would;
+    build_grid topologies of one shape share those records.  route[-1] must
+    have neighbours.
     """
-    rows = topology.step_table()
     getrandbits = rng.getrandbits
+    step_slots = topology.step_slots
     append = route.append
-    if len(route) == 1:  # no prev: the first step may take any neighbour
-        if steps < 1:
-            return False
-        append(rng.choice(topology.adjacency[route[0]]))
-        if route[-1] in stop:
+    if len(route) > 1:
+        prev, cur = route[-2:]
+        record = topology.steps_from(prev)[topology.adjacency[prev].index(cur)]
+    elif steps < 1:
+        return False
+    else:  # no prev: the first step may take any neighbour
+        record = rng.choice(topology.steps_from(route[0]))
+        append(record[0])
+        if record[0] in stop:
             return True
         steps -= 1
-    prev, cur = route[-2:]
+    _, k, slots, _ = record
     for _ in repeat(None, steps):
-        row = rows[cur]
-        if row is None:
-            row = topology.step_row(cur)
-        k, by_prev = row
-        slots = by_prev[prev]
-        nxt = slots[getrandbits(k)]
-        while nxt is None:
-            nxt = slots[getrandbits(k)]
+        if slots is None:
+            slots = step_slots(record)
+        record = slots[getrandbits(k)]
+        while record is None:
+            record = slots[getrandbits(k)]
+        nxt, k, slots, _ = record
         append(nxt)
         if nxt in stop:
             return True
-        prev, cur = cur, nxt
     return False
 
 
@@ -260,20 +264,42 @@ def deliver_two_way(
     receptor: ReceptorPath,
     rng: SimRng,
     max_steps: int = WALK_MAX_STEPS,
+    *,
+    listen: tuple[Collection[NodeId], list[tuple[int, NodeId]]] | None = None,
 ) -> list[NodeId]:
     """Random-walk from source until the receptor is hit, then follow it home.
 
     Returns the full route (walk prefix + receptor suffix).  A source
     already on the receptor sends straight down the pre-established path.
+
+    With listen = (nodes, heard), the list `heard` receives (tick, node)
+    for the first of `nodes` to forward, as Schedule.first_heard reads it
+    off the route, if one does.  The walk stops at that node to record it,
+    then walks on to the receptor on the same step budget, so the route and
+    the draws are the same.
     """
+    nodes, heard = listen or ((), None)
     index_of = {node: i for i, node in enumerate(receptor.nodes)}
+    scan = 0  # no listened node forwards before route[scan]
     if source in index_of:
-        return list(receptor.nodes[index_of[source]:])
-    route = [source]
-    if _walk(topology, route, max_steps, index_of, rng):
+        route = list(receptor.nodes[index_of[source]:])
+    else:
+        route = [source]
+        ear = nodes and source not in nodes
+        met = _walk(topology, route, max_steps, index_of.keys() | nodes if ear else index_of, rng)
+        if ear:
+            scan = len(route) - 1
+            if met and route[-1] not in index_of:  # heard before the rendezvous
+                met = _walk(topology, route, max_steps + 1 - len(route), index_of, rng)
+        if not met:
+            raise NoRendezvousError(f"no rendezvous with receptor within {max_steps} steps")
         route.extend(receptor.nodes[index_of[route[-1]] + 1:])
-        return route
-    raise NoRendezvousError(f"no rendezvous with receptor within {max_steps} steps")
+    if nodes:  # the last node, the receptor's destination, never forwards
+        for tick in range(scan, len(route) - 1):
+            if route[tick] in nodes:
+                heard.append((tick, route[tick]))
+                break
+    return route
 
 
 def route_message(
@@ -318,10 +344,13 @@ def hunt(
     TwoWay strategy first builds the run's one receptor by TwoWay.receptor.
 
     The adversary relocates at most once per message, to the transmitter it
-    heard earliest from its current position.  Capture: the adversary is at
-    the source when the source transmits (it either sat there at message
-    start, or relocated there because it heard the source itself).  The
-    adversary starts at the sink.
+    heard earliest from its current position: Schedule.first_heard of its
+    neighbours, or for a two-way message the node deliver_two_way hears
+    while the walk runs, listening to those neighbours.  Each two-way
+    message goes through deliver_two_way, looked up when called.  Capture:
+    the adversary is at the source when the source transmits (it either sat
+    there at message start, or relocated there because it heard the source
+    itself).  The adversary starts at the sink.
     """
     if message_budget < 1:
         raise ValueError("message_budget: must be >= 1")
@@ -332,7 +361,7 @@ def hunt(
     adversary = destination
 
     walk_rng = rng.stream("walk")
-    route = strategy.receptor(topology, rng) if isinstance(strategy, TwoWay) else strategy
+    receptor = strategy.receptor(topology, rng) if isinstance(strategy, TwoWay) else None
 
     transmissions_total = 0
     latencies: list[int] = []
@@ -341,24 +370,31 @@ def hunt(
     safety_period = message_budget
 
     for msg in range(1, message_budget + 1):
-        try:
-            sched = route_message(topology, source, destination, route, walk_rng)
-        except NoRendezvousError:
-            # Message lost: its walk's broadcasts count in no total and the
-            # hunter hears none (xfail test_hunt_counts_the_walks_of_lost_messages).
-            latencies.append(-1)
-            continue
+        nbrs = topology.adjacency[adversary]
+        if receptor is None:
+            sched = route_message(topology, source, destination, strategy, walk_rng)
+            cost, latency = sched.transmissions, sched.latency_hops
+            heard = sched.first_heard(nbrs) if adversary != source else None
+        else:
+            ear: list[tuple[int, NodeId]] = []
+            try:
+                route = deliver_two_way(topology, source, receptor, walk_rng, listen=(nbrs, ear))
+            except NoRendezvousError:
+                # Message lost: its walk's broadcasts count in no total and the
+                # hunter hears none (xfail test_hunt_counts_the_walks_of_lost_messages).
+                latencies.append(-1)
+                continue
+            cost = latency = len(route) - 1
+            heard = ear[0] if ear else None
 
-        transmissions_total += sched.transmissions
-        latencies.append(sched.latency_hops)
+        transmissions_total += cost
+        latencies.append(latency)
 
         # Source transmits at tick 0 of every message, so an adversary
         # camped on it (only when the sink is the source) stays and catches it.
-        if adversary != source:
-            heard = sched.first_heard(topology.adjacency[adversary])
-            if heard is not None:
-                moves.append((msg, adversary, heard[1]))
-                adversary = heard[1]
+        if heard is not None and adversary != source:
+            moves.append((msg, adversary, heard[1]))
+            adversary = heard[1]
         if adversary == source:
             captured = True
             safety_period = msg

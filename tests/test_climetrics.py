@@ -175,7 +175,7 @@ def test_montecarlo_csv_deterministic():
 
 def test_montecarlo_rows_do_not_depend_on_a_shape_an_earlier_campaign_walked():
     # build_grid shares one step table per shape across calls: a campaign on
-    # a table another campaign filled must emit what it emits on an empty one.
+    # records another campaign filled must emit what it emits on an empty one.
     later = HuntCampaign(
         grids=((7, 6),), strategies=("twoway:3", "phantom:4"), trials=4,
         message_budget=30, master_seed=5,
@@ -185,7 +185,8 @@ def test_montecarlo_rows_do_not_depend_on_a_shape_an_earlier_campaign_walked():
         grids=((7, 6),), strategies=("phantom:6",), trials=3,
         message_budget=30, master_seed=11,
     ))
-    assert any(row is not None for row in build_grid(7, 6).step_table())
+    assert any(record[2] is not None
+               for out in build_grid(7, 6).step_table() if out for record in out)
     on_filled_table = montecarlo_hunt(later)
     netsim._lattice.cache_clear()
     assert montecarlo_hunt(later) == on_filled_table

@@ -25,6 +25,7 @@ import sys
 
 import pytest
 
+from wsnpriv import phantom
 from wsnpriv.cli import main as cli_main
 from wsnpriv.netsim import build_grid
 from wsnpriv.phantom import (
@@ -204,6 +205,23 @@ def test_every_traced_name_resolves():
         for cls in classes:
             owner = vars(owner).get(cls)
         assert owner is not None and name in vars(owner), f"{module_name}.{attr}"
+
+
+def test_tracer_counts_every_two_way_message():
+    # benchmarks/tracer.py counts two-way hops from what deliver_two_way
+    # returns, so hunt must send each two-way message through that name;
+    # a hunt that walked some other way would leave the counts at 0.
+    tracer = runpy.run_path(str(TRACER), run_name="tracer")["Tracer"]()
+    topo = build_grid(8, 8)
+    tracer.install()
+    try:
+        reports = [phantom.hunt(topo, TwoWay(5), 40, SimRng(seed)) for seed in range(4)]
+    finally:
+        tracer.uninstall()
+    counts = tracer.end_pass()
+    latencies = [h for report in reports for h in report.delivery_latency_hops]
+    assert counts["phantom.messages"] == counts["phantom.deliver_two_way"] == len(latencies)
+    assert counts["phantom.twoway_hops"] == sum(h for h in latencies if h >= 0) > 0
 
 
 def test_every_exported_name_resolves():

@@ -267,13 +267,21 @@ def test_step_table_is_the_non_backtracking_rule():
                  build_grid(1, 1), build_grid(1, 4)):
         assert topo.step_table() == [None] * topo.node_count  # nothing built yet
         for cur, nbrs in enumerate(topo.adjacency):
-            row = topo.step_row(cur)
-            assert row is topo.step_table()[cur] is topo.step_row(cur)
-            k, by_prev = row
-            assert set(by_prev) == set(nbrs)  # a walk's first step has no row
-            for prev, slots in by_prev.items():
-                candidates = tuple(n for n in slots if n is not None)
-                assert candidates == (tuple(n for n in nbrs if n != prev) or nbrs)
+            out = topo.steps_from(cur)
+            assert out is topo.step_table()[cur] is topo.steps_from(cur)
+            # One record per edge out of cur, in adjacency order: a walk's
+            # first step draws over them as over the adjacency.
+            assert [record[0] for record in out] == list(nbrs)
+            for record in out:
+                nxt, k, slots, prev = record
+                assert prev == cur and slots is None  # filled on first use
+                slots = topo.step_slots(record)
+                assert slots is record[2] is topo.step_slots(record)
+                nxt_out = topo.steps_from(nxt)
+                assert all(any(r is s for r in nxt_out) for s in slots if s is not None)
+                candidates = tuple(s[0] for s in slots if s is not None)
+                nxt_nbrs = topo.adjacency[nxt]
+                assert candidates == (tuple(n for n in nxt_nbrs if n != cur) or nxt_nbrs)
                 assert k == len(candidates).bit_length() and len(slots) == 2**k
 
 
@@ -284,15 +292,15 @@ def test_topology_memo_is_invisible_and_private():
         assert a.distances_from(o) == bfs_distances(a, o)
         assert a.distances_from(o) is a.distances_from(o)
         assert -1 not in a.distances_from(o)  # every built field is connected
-    a.step_row(0)
+    a.step_slots(a.steps_from(0)[0])
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert len({a, b}) == 1
     # b filled nothing from a's memo: its distances are its own objects,
-    # while the shape's step rows are one table that both read.
+    # while the shape's step records are one table that both read.
     assert b.distances_from(9) == a.distances_from(9)
     assert b.distances_from(9) is not a.distances_from(9)
     assert b._memo is not a._memo
-    assert b.step_table() is a.step_table() and b.step_row(0) is a.step_row(0)
+    assert b.step_table() is a.step_table() and b.steps_from(0) is a.steps_from(0)
     # A different field with the same node count gets its own distances.
     c = build_grid(8, 8, radio_range=1.5)
     assert c.distances_from(0) != a.distances_from(0)
@@ -337,12 +345,13 @@ def test_grids_of_one_shape_share_tables_but_not_their_memo(radio_range):
     assert a.positions is b.positions and a.adjacency is b.adjacency
     assert a._memo is not b._memo
     assert (a.sink, a.sources, b.sink, b.sources) == (0, (34,), 17, (3, 30))
-    # Distances built on a are a's alone; a step row built on a is b's too.
-    row, dist = a.step_row(10), a.distances_from(17)
+    # Distances built on a are a's alone; step records built on a are b's too.
+    out, dist = a.steps_from(10), a.distances_from(17)
+    slots = a.step_slots(out[0])
     assert ("bfs", 17) not in b._memo
-    assert b.step_table() is a.step_table() and b.step_table()[10] is row
+    assert b.step_table() is a.step_table() and b.step_table()[10] is out
     assert b.distances_from(17) == dist and b.distances_from(17) is not dist
-    assert b.step_row(10) is row
+    assert b.steps_from(10) is out and b.step_slots(b.steps_from(10)[0]) is slots
     assert netsim._lattice.cache_info().maxsize is not None  # a bounded LRU
 
 
@@ -352,9 +361,11 @@ def test_topologies_built_directly_keep_their_own_step_tables():
     b = Topology(grid.positions, grid.adjacency, 0, (11,))
     assert a == b
     assert a.step_table() is not b.step_table() and a.step_table() is not grid.step_table()
-    row = a.step_row(5)
+    out = a.steps_from(5)
+    slots = a.step_slots(out[0])
     assert b.step_table()[5] is None
-    assert b.step_row(5) == row and b.step_row(5) is not row
+    assert b.step_slots(b.steps_from(5)[0]) == slots and b.steps_from(5)[0][2] is not slots
+    assert b.steps_from(5) == out and b.steps_from(5) is not out
 
 
 def test_grid_refusals_raise_on_every_call():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+from collections import Counter
 
 import networkx as nx
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from wsnpriv import phantom
 from wsnpriv.netsim import DisconnectedGraphError, build_grid
 from wsnpriv.phantom import (
+    HuntReport,
     NoRendezvousError,
     ReceptorPath,
     TwoWay,
@@ -299,7 +301,7 @@ def test_hunt_draws_the_message_after_a_lost_one_from_where_it_stopped(monkeypat
     # walk must start where the lost walk left the "walk" stream.
     real = phantom.deliver_two_way
     monkeypatch.setattr(phantom, "deliver_two_way",
-                        lambda *args: real(*args, max_steps=9))
+                        lambda *args, **kwargs: real(*args, max_steps=9, **kwargs))
     topo = build_grid(6, 6)
     lost = delivered = 0
     for seed in range(6):
@@ -323,7 +325,7 @@ def test_hunt_counts_the_walks_of_lost_messages(monkeypatch):
     # Capped at 9 steps as in the test above, so that some messages are lost.
     real = phantom.deliver_two_way
     monkeypatch.setattr(phantom, "deliver_two_way",
-                        lambda *args: real(*args, max_steps=9))
+                        lambda *args, **kwargs: real(*args, max_steps=9, **kwargs))
     report = hunt(build_grid(6, 6), TwoWay(3), 40, SimRng(0))
     latencies = report.delivery_latency_hops
     lost = latencies.count(-1)
@@ -496,6 +498,82 @@ def test_hunt_moves_to_the_earliest_heard_neighbour():
                 position = to
         assert set(moves) <= set(range(1, report.safety_period + 1))
         assert report.captured == (position == source)
+
+
+def replay_two_way_hunt(topo, strategy, budget, rng):
+    """hunt's report for a TwoWay strategy, rebuilt from each message's
+    route_message Schedule read by Schedule.first_heard, with a tally of the
+    cases where listening during the walk could read the route wrong."""
+    source, position = topo.sources[0], topo.sink
+    receptor = strategy.receptor(topo, rng)
+    walk_rng = rng.stream("walk")
+    total, latencies, moves, cases = 0, [], [], Counter()
+    safety_period, captured = budget, False
+    for msg in range(1, budget + 1):
+        try:
+            sched = route_message(topo, source, topo.sink, receptor, walk_rng)
+        except NoRendezvousError:
+            latencies.append(-1)
+            cases["lost"] += 1
+            continue
+        total += sched.transmissions
+        latencies.append(sched.latency_hops)
+        nbrs = topo.adjacency[position]
+        heard = sched.first_heard(nbrs) if position != source else None
+        # The rendezvous tick; len(walk) when the walk meets the receptor at the sink.
+        met = next((i for i, v in enumerate(sched.walk) if v in receptor.nodes), len(sched.walk))
+        cases["walk ends on the sink"] += met == len(sched.walk) and topo.sink in nbrs
+        if heard is not None:
+            cases["source listened"] += heard == (0, source)
+            cases["hit node is a neighbour"] += heard[0] == met
+            cases["heard on the receptor suffix only"] += heard[0] > met
+            moves.append((msg, position, heard[1]))
+            position = heard[1]
+        if position == source:
+            captured, safety_period = True, msg
+            break
+    report = HuntReport(safety_period, captured, total, tuple(latencies), tuple(moves))
+    return report, cases
+
+
+@pytest.mark.parametrize("max_steps", [None, 9], ids=["delivered", "lost"])
+def test_two_way_hunt_listens_as_first_heard_reads_the_route(monkeypatch, max_steps):
+    # The hunter listens while the walk runs; its moves must be those that
+    # first_heard reads off each finished route, lost messages included.
+    if max_steps is not None:
+        real = phantom.deliver_two_way
+        monkeypatch.setattr(phantom, "deliver_two_way",
+                            lambda *args, **kwargs: real(*args, max_steps=max_steps, **kwargs))
+    cases = Counter()
+    for width, height in ((1, 6), (6, 6), (10, 10), (12, 7)):
+        topo = build_grid(width, height)
+        for length in (0, 1, 2, 4, 10):
+            for seed in range(6):
+                expected, seen = replay_two_way_hunt(topo, TwoWay(length), 60, SimRng(seed))
+                report = hunt(topo, TwoWay(length), 60, SimRng(seed))
+                assert report == expected, (width, height, length, seed)
+                cases.update(seen)
+    assert bool(cases["lost"]) == (max_steps is not None)
+    for case in ("source listened", "walk ends on the sink", "hit node is a neighbour",
+                 "heard on the receptor suffix only"):
+        assert cases[case], case
+
+
+def test_listening_leaves_the_route_and_the_draws_alone():
+    # From every listening post, deliver_two_way with `listen` returns the
+    # route it returns without, leaves the stream in the same state, and
+    # hears what first_heard reads off that route.
+    for topo in (build_grid(7, 5), random_field(40, 8.0, 2.5, SimRng(6))):
+        rec = build_receptor(topo, topo.sink, 4, SimRng(2))
+        for post, nbrs in enumerate(topo.adjacency):
+            source = (7 * post + 3) % topo.node_count
+            a, b = SimRng(post, "walk"), SimRng(post, "walk")
+            heard = []
+            route = deliver_two_way(topo, source, rec, a, listen=(nbrs, heard))
+            assert route == deliver_two_way(topo, source, rec, b)
+            assert a.getstate() == b.getstate()
+            sched = route_message(topo, source, topo.sink, rec, SimRng(post, "walk"))
+            assert heard == [h for h in (sched.first_heard(nbrs),) if h is not None]
 
 
 def test_energy_and_latency_properties():
