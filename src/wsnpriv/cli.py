@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -179,7 +178,7 @@ def _parse_dist(spec: str) -> ClusterSizeDist:
 
 def cmd_plan_zone(args) -> int:
     plan = min_zone_nodes(args.pr, args.hops)
-    row = {"p_r": plan.p_r, "hops": plan.hops, "n_min": plan.n_min, "k": plan.k}
+    row = {**vars(plan)}
     _finish(args, row, {"plan_zone.csv": rows_to_csv([row], list(row))})
     _say(f"zone plan: N_min={plan.n_min} (K={plan.k}) for P_r={plan.p_r}, H={plan.hops}")
     return 0
@@ -205,7 +204,7 @@ def cmd_simulate_hunt(args) -> int:
 def cmd_aggregate(args) -> int:
     field_ = PrimeField(args.modulus)
     result = run_sppda(args.x, args.y, args.z, SimRng(args.seed, "aggregate"), field_)
-    _finish(args, {"total": result.total, "pair_sum": result.pair_sum}, {})
+    _finish(args, {**vars(result)}, {})
     _say(f"pair_sum = {result.pair_sum} (D = {result.total} mod {args.modulus})")
     return 0
 
@@ -222,11 +221,10 @@ def _parse_sizes(spec: str) -> range | list[int]:
 
 def cmd_bench(args) -> int:
     rows = bench_aggregation(_parse_sizes(args.sizes), args.reps, args.seed)
-    docs = [dataclasses.asdict(r) for r in rows]
-    columns = ["scheme", "cluster_size", "median_ns", "repetitions"]
-    _finish(args, {"rows": docs}, {"bench.csv": rows_to_csv(docs, columns)})
-    for d in docs:
-        _say(f"{d['scheme']} n={d['cluster_size']}: {d['median_ns']} ns median")
+    docs = [{**vars(r)} for r in rows]
+    _finish(args, {"rows": docs}, {"bench.csv": rows_to_csv(docs, list(docs[0]))})
+    for r in rows:
+        _say(f"{r.scheme} n={r.cluster_size}: {r.median_ns} ns median")
     return 0
 
 
@@ -237,7 +235,7 @@ def cmd_disclosure_curve(args) -> int:
     if dist is not SPPDA_DIST:
         schemes.append(("cpda", dist, DisclosureModel(args.model)))
     rows = disclosure_curve(b_grid, schemes)
-    csv_text = rows_to_csv(rows, ["scheme", "model", "b", "p_disclose"])
+    csv_text = rows_to_csv(rows, list(rows[0]))
     out = _finish(args, {"points": len(rows)}, {"disclosure_curve.csv": csv_text})
     _say(f"wrote {len(rows)} curve points to {out / 'disclosure_curve.csv'}")
     return 0

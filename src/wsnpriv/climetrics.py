@@ -239,11 +239,9 @@ def parse_strategy(spec: str) -> WalkConfig | TwoWay:
 
 
 def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
-    """Per (grid, strategy) cell: safety-period quantiles over seeded trials.
-
-    Also emits per-trial rows (strategy, grid, safety period, capture flag,
-    transmissions, mean latency) for the CSV log.
-    """
+    """Per (grid, strategy) cell: safety-period quantiles and capture rate over
+    seeded trials, read off the cell's per-trial rows (HUNT_CSV_COLUMNS), which
+    the CSV log writes."""
     if campaign.trials < 1:
         raise ValueError("trials: must be >= 1")
     strategies = [(spec, parse_strategy(spec)) for spec in campaign.strategies]
@@ -251,14 +249,10 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
     for (w, h) in campaign.grids:
         topology = build_grid(w, h)
         for spec, strategy in strategies:
-            safeties = []
-            captures = 0
             trial_rows = []
             for t in range(campaign.trials):
                 rng = SimRng(campaign.master_seed, f"hunt/{w}x{h}/{spec}/trial:{t}")
                 report = hunt(topology, strategy, campaign.message_budget, rng)
-                safeties.append(report.safety_period)
-                captures += int(report.captured)
                 delivered = [l for l in report.delivery_latency_hops if l >= 0]
                 trial_rows.append({
                     "trial": t,
@@ -273,7 +267,7 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
                         round(sum(delivered) / len(delivered), 3) if delivered else -1
                     ),
                 })
-            safeties.sort()
+            safeties = sorted(row["safety_period"] for row in trial_rows)
             summary.append({
                 "grid_w": w,
                 "grid_h": h,
@@ -282,7 +276,7 @@ def montecarlo_hunt(campaign: HuntCampaign) -> list[dict]:
                 "median_safety": statistics.median(safeties),
                 "q25_safety": safeties[len(safeties) // 4],
                 "q75_safety": safeties[(3 * len(safeties)) // 4],
-                "capture_rate": captures / campaign.trials,
+                "capture_rate": sum(row["captured"] for row in trial_rows) / campaign.trials,
                 "trial_rows": trial_rows,
             })
     return summary

@@ -8,13 +8,12 @@ it home.  Both walks, and the directed walk's fallback, take their steps
 from one non-backtracking kernel, `_walk`.
 
 The adversary is a patient hunter.  It camps at a node, and for each
-delivered message relocates to the transmitter it heard earliest (lowest
-tick, then lowest node id), read off `Schedule.first_heard`; against
-two-way routing it listens while the walk runs instead (deliver_two_way's
-`listen`), which hears the same node at the same tick.  It catches
-the source when it reaches the source node at a moment the source is
-transmitting.  The safety period is the number of messages the source got
-out before that happens.
+delivered message relocates to the transmitter it heard earliest, read off
+`Schedule.first_heard` (ties as its docstring says); against two-way
+routing it listens while the walk runs instead (deliver_two_way's
+`listen`), which hears the same node at the same tick.  It catches the
+source at its node at a moment the source is transmitting.  The safety
+period is the number of messages the source got out before that happens.
 
 The flooding-zone math (how many nodes a zone needs so that back-tracing
 succeeds with probability below a target) is exact combinatorics.

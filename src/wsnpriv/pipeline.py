@@ -108,21 +108,12 @@ class DeliveryReport:
     unpaired_sources: tuple[NodeId, ...] = ()
 
     def to_doc(self) -> dict:
+        """JSON data: a flow's keys are FlowRecord's fields, its cluster's Cluster's, or null."""
         return {
             "level": self.level.value,
             "unpaired_sources": list(self.unpaired_sources),
             "flows": [
-                {
-                    "origin": fl.origin,
-                    "delivered_value": fl.delivered_value,
-                    "route_hops": fl.route_hops,
-                    "transmissions": fl.transmissions,
-                    "cluster": (
-                        {"s1": fl.cluster.s1, "s2": fl.cluster.s2, "af": fl.cluster.af}
-                        if fl.cluster
-                        else None
-                    ),
-                }
+                {**vars(fl), "cluster": {**vars(fl.cluster)} if fl.cluster else None}
                 for fl in self.flows
             ],
             "transcripts": [t.to_doc() for t in self.transcripts],

@@ -197,6 +197,7 @@ class RoundTranscript:
     result: AggregationResult
 
     def to_doc(self) -> dict:
+        """The round as JSON data; `result`'s keys are its AggregationResult's fields."""
         return {
             "seeds": list(self.seeds.seeds),
             "participants": list(self.seeds.participants),
@@ -215,7 +216,7 @@ class RoundTranscript:
                 {"participant": who, "value": v}
                 for who, v in zip(self.seeds.participants, self.sums)
             ],
-            "result": {"total": self.result.total, "pair_sum": self.result.pair_sum},
+            "result": {**vars(self.result)},
         }
 
 

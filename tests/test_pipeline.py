@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import random
 
@@ -9,6 +11,7 @@ from wsnpriv.netsim import DisconnectedGraphError, bfs_distances, build_grid
 from wsnpriv.phantom import WalkConfig, WalkMode
 from wsnpriv.pipeline import (
     Cluster,
+    FlowRecord,
     PipelineConfig,
     PrivacyLevel,
     pair_sources,
@@ -242,6 +245,32 @@ def test_full_level_confidentiality_scan():
     assert doc["flows"][0]["delivered_value"] == (x + y) % (2**31 - 1)
     exposed = _plaintext_values(doc)
     assert x not in exposed and y not in exposed
+
+
+def _field_names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("level", [PrivacyLevel.FULL, PrivacyLevel.ANONYMITY_ONLY])
+def test_flow_documents_are_copies_of_their_records(level):
+    report = run_pipeline(base_config(
+        level=level, sources=(22, 24), readings={22: 5, 24: 7},
+    ))
+    doc = report.to_doc()
+    for flow, record in zip(doc["flows"], report.flows, strict=True):
+        assert list(flow) == _field_names(FlowRecord)
+        if record.cluster is None:
+            assert flow["cluster"] is None
+        else:
+            assert list(flow["cluster"]) == _field_names(Cluster)
+    # Editing the document leaves the records, and every later document, as they were.
+    records = copy.deepcopy(report.flows)
+    before = copy.deepcopy(doc)
+    doc["flows"][0]["origin"] = -1
+    if doc["flows"][0]["cluster"] is not None:
+        doc["flows"][0]["cluster"]["af"] = -1
+    assert report.flows == records
+    assert report.to_doc() == before
 
 
 def test_unpaired_source_surfaces_in_report():

@@ -1,11 +1,15 @@
+import copy
+import dataclasses
 import itertools
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wsnpriv.climetrics import ClusterSizeDist, DisclosureModel, disclosure_probability
 from wsnpriv.keymgmt import (
     AuthenticationError,
     ProtocolError,
@@ -415,6 +419,16 @@ def test_transcript_serializable():
     assert doc["result"]["pair_sum"] == 12
 
 
+def test_transcript_result_document_is_a_copy_of_the_result():
+    _, transcript = SppdaCluster(SimRng(8)).run_round(5, 7, 3)
+    doc = transcript.to_doc()
+    assert list(doc["result"]) == [f.name for f in dataclasses.fields(AggregationResult)]
+    before = copy.deepcopy(doc)
+    doc["result"]["total"] = doc["result"]["pair_sum"] = -1
+    assert transcript.result == AggregationResult(total=15, pair_sum=12)
+    assert transcript.to_doc() == before
+
+
 # --- data path: node sums come from the decrypted payloads ---
 
 SETUP_AADS = (b"relay:", b"ss-perm:")  # key setup frames; every other frame is a round frame
@@ -560,6 +574,17 @@ def test_payload_outside_field_is_protocol_error(payload):
         cluster.run_round(5, 7, 3)
 
 
+def round_frame_label(rec, src, dst):
+    """(aad, slot) of a sealed round frame from node src to node dst, as its
+    receiver reads them off the frame's kind, ends and plaintext fields."""
+    fields = rec.plaintext_fields
+    if "ss_index" in fields:
+        return f"ss:{src.node_id}->{dst.node_id}".encode(), fields["ss_index"]
+    aad = (f"{rec.kind}:af->{dst.node_id}" if rec.sender == "A"
+           else f"{rec.kind}:{src.node_id}->af")
+    return aad.encode(), fields["r_c"]
+
+
 def test_round_frames_replay_under_receiver_keys():
     # In n-party rounds, n = 3..12, every sealed round frame opens under its
     # receiver's own key state at the slot its plaintext fields announce,
@@ -584,21 +609,110 @@ def test_round_frames_replay_under_receiver_keys():
         round_frames = [rec for rec in transcript.frames if rec.frame is not None]
         assert len(round_frames) == n * (n - 1) + (n - 1)
         for rec in round_frames:
-            src, dst, fields = nodes[rec.sender], nodes[rec.receiver], rec.plaintext_fields
-            if "ss_index" in fields:
-                aad = f"ss:{src.node_id}->{dst.node_id}"
-                bank, slot = dst.bank_ss, fields["ss_index"]
-            else:
-                aad = (f"{rec.kind}:af->{dst.node_id}" if rec.sender == "A"
-                       else f"{rec.kind}:{src.node_id}->af")
-                bank, slot = dst.bank_af, fields["r_c"]
+            src, dst = nodes[rec.sender], nodes[rec.receiver]
+            aad, slot = round_frame_label(rec, src, dst)
+            bank = dst.bank_ss if "ss_index" in rec.plaintext_fields else dst.bank_af
             link_bank, ordering = dst.link(src.node_id, dst.node_id)
             assert link_bank is bank
-            value = int(open_frame(bank, ordering, slot, rec.frame, aad.encode(),
-                                   StreamMacCipher()))
+            value = int(open_frame(bank, ordering, slot, rec.frame, aad, StreamMacCipher()))
             if rec.kind == "share":
                 assert value == shares[(rec.sender, rec.receiver)]
                 held[rec.receiver] = (held[rec.receiver] + value) % P
             else:
                 assert value == summed[rec.sender]
         assert held == summed
+
+
+# --- disclosure from real transcripts ---
+
+def round_equations(n, readings, z):
+    """One SppdaCluster round of n parties, as an outside adversary who has
+    broken links could read it: per link {sender, receiver}, each frame
+    opened under its receiver's link, as (link, row, value).  A row is one
+    linear equation over the n^2 mask coefficients, participant i's value
+    and its n - 1 coefficients at columns i*n .. i*n + n - 1; the public
+    seeds give its entries.  A share is its sender's polynomial at the
+    receiver's seed, a node sum every participant's at the sender's own."""
+    cluster = SppdaCluster(SimRng(40, f"disclose:{n}"), node_ids=tuple(range(10, 10 + n)))
+    _, transcript = cluster.run_round(*readings, z)
+    names = transcript.seeds.participants
+    nodes = dict(zip(names, (cluster.af, *cluster.sources)))
+    seed_of = dict(zip(names, transcript.seeds.seeds))
+    equations = []
+    for rec in transcript.frames:
+        if rec.frame is None:  # the seed broadcast is plaintext
+            continue
+        src, dst = nodes[rec.sender], nodes[rec.receiver]
+        aad, slot = round_frame_label(rec, src, dst)
+        value = int(open_frame(*dst.link(src.node_id, dst.node_id), slot, rec.frame, aad,
+                               cluster.cipher))
+        at, polys = ((rec.receiver, [rec.sender]) if rec.kind == "share"
+                     else (rec.sender, names))
+        row = [0] * n * n
+        for who in polys:
+            i = names.index(who)
+            row[i * n:(i + 1) * n] = [pow(seed_of[at], k, P) for k in range(n)]
+        equations.append((frozenset((rec.sender, rec.receiver)), row, value))
+    return names, equations
+
+
+def eliminate(row, value, basis, p=P):
+    """(row, value) less each basis row, scaled to clear its pivot column."""
+    for col, prow, pval in basis:
+        if f := row[col]:
+            row = [(a - f * b) % p for a, b in zip(row, prow)]
+            value = (value - f * pval) % p
+    return row, value
+
+
+def solve_for(equations, column, width, p=P):
+    """The value of unknown `column` if the equations determine it, else None.
+    Gauss-Jordan elimination mod p keeps each basis row 1 at its pivot and 0 at
+    every other pivot; the unit row at `column` then reduces to zero exactly
+    when it lies in the equations' row space."""
+    basis = []  # (pivot column, row, value)
+    for row, value in equations:
+        row, value = eliminate(row, value, basis, p)
+        pivot = next((c for c, a in enumerate(row) if a), None)
+        if pivot is None:
+            continue
+        inv = pow(row[pivot], -1, p)
+        new = (pivot, [a * inv % p for a in row], value * inv % p)
+        basis = [(col, *eliminate(prow, pval, [new], p)) for col, prow, pval in basis]
+        basis.append(new)
+    unit = [0] * width
+    unit[column] = 1
+    rest, minus = eliminate(unit, 0, basis, p)
+    return None if any(rest) else -minus % p
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_disclosure_from_transcripts_matches_all_links(n):
+    # An outside adversary reads the frames on each set of broken links, and
+    # knows the public seeds but not the gateway's x + y.  Summed exactly over
+    # those sets, a member's chance of disclosure is ALL_LINKS's b^(m-1).
+    readings = [1_000 + 111 * i for i in range(1, n)]
+    names, equations = round_equations(n, readings, 777)
+    links = sorted({link for link, _, _ in equations}, key=sorted)
+    assert len(links) == n * (n - 1) // 2  # every pair of the cluster exchanges frames
+    disclosing = {who: [] for who in names}
+    for size in range(len(links) + 1):
+        for broken in itertools.combinations(links, size):
+            read = [(row, value) for link, row, value in equations if link in broken]
+            for i, (who, reading) in enumerate(zip(names, (777, *readings))):
+                got = solve_for(read, i * n, n * n)
+                if got is not None:
+                    assert got == reading
+                    disclosing[who].append(size)
+    # The AF's own share is never sent, so its reading is never disclosed.
+    assert disclosing["A"] == []
+    dist = ClusterSizeDist(n, n, (1.0,))
+    for i in range(21):
+        b = round(i * 0.05, 2)
+        all_links = disclosure_probability(b, dist, DisclosureModel.ALL_LINKS)
+        any_link = disclosure_probability(b, dist, DisclosureModel.ANY_LINK)
+        fb = Fraction(b)
+        for who in names[1:]:
+            exact = sum(fb ** k * (1 - fb) ** (len(links) - k) for k in disclosing[who])
+            assert float(exact) == pytest.approx(all_links, rel=1e-12, abs=0)
+            assert any_link >= float(exact)
