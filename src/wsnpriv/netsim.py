@@ -3,19 +3,20 @@
 Nodes live at 2-D positions; build_grid links two nodes iff their Euclidean
 distance is within its radio range.  One designated sink (the home gateway)
 plus one or more source nodes.  A broadcast is heard by every neighbour of
-its sender.  Every experiment runs on a build_grid lattice, which refuses a
-disconnected field; a Topology built directly takes any adjacency, but has
-hop distances only if connected.  They are |dx| + |dy| on a range-1
-lattice, bfs_distances on any other field, and per Topology.  A grid
-shape's positions and adjacency are built once per process, in a bounded
-LRU (~160-170 B per node at range 1), with one table of walk-step records,
-one per directed edge, that every build_grid Topology of the shape fills
-and reads (~670-690 B per node once every record is filled).
+its sender.  Every experiment runs on a build_grid lattice, which counts
+its links before building any and refuses a field of none (disconnected)
+or of over LINKS_MAX adjacency entries; a Topology built directly takes any
+adjacency, but has hop distances only if connected.  They are |dx| + |dy|
+on a range-1 lattice, bfs_distances on any other field, and per Topology.
+A grid shape's positions and adjacency are built once per process, in a
+bounded LRU (~160-170 B per node at range 1), with one table of walk-step
+records, one per directed edge, that every build_grid Topology of the shape
+fills and reads (~670-690 B per node once every record is filled).
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -30,8 +31,9 @@ __all__ = [
 
 NodeId = int
 GRID_MAX_NODES = 10**6  # a larger lattice fails as bad input, not as a MemoryError
-# The most node pairs a grid may hold in touching cells of side r * (1 + 1e-9).
-PAIR_TESTS_MAX = 10**8  # 1000x1000 at range 1 holds 4e6
+# The most adjacency entries a grid may hold, ~0.9 GB at ~8.6 B per entry;
+# 1000x1000 at range 1 holds 4e6.
+LINKS_MAX = 10**8
 # Grid shapes kept by build_grid: 32 of 30x30 at range 1 hold ~4.9 MB, and
 # ~20 MB more once every step record of every shape is filled.
 LATTICE_CACHE_SIZE = 32
@@ -134,42 +136,39 @@ def _grid_adjacency(
 ) -> tuple[tuple[NodeId, ...], ...]:
     """Adjacency of the width x height unit lattice, linked by offset.
 
-    A node links to the offsets (dx, dy) on the lattice with float(dx)**2 +
-    float(dy)**2 <= r**2; rows are built a lattice row at a time, from
-    slices of one padded id list.  Before any row is built, a range is
-    refused if over PAIR_TESTS_MAX node pairs lie in touching cells (equal
-    or adjacent in both axes) of side r * (1 + 1e-9).  A cell holds (lattice
-    columns in its x span) x (lattice rows in its y span) nodes, so the
-    count comes from per-axis sums.
+    A node links to the offsets (dx, dy) with float(dx)**2 + float(dy)**2 <=
+    r**2, and offset (dx, dy) links (width - |dx|) x (height - |dy|) nodes.
+    Before any row is built, those counts sum to the adjacency entries: over
+    LINKS_MAX raises ValueError, and none on more than one node (r*r < 1)
+    raises DisconnectedGraphError.  Any link means r*r >= 1, whose pitch-1
+    links alone connect the lattice.  Rows are built a lattice row at a
+    time, from slices of one padded id list.
     """
     n = width * height
-    if n * (n - 1) // 2 > PAIR_TESTS_MAX:  # fewer pairs in all than the cap: nothing to count
-        cell = radio_range * (1 + 1e-9)
-        axes = []
-        for side in (width, height):
-            cells = Counter(int(v // cell) for v in map(float, range(side)))
-            axes.append((sum(m * m for m in cells.values()),  # one cell's span with itself
-                         sum(m * cells[c + 1] for c, m in cells.items())))  # with the next one's
-        (xx, xn), (yy, yn) = axes
-        # Pairs within a cell, then a cell with its later x, y and two diagonal cells.
-        if (xx * yy - n) // 2 + xn * yy + xx * yn + 2 * xn * yn > PAIR_TESTS_MAX:
-            raise ValueError(
-                f"radio_range: {radio_range} needs over {PAIR_TESTS_MAX} node-pair tests"
-            )
     # reach[dy]: the widest dx in range at that dy.  The float test fails
-    # for every wider offset once it fails, so reach only shrinks.
+    # for every wider offset once it fails, so reach only shrinks; no dx
+    # past r passes it, so the scan starts there (at width - 1 for r = inf).
     r2 = radio_range * radio_range
     reach: list[int] = []
-    dx = width - 1
+    links = -n  # the (0, 0) offset, which links no node
+    dx = width - 1 if radio_range >= width else min(width - 1, int(radio_range) + 1)
     for dy in range(height):
         while dx >= 0 and float(dx) ** 2 + float(dy) ** 2 > r2:
             dx -= 1
         if dx < 0:
             break
         reach.append(dx)
+        # Offsets -dx .. dx at dy, and at -dy too unless dy is 0.
+        links += (height - dy) * ((2 * dx + 1) * width - dx * (dx + 1)) * (2 if dy else 1)
+    if links > LINKS_MAX:
+        raise ValueError(
+            f"radio_range: {radio_range} needs {links} adjacency entries, over {LINKS_MAX}")
+    if not links:
+        if n > 1:
+            raise DisconnectedGraphError(
+                f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}")
+        return ((),)
     tall, side = len(reach) - 1, reach[0]
-    if not (tall or side):  # a lone node, or a range short of the lattice pitch
-        return ((),) * (width * height)
     # Each lattice row padded with -1 to the reach on both sides, and tall
     # rows of -1 above and below, in one list holding one int object per
     # node id: a whole row's neighbours at one stencil offset are one slice.
@@ -221,26 +220,17 @@ def shortest_path(topology: Topology, origin: NodeId, destination: NodeId) -> li
 
 @lru_cache(maxsize=LATTICE_CACHE_SIZE)
 def _lattice(width: int, height: int, radio_range: float) -> tuple:
-    """(positions, adjacency, memo entries) of a connected grid.  The memo
-    entries are an empty step table, which fills as walks visit it, and at
-    range 1 the width.
-
-    _grid_adjacency's float test links pitch-1 neighbours iff r*r >= 1, and
-    those links alone connect the lattice; below that no node has a link.
-    Range 1 is 1 <= r*r < 2 (4 neighbours per node), where distances_from
-    needs no BFS.  A refusal is never cached, so it raises again on every call.
+    """(positions, adjacency, memo entries) of a grid that _grid_adjacency
+    accepts.  The memo entries are an empty step table, which fills as walks
+    visit it, and at range 1 (1 <= r*r < 2, 4 neighbours per node) the
+    width, so distances_from needs no BFS.  A refusal is never cached, so it
+    raises again on every call.
     """
     adjacency = _grid_adjacency(width, height, radio_range)
-    n = width * height
-    r2 = radio_range * radio_range
-    if n > 1 and r2 < 1.0:
-        raise DisconnectedGraphError(
-            f"radio_range: field of {n} nodes is disconnected at radio range {radio_range}"
-        )
     xs = list(map(float, range(width)))  # one float object per coordinate
     positions = tuple([(x, y) for y in map(float, range(height)) for x in xs])
-    memo = {"steps": [None] * n}
-    if 1.0 <= r2 < 2.0:
+    memo = {"steps": [None] * len(adjacency)}
+    if 1.0 <= radio_range * radio_range < 2.0:
         memo["lattice"] = width
     return positions, adjacency, memo
 
@@ -255,8 +245,8 @@ def build_grid(
     """width x height unit lattice.  Node id = y * width + x.
 
     Nodes within radio_range are linked by id offset, a lattice row at a
-    time; a range linking too many node pairs is refused first
-    (_grid_adjacency), then a field of more than one node short of range 1.
+    time; a range whose links would make over LINKS_MAX adjacency entries,
+    or none on more than one node, is refused first (_grid_adjacency).
     Positions share one float object per coordinate.  At range 1 it records
     the width, so distances_from needs no BFS.  Each call returns a new
     Topology with its own roles and memo over its shape's shared tables.
@@ -269,7 +259,7 @@ def build_grid(
     n = width * height
     if n > GRID_MAX_NODES:
         raise ValueError(f"width: {width}x{height} grid is over {GRID_MAX_NODES} nodes")
-    if not radio_range >= 1e-9:  # also NaN; far smaller ranges overflow the cell count
+    if not radio_range >= 1e-9:  # also NaN, which every offset's float test passes
         raise ValueError("radio_range: must be >= 1e-9")
     positions, adjacency, memo = _lattice(width, height, radio_range)
     topology = Topology(

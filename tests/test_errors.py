@@ -369,9 +369,9 @@ PIPELINE_ERRORS = [
      "receptor_length: must be >= 0"),
     ("radio_range_list", {"radio_range": [1]}, "radio_range: expected number"),
     ("radio_range_string", {"radio_range": "1.5"}, "radio_range: expected number"),
-    # Once one hash cell of 40,000 nodes: 8e8 pair tests toward a complete graph.
+    # A complete graph on 40,000 nodes: 40,000 * 39,999 adjacency entries.
     ("radio_range_too_large", {"width": 200, "height": 200, "radio_range": 1e300},
-     "radio_range: 1e+300 needs over 100000000 node-pair tests"),
+     "radio_range: 1e+300 needs 1599960000 adjacency entries, over 100000000"),
     ("sink_string", {"sink": "3"}, "sink: expected int"),
     ("source_string", {"sources": ["22", 24]}, "sources: expected int"),
     ("source_float", {"sources": [22.7, 24]}, "sources: expected int"),

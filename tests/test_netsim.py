@@ -89,26 +89,33 @@ def test_adjacency_symmetric_and_irreflexive():
 STENCIL_RANGES = [0.3, 0.5, 1.0, 1 + 1e-9, math.sqrt(2), 1.5, 2.5, 7.3, 1e18, 1e300, math.inf]
 
 
-def test_grid_stencil_matches_all_pairs():
+def test_grid_stencil_matches_all_pairs(monkeypatch):
     # Lattices wider and taller than 2 * reach + 1 (15 at range 7.3) have
     # nodes no padding reaches as well as edge nodes at every finite range
-    # up to 7.3.  build_grid refuses exactly the fields the oracle's graph
-    # leaves disconnected.
+    # up to 7.3.  Both builders refuse exactly the fields the oracle's graph
+    # leaves disconnected, and the cap's count is the entries they build:
+    # a cap one below it refuses before any row is built.
     shapes = [(w, h, r) for w in range(1, 13) for h in range(1, 13) for r in STENCIL_RANGES]
     shapes += [(w, h, r) for w, h in ((17, 3), (3, 17), (16, 16), (20, 20))
                for r in STENCIL_RANGES if r <= 7.3]
     for width, height, radio_range in shapes:
         positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
         expected = all_pairs_adjacency(positions, radio_range)
-        assert _grid_adjacency(width, height, radio_range) == expected
+        links = sum(map(len, expected))
         graph = nx.Graph()
         graph.add_nodes_from(range(len(positions)))
         graph.add_edges_from((a, b) for a, nbrs in enumerate(expected) for b in nbrs)
-        if nx.is_connected(graph):
-            assert build_grid(width, height, radio_range).adjacency == expected
-        else:
-            with pytest.raises(DisconnectedGraphError, match="^radio_range: field of "):
-                build_grid(width, height, radio_range)
+        for build in (_grid_adjacency, lambda w, h, r: build_grid(w, h, r).adjacency):
+            if nx.is_connected(graph):
+                assert build(width, height, radio_range) == expected
+            else:
+                with pytest.raises(DisconnectedGraphError, match="^radio_range: field of "):
+                    build(width, height, radio_range)
+        if links:
+            with monkeypatch.context() as patch:
+                patch.setattr(netsim, "LINKS_MAX", links - 1)
+                with pytest.raises(ValueError, match=f" needs {links} adjacency entries, "):
+                    _grid_adjacency(width, height, radio_range)
 
 
 def test_infinite_range_grid_is_complete():
@@ -192,38 +199,48 @@ def test_every_builder_rejects_a_bad_radio_range(build, radio_range):
         build(radio_range)
 
 
-def hash_pair_tests(positions, radio_range):
-    """The grid's refusal count: pairs of nodes whose cells of side
-    r * (1 + 1e-9) touch, that is differ by at most one in both axes."""
-    cell = radio_range * (1 + 1e-9)
-    cells = [(int(x // cell), int(y // cell)) for x, y in positions]
-    return sum(abs(ax - bx) <= 1 and abs(ay - by) <= 1
-               for i, (ax, ay) in enumerate(cells) for bx, by in cells[i + 1:])
-
-
 @pytest.mark.usefixtures("fresh_lattices")
 @pytest.mark.parametrize("width,height,radio_range", [
     (9, 6, 1.5), (13, 4, 0.7), (1, 17, 2.5), (8, 8, 3.9), (7, 5, 1e300), (6, 6, math.inf),
 ])
 def test_grid_cap_counts_the_spatial_hash_tests(monkeypatch, width, height, radio_range):
-    # The grid links by stencil but refuses at exactly the touching-cell count.
+    # The cap counts the adjacency entries the stencil builds.  One below
+    # that count refuses the range; at it, both builders give the oracle's
+    # rows, or refuse a field with none (13x4 at 0.7) as disconnected.
     positions = [(float(x), float(y)) for y in range(height) for x in range(width)]
-    tested = hash_pair_tests(positions, radio_range)
-    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested)
     expected = all_pairs_adjacency(positions, radio_range)
-    assert _grid_adjacency(width, height, radio_range) == expected
-    monkeypatch.setattr(netsim, "PAIR_TESTS_MAX", tested - 1)
-    message = re.escape(f"radio_range: {radio_range} needs over {tested - 1} node-pair tests")
-    for build in (_grid_adjacency, lambda w, h, r: build_grid(w, h, r)):
+    links = sum(map(len, expected))
+    builds = (_grid_adjacency, lambda w, h, r: build_grid(w, h, r).adjacency)
+    monkeypatch.setattr(netsim, "LINKS_MAX", links - 1)
+    message = re.escape(f"radio_range: {radio_range} needs {links} adjacency entries, "
+                        f"over {links - 1}")
+    for build in builds:
         with pytest.raises(ValueError, match=f"^{message}$"):
             build(width, height, radio_range)
+    monkeypatch.setattr(netsim, "LINKS_MAX", links)
+    for build in builds:
+        if links:
+            assert build(width, height, radio_range) == expected
+        else:
+            with pytest.raises(DisconnectedGraphError, match="^radio_range: field of 52 nodes "):
+                build(width, height, radio_range)
 
 
 def test_grid_refuses_a_complete_graph_without_the_hash():
-    # The grid counts its node pairs per axis, so 10^6 nodes in one cell
-    # are refused before any row or position is built.
-    with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs over 100000000 node-pair"):
+    # 10^6 nodes in range of each other are refused from the stencil's
+    # count, before any row or position is built.
+    with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs 999999000000 adjacency "
+                                         r"entries, over 100000000$"):
         build_grid(1, 10**6, radio_range=1e300)
+
+
+@pytest.mark.parametrize("width,height", [(1, 10**6), (10**6, 1)])
+def test_grid_refuses_a_line_by_the_entries_it_would_build(width, height):
+    # 2 * 66 * 10^6 - 66 * 67 entries, ~1.1 GB: each node links the 66 on
+    # either side, less those past the ends.  Refused from the count alone.
+    with pytest.raises(ValueError, match=r"^radio_range: 66 needs 131995578 adjacency entries, "
+                                         r"over 100000000$"):
+        build_grid(width, height, radio_range=66)
 
 
 def test_simrng_determinism_and_stream_independence():
@@ -372,6 +389,6 @@ def test_grid_refusals_raise_on_every_call():
     for _ in range(2):
         with pytest.raises(DisconnectedGraphError, match="^radio_range: field of 9 nodes"):
             build_grid(3, 3, 0.5)
-        # 20,000 nodes in one cell: 2e8 node pairs, over the cap.
-        with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs over 100000000 node-pair"):
+        # 20,000 nodes all in range: 20,000 * 19,999 entries, over the cap.
+        with pytest.raises(ValueError, match=r"^radio_range: 1e\+300 needs 399980000 adjacency "):
             build_grid(200, 100, radio_range=1e300)
