@@ -63,10 +63,9 @@ def _out_dir(out: str | None) -> pathlib.Path:
     return path
 
 
-def _write(path: pathlib.Path, text: str) -> bytes:
-    """Write `text` as UTF-8 over `path` in place, cut the file there and
-    return the bytes.  Without O_TRUNC, ext4 flushes no replaced data."""
-    data = text.encode()
+def _write(path: pathlib.Path, data: bytes) -> None:
+    """Write `data` over `path` in place and cut the file there.  Without
+    O_TRUNC, ext4 flushes no replaced data."""
     with _out_errors():
         fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
         with open(fd, "wb") as f:
@@ -116,18 +115,22 @@ def _render(value, nl: str) -> str:
 
 def _finish(args, results: dict, files: dict[str, str],
             config: dict | None = None) -> pathlib.Path:
-    """Write each {name: text} file, then <command>.summary.json: the config
-    echo (the parsed options unless `config` is given), `results` and the
-    SHA-256 of every file's bytes.  Returns the output directory."""
-    out = _out_dir(args.out)
-    digests = {}
-    for name, text in files.items():
-        digests[name] = hashlib.sha256(_write(out / name, text)).hexdigest()
+    """Write each {name: text} file as UTF-8, then <command>.summary.json:
+    the config echo (the parsed options unless `config` is given), `results`
+    and the SHA-256 of every file's bytes.  Every text is rendered before
+    any file is written.  Returns the output directory."""
     if config is None:
         config = {k: v for k, v in vars(args).items() if k not in ("out", "command", "func")}
+    data = {name: text.encode() for name, text in files.items()}
     summary = {"command": args.command, "config": config, "results": results,
-               "file_digests": digests}
-    _write(out / f"{args.command}.summary.json", _json(summary))
+               "file_digests": {n: hashlib.sha256(b).hexdigest() for n, b in data.items()}}
+    try:
+        data[f"{args.command}.summary.json"] = _json(summary).encode()
+    except RecursionError as exc:  # only a config document nests this deep
+        raise ValueError(f"config: {exc}") from None
+    out = _out_dir(args.out)
+    for name, b in data.items():
+        _write(out / name, b)
     return out
 
 
@@ -285,12 +288,12 @@ def run_scenarios(path: str, out_dir: str | None) -> int:
         taken.add(name)
         try:
             report = _run_doc(scen)
-            _write(out / f"{name}.json", _json(report))
+            _write(out / f"{name}.json", _json(report).encode())
             rows = [{"scenario": name, "flow": j, **fl} for j, fl in enumerate(report["flows"])]
             _write(out / f"{name}.csv", rows_to_csv(
                 rows, ["scenario", "flow", "origin", "delivered_value",
                        "route_hops", "transmissions"],
-            ))
+            ).encode())
         except (OSError, ValueError, RuntimeError) as exc:
             _say(f"error: {name}: {exc}")
             status = 1

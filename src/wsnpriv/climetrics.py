@@ -372,8 +372,8 @@ def pipeline_config_from_doc(doc: dict) -> PipelineConfig:
 
 
 def read_json(path: str, key: str):
-    """The JSON document at `path`; an unreadable file is bad input in `key`."""
+    """The JSON at `path`; an unreadable or too deeply nested file is bad input in `key`."""
     try:
         return json.loads(pathlib.Path(path).read_bytes())  # JSON is UTF-8, whatever the locale
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"{key}: {exc}") from None

@@ -6,8 +6,8 @@ plus one or more source nodes.  A broadcast is heard by every neighbour of
 its sender.  Every experiment runs on a build_grid lattice, which counts
 its links before building any and refuses a field of none (disconnected)
 or of over LINKS_MAX adjacency entries; a Topology built directly takes any
-adjacency, but has hop distances only if connected.  They are |dx| + |dy|
-on a range-1 lattice, bfs_distances on any other field, and per Topology.
+adjacency, but routes only if connected.  Hop distances are |dx| + |dy| on
+a range-1 lattice, bfs_distances on any other field, and per Topology.
 A grid shape's positions and adjacency are built once per process, in a
 bounded LRU (~160-170 B per node at range 1), with one table of walk-step
 records, one per directed edge, that every build_grid Topology of the shape
@@ -56,6 +56,10 @@ StepRecord = list
 
 @dataclass(frozen=True)
 class Topology:
+    """A field and its roles, each role a node id in [0, node_count), checked
+    when built.  Every route asks distances_from, so routing on a
+    disconnected field raises DisconnectedGraphError."""
+
     positions: tuple[tuple[float, float], ...]
     adjacency: tuple[tuple[NodeId, ...], ...]  # sorted neighbor ids per node
     sink: NodeId
@@ -63,6 +67,12 @@ class Topology:
     # Tables derived from the fields above, filled on first use and shared
     # by every caller; never part of equality, hashing or repr.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n = len(self.positions)
+        for key, node in (("sink", self.sink), *(("sources", s) for s in self.sources)):
+            if not 0 <= node < n:
+                raise ValueError(f"{key}: node {node} outside [0, {n})")
 
     @property
     def node_count(self) -> int:
@@ -252,7 +262,7 @@ def build_grid(
     Topology with its own roles and memo over its shape's shared tables.
 
     Default roles: sink at node 0 (one corner), single source at the
-    opposite corner.
+    opposite corner.  The Topology checks that each role is a node id.
     """
     if width < 1 or height < 1:
         raise ValueError(f"{'width' if width < 1 else 'height'}: must be >= 1")
@@ -269,9 +279,4 @@ def build_grid(
         sources=(n - 1,) if sources is None else tuple(sources),
     )
     topology._memo.update(memo)
-    if not 0 <= topology.sink < n:
-        raise ValueError(f"sink: node {topology.sink} outside [0, {n})")
-    for s in topology.sources:
-        if not 0 <= s < n:
-            raise ValueError(f"sources: node {s} outside [0, {n})")
     return topology

@@ -270,6 +270,7 @@ def deliver_two_way(
 
     Returns the full route (walk prefix + receptor suffix).  A source
     already on the receptor sends straight down the pre-established path.
+    A disconnected field raises DisconnectedGraphError before any draw.
 
     With listen = (nodes, heard), the list `heard` receives (tick, node)
     for the first of `nodes` to forward, as Schedule.first_heard reads it
@@ -277,6 +278,7 @@ def deliver_two_way(
     then walks on to the receptor on the same step budget, so the route and
     the draws are the same.
     """
+    topology.distances_from(source)
     nodes, heard = listen or ((), None)
     index_of = {node: i for i, node in enumerate(receptor.nodes)}
     scan = 0  # no listened node forwards before route[scan]

@@ -120,19 +120,18 @@ class DeliveryReport:
         }
 
 
-def pair_sources(
-    sources: list[NodeId] | tuple[NodeId, ...], topology: Topology
-) -> tuple[list[Cluster], list[NodeId]]:
-    """Greedy nearest-pair clustering with an AF near each pair.
+def pair_sources(topology: Topology) -> tuple[list[Cluster], list[NodeId]]:
+    """Greedy nearest-pair clustering of topology.sources, an AF near each pair.
 
-    The AF is a common neighbor of both sources when one exists (lowest
-    id), otherwise the non-source, non-sink node minimizing its summed
-    distance to the pair.  Returns (clusters, unpaired leftovers).
+    The AF is the non-source, non-sink node of least summed hop distance to
+    the pair, lowest id on a tie.  Such a node is at least one hop from each
+    source, so a common neighbour (sum 2) wins whenever there is one.
+    Returns (clusters, unpaired leftovers).
     """
-    if len(sources) < 2:
+    if len(topology.sources) < 2:
         raise ValueError("sources: need at least two sources to pair")
-    ids = sorted(sources)
-    unpaired = set(sources)
+    ids = sorted(topology.sources)
+    unpaired = set(ids)
     forbidden = unpaired | {topology.sink}
     dist_from = {s: topology.distances_from(s) for s in ids}
     clusters: list[Cluster] = []
@@ -144,37 +143,28 @@ def pair_sources(
         if s1 not in unpaired or s2 not in unpaired:
             continue
         unpaired -= {s1, s2}
-        common = sorted(
-            set(topology.adjacency[s1]) & set(topology.adjacency[s2]) - forbidden
-        )
-        if common:
-            af = common[0]
-        elif topology.node_count > len(forbidden):
-            # Forbidden nodes sum past any two hop distances; ties go to the lowest id.
-            summed = list(map(operator.add, dist_from[s1], dist_from[s2]))
-            for n in forbidden:
-                summed[n] = 2 * topology.node_count
-            af = summed.index(min(summed))
-        else:
+        if topology.node_count == len(forbidden):
             raise ValueError(
                 f"sources: no aggregator-forwarder candidate can reach both {s1} and {s2}"
             )
-        clusters.append(Cluster(s1=s1, s2=s2, af=af))
+        # Forbidden nodes sum past any two hop distances.
+        summed = list(map(operator.add, dist_from[s1], dist_from[s2]))
+        for n in forbidden:
+            summed[n] = 2 * topology.node_count
+        clusters.append(Cluster(s1=s1, s2=s2, af=summed.index(min(summed))))
     return clusters, sorted(unpaired)
 
 
 def run_pipeline(config: PipelineConfig) -> DeliveryReport:
     """Execute one scenario: layer selection, aggregation, delivery."""
     rng = SimRng(config.master_seed, "pipeline")
-    topology = build_grid(
-        config.width, config.height, config.radio_range,
-        sink=config.sink, sources=tuple(config.sources),
-    )
+    topology = build_grid(config.width, config.height, config.radio_range,
+                          sink=config.sink, sources=config.sources)
     field_ = PrimeField(config.modulus)
     report = DeliveryReport(level=config.level)
 
     if config.level.perturbation:
-        clusters, unpaired = pair_sources(config.sources, topology)
+        clusters, unpaired = pair_sources(topology)
         report.unpaired_sources = tuple(unpaired)
         outbound = []
         for i, cluster in enumerate(clusters):
@@ -194,7 +184,7 @@ def run_pipeline(config: PipelineConfig) -> DeliveryReport:
             # The aggregate leaves from the AF; the gateway records x + y only.
             outbound.append((cluster.af, result.pair_sum, cluster))
     else:
-        outbound = [(s, config.readings[s] % field_.p, None) for s in config.sources]
+        outbound = [(s, config.readings[s] % field_.p, None) for s in topology.sources]
 
     # Plain delivery takes a shortest path; the anonymity layer routes by
     # phantom flood, or two-way along one receptor shared by every flow.

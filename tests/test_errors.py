@@ -1,6 +1,7 @@
 """Bad input fails as a typed error that names the field, never as a traceback."""
 
 import json
+import sys
 
 import pytest
 
@@ -280,6 +281,45 @@ def run_pipeline_doc(tmp_path, doc):
     return cli_main(["--out", str(tmp_path), "run-pipeline", str(path)])
 
 
+def nested(depth):
+    """SCENARIO with `depth` nested lists under a key the parser ignores, as JSON text."""
+    return json.dumps(SCENARIO)[:-1] + ', "deep": ' + "[" * depth + "]" * depth + "}"
+
+
+def config_nested_deeply(tmp_path, capsys):
+    # 5,000 levels pass the decoder's recursion limit: once a RecursionError,
+    # exit 1.  600 levels decode, but the summary's config echo recursed past
+    # the limit after pipeline_report.json was written.  Every text is now
+    # rendered before any file is written.  On 3.12 and later a comprehension
+    # adds no frame, so there 600 levels may render.
+    path = tmp_path / "config.json"
+    for depth in (600, 5000):
+        out = tmp_path / f"out-{depth}"
+        path.write_text(nested(depth))
+        status = cli_main(["--out", str(out), "run-pipeline", str(path)])
+        printed = capsys.readouterr().out
+        if status == 0 and depth == 600 and sys.version_info >= (3, 12):
+            assert sorted(p.name for p in out.iterdir()) == [
+                "pipeline_report.json", "run-pipeline.summary.json"]
+            continue
+        assert status == 2 and printed.startswith("error: config: maximum recursion depth")
+        assert not out.exists()
+
+
+def batch_nested_deeply(tmp_path, capsys):
+    # Once a RecursionError out of the decoder, exit 1.  run-scenarios
+    # echoes no document, so a scenario nested 600 deep under an ignored key
+    # still runs.
+    path = tmp_path / "batch.json"
+    path.write_text('{"scenarios": [' + nested(600) + '], "deep": ' + "[" * 5000 + "]" * 5000 + "}")
+    assert cli_main(["--out", str(tmp_path / "out"), "run-scenarios", str(path)]) == 2
+    assert capsys.readouterr().out.startswith("error: file: maximum recursion depth")
+    assert list((tmp_path / "out").iterdir()) == []
+    path.write_text('{"scenarios": [' + nested(600) + "]}")
+    assert cli_main(["--out", str(tmp_path / "out"), "run-scenarios", str(path)]) == 0
+    assert capsys.readouterr().out == "ok: ok-scenario: 1 flow(s)\n"
+
+
 def pool_size_not_int(tmp_path, capsys):
     for field in ("modulus", "pool_size", "af_bank"):
         for value in ("x", 1.5, True):
@@ -419,7 +459,7 @@ def test_config_rules_refuse_the_document_when_parsed(field, message):
              dist_span_huge, scenario_name_not_plain, scenario_name_taken, out_is_a_file,
              output_name_is_a_directory, modulus_not_prime, strategy_not_integer,
              twoway_negative_length, walk_hops_over_the_bound, grid_not_wxh, grid_zero_width,
-             grid_too_large, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
+             grid_too_large, config_nested_deeply, batch_nested_deeply, pool_size_not_int, bank_split_invalid, ss_bank_too_large,
              ss_bank_too_large_direct, af_bank_too_large_direct, hunt_without_source,
              cluster_node_ids_repeated, modulus_too_small, modulus_over_the_exact_bound,
              *(_pipeline_error(*error) for error in PIPELINE_ERRORS)],

@@ -190,6 +190,23 @@ def test_hop_distances_refuse_a_disconnected_field():
         field.distances_from(4)
 
 
+def test_topology_checks_its_roles_when_built():
+    # A Topology built by hand refuses a role that is not a node id with
+    # build_grid's own messages; a bad sink once failed as an IndexError
+    # inside hunt or bfs_distances.
+    line = dict(positions=((0.0, 0.0), (1.0, 0.0)), adjacency=((1,), (0,)))
+    for sink, sources, message in ((2, (1,), "sink: node 2 outside [0, 2)"),
+                                   (-1, (1,), "sink: node -1 outside [0, 2)"),
+                                   (0, (1, 2), "sources: node 2 outside [0, 2)"),
+                                   (0, (-1,), "sources: node -1 outside [0, 2)")):
+        for build in (lambda: Topology(**line, sink=sink, sources=sources),
+                      lambda: build_grid(2, 1, sink=sink, sources=sources)):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == message
+    assert Topology(**line, sink=1, sources=(0,)).sources == (0,)
+
+
 @pytest.mark.parametrize("radio_range", [0.0, -1.0, float("nan"), 1e-10])
 @pytest.mark.parametrize("build", [lambda r: build_grid(3, 3, r)], ids=["grid"])
 def test_every_builder_rejects_a_bad_radio_range(build, radio_range):

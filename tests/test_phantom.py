@@ -201,6 +201,25 @@ def test_routing_refuses_a_disconnected_field():
         hunt(field, WalkConfig(), 5, SimRng(1))
 
 
+@pytest.mark.parametrize("adjacency", [[(1,), (0, 2), (1,), ()], [(1,), (0,), (3,), (2,)]],
+                         ids=["isolated_source", "two_components"])
+def test_two_way_routing_refuses_a_disconnected_field(adjacency):
+    # Sink 0, source 3.  The isolated source's walk has no first step (once
+    # an IndexError); beside 0-1, the walk on 2-3 never meets the receptor,
+    # so a hunt once reported every message lost and none caught.  Each
+    # route now asks distances_from first: given no rng at all, it draws
+    # nothing before it refuses.
+    field = linked_field(adjacency, 0, (3,))
+    receptor = build_receptor(field, 0, 2, SimRng(1))
+    message = "^adjacency: no path from node 3 to node 0$"
+    with pytest.raises(DisconnectedGraphError, match=message):
+        hunt(field, TwoWay(2), 5, SimRng(1))
+    with pytest.raises(DisconnectedGraphError, match=message):
+        route_message(field, 3, 0, receptor, None)
+    with pytest.raises(DisconnectedGraphError, match=message):
+        deliver_two_way(field, 3, receptor, None)
+
+
 # --- receptor / two-way ---
 
 def test_receptor_zero_length():

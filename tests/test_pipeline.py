@@ -31,7 +31,7 @@ def test_privacy_level_layers():
 
 def test_pair_two_sources_common_neighbor():
     topo = build_grid(3, 3, sources=(3, 1))
-    clusters, unpaired = pair_sources((3, 1), topo)
+    clusters, unpaired = pair_sources(topo)
     assert unpaired == []
     assert clusters == [Cluster(s1=1, s2=3, af=4)]  # node 0 is the sink
 
@@ -39,7 +39,7 @@ def test_pair_two_sources_common_neighbor():
 def test_pair_eight_sources_on_grid():
     sources = (1, 3, 5, 11, 13, 21, 23, 19)
     topo = build_grid(5, 5, sources=sources)
-    clusters, unpaired = pair_sources(sources, topo)
+    clusters, unpaired = pair_sources(topo)
     assert len(clusters) == 4 and unpaired == []
     for c in clusters:
         d1 = bfs_distances(topo, c.s1)
@@ -50,7 +50,7 @@ def test_pair_eight_sources_on_grid():
 
 def test_pair_odd_source_reported_unpaired():
     topo = build_grid(4, 4, sources=(5, 6, 15))
-    clusters, unpaired = pair_sources((5, 6, 15), topo)
+    clusters, unpaired = pair_sources(topo)
     assert len(clusters) == 1
     assert unpaired == [15]
 
@@ -58,7 +58,7 @@ def test_pair_odd_source_reported_unpaired():
 def test_pair_needs_two_sources():
     topo = build_grid(3, 3)
     with pytest.raises(ValueError, match="^sources: "):
-        pair_sources((4,), topo)
+        pair_sources(topo)
 
 
 def test_pair_without_af_candidate_rejected():
@@ -67,16 +67,16 @@ def test_pair_without_af_candidate_rejected():
     with pytest.raises(
         ValueError, match="^sources: no aggregator-forwarder candidate can reach both 1 and 2$"
     ):
-        pair_sources((1, 2), topo)
+        pair_sources(topo)
 
 
 def test_pair_refuses_a_disconnected_field():
     # On the path 0-1-2-3 with sink 1 the AF is node 2.  Beside a pair 4-5,
     # whose hop counts from either source do not exist, the field is refused.
     path = [(1,), (0, 2), (1, 3), (2,)]
-    assert pair_sources((0, 3), linked_field(path, 1, (0, 3))) == ([Cluster(0, 3, 2)], [])
+    assert pair_sources(linked_field(path, 1, (0, 3))) == ([Cluster(0, 3, 2)], [])
     with pytest.raises(DisconnectedGraphError, match="^adjacency: "):
-        pair_sources((0, 3), linked_field(path + [(5,), (4,)], 1, (0, 3)))
+        pair_sources(linked_field(path + [(5,), (4,)], 1, (0, 3)))
 
 
 def pair_sources_oracle(sources, topo):
@@ -109,7 +109,7 @@ def test_pair_fallback_af_matches_brute_force_oracle():
         sources = tuple(rnd.sample(range(1, width * height), rnd.randint(9, 11)))
         topo = build_grid(width, height, sources=sources)
         clusters, unpaired, used = pair_sources_oracle(sources, topo)
-        assert pair_sources(sources, topo) == (clusters, unpaired)
+        assert pair_sources(topo) == (clusters, unpaired)
         fallbacks += used
         pairs += len(clusters)
     assert 2 * fallbacks > pairs  # the fallback, not a common neighbor, picked most AFs
@@ -120,7 +120,7 @@ def test_pair_fallback_af_matches_brute_force_oracle():
         sources = tuple(random.Random(seed).sample(range(1, 144), 39 + seed % 2))
         topo = build_grid(12, 12, sources=sources)
         clusters, unpaired, _ = pair_sources_oracle(sources, topo)
-        assert pair_sources(sources, topo) == (clusters, unpaired)
+        assert pair_sources(topo) == (clusters, unpaired)
 
     # A random-geometric field: uneven degrees, and ties between summed distances.
     fallbacks = 0
@@ -128,7 +128,7 @@ def test_pair_fallback_af_matches_brute_force_oracle():
         sources = tuple(random.Random(seed).sample(range(1, 80), 9))
         topo = random_field(80, 10.0, 1.8, SimRng(seed, "field"), sources=sources)
         clusters, unpaired, used = pair_sources_oracle(sources, topo)
-        assert pair_sources(sources, topo) == (clusters, unpaired)
+        assert pair_sources(topo) == (clusters, unpaired)
         fallbacks += used
     assert fallbacks
 
@@ -139,7 +139,32 @@ def test_pair_fallback_af_matches_brute_force_oracle():
     topo = build_grid(9, 1, sources=sources)
     clusters, unpaired, used = pair_sources_oracle(sources, topo)
     assert clusters == [Cluster(s1=1, s2=2, af=5), Cluster(s1=3, s2=4, af=5)] and used == 2
-    assert pair_sources(sources, topo) == (clusters, unpaired)
+    assert pair_sources(topo) == (clusters, unpaired)
+
+
+def test_a_common_neighbour_has_the_least_summed_distance():
+    # pair_sources's one AF rule is the argmin of summed hop distances over
+    # the non-source, non-sink nodes.  Every such node is at least one hop
+    # from each source, so every common neighbour, where a pair has one,
+    # sums 2, the least, and the AF is the lowest-id common neighbour.
+    fields = [build_grid(9, 7, r) for r in (1.0, 1.5, 2.0)]
+    fields += [random_field(60, 8.0, 1.8, SimRng(seed, "field")) for seed in range(3)]
+    with_common = 0
+    for k, topo in enumerate(fields):
+        rnd = random.Random(k)
+        for _ in range(60):
+            s1, s2 = sorted(rnd.sample(range(1, topo.node_count), 2))
+            d1, d2 = bfs_distances(topo, s1), bfs_distances(topo, s2)
+            others = [v for v in range(topo.node_count) if v not in (0, s1, s2)]
+            least = min(d1[v] + d2[v] for v in others)
+            common = [v for v in others if v in topo.adjacency[s1] and v in topo.adjacency[s2]]
+            for v in common:
+                assert d1[v] + d2[v] == least == 2
+            clusters, _ = pair_sources(dataclasses.replace(topo, sources=(s2, s1)))
+            if common:
+                assert clusters == [Cluster(s1, s2, common[0])]
+                with_common += 1
+    assert with_common >= 60
 
 
 # --- pipeline flows ---
